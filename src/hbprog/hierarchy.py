@@ -41,6 +41,7 @@ from hbprog.targets import (
     HyperParameters,
     HyperPriorBounds,
     dataset_loglik,
+    dataset_loglik_batch,
     logsumexp,
     segment_logsumexp,
     trunc_normal_logpdf,
@@ -170,9 +171,7 @@ def _polish_inits(target: TargetSpec, starts: list[np.ndarray], best_pair):
     return best_lp, best_x
 
 
-def _find_init(
-    target: TargetSpec, rng: np.random.Generator, first_guess: np.ndarray, max_tries: int = 200
-) -> np.ndarray:
+def _find_init(target: TargetSpec, rng: np.random.Generator, first_guess: np.ndarray) -> np.ndarray:
     """Mode-seeking initialization over a finite box.
 
     Degradation log-targets span millions of nats across the support (model
@@ -213,7 +212,9 @@ def _find_init(
         if lp > best_lp:
             best_lp, best_x = lp, x
     if not math.isfinite(best_lp):
-        raise SamplerError(f"no finite log-target point found after {max_tries} tries")
+        raise SamplerError(
+            "no finite log-target point found at the first guess or by the global search"
+        )
     return best_x
 
 
@@ -301,6 +302,34 @@ def stage1_infer(
     return out
 
 
+#: cap on stacked stage-1 rows x hyper vectors evaluated at once by the
+#: batched stage-2 target, which bounds its scratch memory
+STAGE2_CHUNK_ROWS = 4096
+
+
+def _stage2_stack(stage1: Sequence[SampleSet], bounds, correlated, sigma_trunc) -> tuple:
+    """Stacked stage-1 rows and what both stage-2 target forms precompute
+    from them: ``(n_theta, stacked, starts, counts, log_counts, sigma_bad,
+    base_const)``."""
+    mats = [np.asarray(ss.samples, dtype=float) for ss in stage1]
+    dims = {m.shape[1] for m in mats}
+    if len(dims) != 1:
+        raise ValueError("stage-1 sample sets have mismatched dimensions")
+    n_theta = dims.pop() - 1
+    if bounds.n_theta != n_theta:
+        raise ValueError("hyper-prior bounds do not match the stage-1 parameter dimension")
+    if correlated and n_theta != 2:
+        raise ValueError("the correlated case is only defined for 2-parameter families")
+    stacked = np.vstack(mats)
+    counts = np.array([m.shape[0] for m in mats])
+    sigma_col = stacked[:, -1]
+    sigma_bad = ~((sigma_col > 0.0) & (sigma_col < sigma_trunc))
+    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    log_counts = np.log(counts.astype(float))
+    base_const = -0.5 * (n_theta + 1) * math.log(2.0 * math.pi)
+    return n_theta, stacked, starts, counts, log_counts, sigma_bad, base_const
+
+
 def _stage2_target(stage1: Sequence[SampleSet], bounds, correlated, sigma_trunc):
     """Log-likelihood of the hyper vector given stacked stage-1 samples.
 
@@ -310,24 +339,10 @@ def _stage2_target(stage1: Sequence[SampleSet], bounds, correlated, sigma_trunc)
     range contribute -inf rows regardless of the hyper vector, so that mask
     is precomputed once.
     """
-    mats = [np.asarray(ss.samples, dtype=float) for ss in stage1]
-    dims = {m.shape[1] for m in mats}
-    if len(dims) != 1:
-        raise ValueError("stage-1 sample sets have mismatched dimensions")
-    dim = dims.pop()
-    n_theta = dim - 1
-    if bounds.n_theta != n_theta:
-        raise ValueError("hyper-prior bounds do not match the stage-1 parameter dimension")
-    if correlated and n_theta != 2:
-        raise ValueError("the correlated case is only defined for 2-parameter families")
-    stacked = np.vstack(mats)
-    counts = np.array([m.shape[0] for m in mats])
-    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    log_counts = np.log(counts.astype(float))
-    sigma_col = stacked[:, -1]
-    sigma_bad = ~((sigma_col > 0.0) & (sigma_col < sigma_trunc))
+    n_theta, stacked, starts, counts, log_counts, sigma_bad, base_const = _stage2_stack(
+        stage1, bounds, correlated, sigma_trunc
+    )
     any_sigma_bad = bool(sigma_bad.any())
-    base_const = -0.5 * (n_theta + 1) * math.log(2.0 * math.pi)
 
     def loglik(vec: np.ndarray) -> float:
         mu_full = vec[: n_theta + 1]
@@ -358,6 +373,75 @@ def _stage2_target(stage1: Sequence[SampleSet], bounds, correlated, sigma_trunc)
     return loglik, n_theta
 
 
+def _stage2_target_batch(stage1: Sequence[SampleSet], bounds, correlated, sigma_trunc):
+    """Batched form of :func:`_stage2_target`: maps hyper vectors
+    ``[p, d]`` to log-likelihoods ``[p]``, equal to the scalar closure row
+    by row. Blocks of hyper vectors are evaluated against all stacked rows
+    at once, at most ``STAGE2_CHUNK_ROWS`` stacked rows x vectors per block.
+    """
+    n_theta, stacked, starts, counts, log_counts, sigma_bad, base_const = _stage2_stack(
+        stage1, bounds, correlated, sigma_trunc
+    )
+    any_sigma_bad = bool(sigma_bad.any())
+    block = max(1, STAGE2_CHUNK_ROWS // stacked.shape[0])
+    # components on the leading axis keep numpy's inner loops over the long
+    # row axis; numpy sums fewer than 8 components left to right either
+    # way, so the quadratic form matches the scalar closure bit for bit
+    stacked_t = np.ascontiguousarray(stacked.T)
+
+    def loglik(vecs: np.ndarray) -> np.ndarray:
+        vecs = np.asarray(vecs, dtype=float)
+        out = np.full(vecs.shape[0], -np.inf)
+        mu_s, sd_s = vecs[:, n_theta], vecs[:, 2 * n_theta + 1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            z_trunc = ndtr((sigma_trunc - mu_s) / sd_s) - ndtr((0.0 - mu_s) / sd_s)
+        ok = ~np.any(vecs[:, n_theta + 1 : 2 * n_theta + 2] <= 0, axis=1) & (z_trunc > 0)
+        if correlated:
+            ok &= np.abs(vecs[:, -1]) < 1
+        live = np.flatnonzero(ok)
+        mu = vecs[live, : n_theta + 1]
+        sd = vecs[live, n_theta + 1 : 2 * n_theta + 2]
+        # per-vector scalars go through Python floats as in the scalar
+        # closure: numpy's log and square may differ in the last bit
+        const = base_const
+        if correlated:
+            rho = vecs[live, -1]
+            one_m_rho2 = np.array([1.0 - v**2 for v in rho.tolist()])
+            const = base_const - 0.5 * np.array([math.log(v) for v in one_m_rho2.tolist()])
+        log_z = np.array([math.log(v) for v in z_trunc[live].tolist()])
+        offset = const - np.log(sd).sum(axis=1) - log_z
+        for lo in range(0, live.size, block):
+            b = slice(lo, lo + block)
+            # in-place steps keep the block's scratch at one [block, d, rows] array
+            z = stacked_t - mu[b, :, None]
+            z /= sd[b, :, None]
+            if correlated:
+                r = rho[b, None]
+                quad = (
+                    z[:, 0] ** 2 - 2.0 * r * z[:, 0] * z[:, 1] + z[:, 1] ** 2
+                ) / one_m_rho2[b, None] + z[:, 2] ** 2
+            else:
+                quad = np.square(z, out=z).sum(axis=1)
+            del z  # release the scratch before the segment sums allocate theirs
+            rows = offset[b, None] - 0.5 * quad
+            if any_sigma_bad:
+                rows[:, sigma_bad] = -np.inf
+            out[live[b]] = (segment_logsumexp(rows, starts, counts) - log_counts).sum(axis=1)
+        return out
+
+    return loglik, n_theta
+
+
+def _box_logpdf_batch(lower: np.ndarray, upper: np.ndarray, log_const: float):
+    """Uniform log-density on a box, for a batch of points ``[n, d]``."""
+
+    def logpdf(x: np.ndarray) -> np.ndarray:
+        outside = np.any((x < lower) | (x > upper), axis=1)
+        return np.where(outside, -np.inf, log_const)
+
+    return logpdf
+
+
 def stage2_infer(
     stage1: Sequence[SampleSet],
     bounds: HyperPriorBounds,
@@ -379,7 +463,10 @@ def stage2_infer(
         raise ValueError("case must be 'diag' or 'corr'")
     config = config or SamplerConfig()
     correlated = case == "corr"
-    loglik, n_theta = _stage2_target(stage1, bounds, correlated, sigma_trunc)
+    if sampler not in ("slice", "tmcmc"):
+        raise ValueError("sampler must be 'slice' or 'tmcmc'")
+    make_target = _stage2_target if sampler == "slice" else _stage2_target_batch
+    loglik, n_theta = make_target(stage1, bounds, correlated, sigma_trunc)
     lower = bounds.lower(correlated)
     upper = bounds.upper(correlated)
     labels = HyperParameters.labels(n_theta, correlated)
@@ -397,22 +484,16 @@ def stage2_infer(
         rng = np.random.default_rng(subseed(seed, 0x1417))
         init = _find_init(target, rng, 0.5 * (lower + upper))
         out = slice_sample(target, init, config.replace(seed=seed))
-    elif sampler == "tmcmc":
+    else:
 
         def sample_prior(rng: np.random.Generator, n: int) -> np.ndarray:
             return rng.uniform(lower, upper, size=(n, len(lower)))
 
-        def prior_logpdf(vec: np.ndarray) -> float:
-            if np.any(vec < lower) or np.any(vec > upper):
-                return -math.inf
-            return log_prior_const
-
+        prior_logpdf = _box_logpdf_batch(lower, upper, log_prior_const)
         tempered = TemperedTarget(
-            len(lower), sample_prior, prior_logpdf, loglik, labels, name="stage2"
+            len(lower), sample_prior, prior_logpdf, loglik, labels, name="stage2", vectorized=True
         )
         out = tmcmc(tempered, config.replace(seed=seed))
-    else:
-        raise ValueError("sampler must be 'slice' or 'tmcmc'")
 
     out.provenance.update(
         stage="stage2",
@@ -649,6 +730,16 @@ def classical_update(
     return out
 
 
+def _forward_stage1(stage1_sets: Sequence[SampleSet], stage1_thin: int | None) -> list:
+    """Stage-1 sets as forwarded to stage 2: each thinned to about
+    ``stage1_thin`` draws when it holds more."""
+    if stage1_thin is None:
+        return list(stage1_sets)
+    return [
+        ss.thin(max(1, ss.n // stage1_thin)) if ss.n > stage1_thin else ss for ss in stage1_sets
+    ]
+
+
 def fit_historical(
     datasets: Sequence[Dataset],
     stage1_bounds,
@@ -673,13 +764,9 @@ def fit_historical(
         model = build_model(ds, family, nominals)
         job_cfg = config.replace(seed=subseed(config.seed, _TAG_STAGE1, i))
         stage1_sets.append(stage1_infer(ds, model, stage1_bounds, job_cfg))
-    forwarded = stage1_sets
-    if stage1_thin is not None:
-        forwarded = [
-            ss.thin(max(1, ss.n // stage1_thin)) if ss.n > stage1_thin else ss
-            for ss in stage1_sets
-        ]
-    hyper = stage2_infer(forwarded, hyper_bounds, case, config, sampler, sigma_trunc)
+    hyper = stage2_infer(
+        _forward_stage1(stage1_sets, stage1_thin), hyper_bounds, case, config, sampler, sigma_trunc
+    )
     return HierarchyResult(
         stage1=tuple(stage1_sets),
         hyper=hyper,
@@ -719,24 +806,23 @@ def _stage1_tmcmc(
     config = config.replace(tmcmc_moves=max(config.tmcmc_moves, 8))
     lower = np.asarray(bounds[0], dtype=float)
     upper = np.asarray(bounds[1], dtype=float)
-    lower_l, upper_l = lower.tolist(), upper.tolist()
     log_prior_const = float(-np.sum(np.log(upper - lower)))
 
     def sample_prior(rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.uniform(lower, upper, size=(n, len(lower)))
 
-    def prior_logpdf(x: np.ndarray) -> float:
-        for v, lo_v, hi_v in zip(x.tolist(), lower_l, upper_l):
-            if v < lo_v or v > hi_v:
-                return -math.inf
-        return log_prior_const
-
-    def loglik(x: np.ndarray) -> float:
-        return dataset_loglik(model, dataset, x[:-1], float(x[-1]))
+    def loglik(x: np.ndarray) -> np.ndarray:
+        return dataset_loglik_batch(model, dataset, x[:, :-1], x[:, -1])
 
     labels = model.theta_labels + ("sigma",)
     tempered = TemperedTarget(
-        len(lower), sample_prior, prior_logpdf, loglik, labels, name=f"stage1:{dataset.unit_id}"
+        len(lower),
+        sample_prior,
+        _box_logpdf_batch(lower, upper, log_prior_const),
+        loglik,
+        labels,
+        name=f"stage1:{dataset.unit_id}",
+        vectorized=True,
     )
     out = tmcmc(tempered, config)
     out.provenance.update(unit_id=dataset.unit_id, family=model.family, stage="stage1")
@@ -809,14 +895,9 @@ def model_select(
                 data_log_ev += ss.log_evidence + log_volume
                 data_var += ss.log_evidence_se**2
                 stage1_sets.append(ss)
-            forwarded = stage1_sets
-            if stage1_thin is not None:
-                forwarded = [
-                    ss.thin(max(1, ss.n // stage1_thin)) if ss.n > stage1_thin else ss
-                    for ss in stage1_sets
-                ]
             hyper = stage2_infer(
-                forwarded, cand.hyper_bounds, case, cand_cfg, "tmcmc", cand.sigma_trunc
+                _forward_stage1(stage1_sets, stage1_thin),
+                cand.hyper_bounds, case, cand_cfg, "tmcmc", cand.sigma_trunc,
             )
             total = data_log_ev + hyper.log_evidence
             record["log_evidence"] = total if rank_by == "total" else hyper.log_evidence

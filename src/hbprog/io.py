@@ -31,7 +31,7 @@ from hbprog import __version__
 from hbprog.hierarchy import Dataset, build_model
 from hbprog.models import CrackGeometry, LoadingSpec
 from hbprog.prognosis import PrognosisConfig, PrognosisResult
-from hbprog.samplers import SampleSet, config_fingerprint, subseed
+from hbprog.samplers import SampleSet, SamplerConfig, config_fingerprint, subseed
 from hbprog.targets import HyperParameters, HyperPriorBounds, trunc_normal_ppf
 
 
@@ -455,6 +455,36 @@ def _true_eol(model, theta, spec: SyntheticSpec) -> float | None:
     return float(k[int(np.argmax(below))])
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_count(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+#: accepted JSON value per ``sampler`` key: (test, description)
+_SAMPLER_FIELDS = {
+    "kind": (lambda v: v in ("slice", "tmcmc"), "'slice' or 'tmcmc'"),
+    "n_samples": (_is_count, "an integer"),
+    "burn_in": (_is_number, "a number"),
+    "thinning": (_is_count, "an integer"),
+    "seed": (_is_count, "an integer"),
+    "slice_width": (
+        lambda v: v is None
+        or _is_number(v)
+        or (isinstance(v, list) and bool(v) and all(_is_number(x) for x in v)),
+        "a number, a list of numbers or null",
+    ),
+    "max_step_out": (_is_count, "an integer"),
+    "max_shrink": (_is_count, "an integer"),
+    "tmcmc_stage_size": (lambda v: v is None or _is_count(v), "an integer or null"),
+    "tmcmc_target_cov": (_is_number, "a number"),
+    "tmcmc_moves": (_is_count, "an integer"),
+    "tmcmc_proposal_scale": (_is_number, "a number"),
+}
+
+
 class RunConfig:
     """Parsed run configuration for the command-line pipeline.
 
@@ -474,6 +504,7 @@ class RunConfig:
                 raise DataFormatError(
                     f"family {fam!r} pairs with the {expected} likelihood, not {lik!r}"
                 )
+        self._sampler_section()
 
     @classmethod
     def from_file(cls, path: Path | str) -> "RunConfig":
@@ -513,18 +544,34 @@ class RunConfig:
     def case(self) -> str:
         return self.raw.get("case", "diag")
 
-    def sampler_config(self, **overrides):
-        from hbprog.samplers import SamplerConfig
+    def _sampler_section(self) -> dict:
+        """The ``sampler`` section, with every key and value type checked."""
+        section = self.raw.get("sampler", {})
+        if not isinstance(section, dict):
+            raise DataFormatError("config: field 'sampler' must be an object")
+        for key, value in section.items():
+            if key not in _SAMPLER_FIELDS:
+                raise DataFormatError(f"config: unknown field 'sampler.{key}'")
+            valid, wanted = _SAMPLER_FIELDS[key]
+            if not valid(value):
+                raise DataFormatError(
+                    f"config: field 'sampler.{key}' must be {wanted}, got {value!r}"
+                )
+        return dict(section)
 
-        section = dict(self.raw.get("sampler", {}))
+    def sampler_config(self, **overrides) -> SamplerConfig:
+        section = self._sampler_section()
         section.pop("kind", None)
         section.update({k: v for k, v in overrides.items() if v is not None})
         section.setdefault("seed", self.seed)
-        return SamplerConfig(**section)
+        try:
+            return SamplerConfig(**section)
+        except ValueError as exc:
+            raise DataFormatError(f"config: sampler: {exc}") from None
 
     @property
     def sampler_kind(self) -> str:
-        return self.raw.get("sampler", {}).get("kind", "slice")
+        return self._sampler_section().get("kind", "slice")
 
     def stage1_bounds(self, section: dict | None = None):
         sec = section if section is not None else self.raw.get("stage1_bounds")

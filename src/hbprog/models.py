@@ -28,6 +28,22 @@ BATT_DOUBLE_NOMINALS = (1.92, -0.02, -0.003, -0.05)
 SQRT_PI = math.sqrt(math.pi)
 
 
+def _math_rows(fn, values: np.ndarray) -> np.ndarray:
+    """``fn`` from :mod:`math` applied to each entry, +inf on overflow.
+
+    The batched closed forms take their per-row constants through here so
+    they match the scalar path bit for bit; numpy's vectorized exp and log
+    may differ from :mod:`math` in the last bit.
+    """
+    out = np.empty(len(values))
+    for i, v in enumerate(values.tolist()):
+        try:
+            out[i] = fn(v)
+        except OverflowError:
+            out[i] = math.inf
+    return out
+
+
 class CrackDivergedError(ArithmeticError):
     """The crack-growth closed form diverges before the requested cycle."""
 
@@ -209,6 +225,23 @@ def equivalent_stress(loading: LoadingSpec, m: float) -> float:
     return float(math.exp(log_mean / m))
 
 
+def _equivalent_stress_rows(loading: LoadingSpec, m: np.ndarray) -> np.ndarray:
+    """:func:`equivalent_stress` of two-block loading for a vector of
+    Paris exponents, with the two blocks combined through ``logaddexp``."""
+    if not np.all(np.isfinite(m)):
+        raise ValueError("Paris exponent m must be finite")
+    if np.any(m == 0.0):
+        raise ValueError("power mean undefined for m = 0")
+    n1, n2 = float(loading.n1), float(loading.n2)
+    terms = []
+    if n1 > 0:
+        terms.append(math.log(n1) + m * math.log(loading.delta_sigma1))
+    if n2 > 0:
+        terms.append(math.log(n2) + m * math.log(loading.delta_sigma2))
+    log_sum = np.logaddexp(*terms) if len(terms) == 2 else terms[0]
+    return _math_rows(math.exp, (log_sum - math.log(n1 + n2)) / m)
+
+
 def _log_growth_rate(params: CrackParams, delta_sigma: float) -> float:
     """log of C * (delta_sigma * sqrt(pi))^m, the cycle-rate prefactor."""
     return params.log_c + params.m * math.log(delta_sigma * SQRT_PI)
@@ -254,6 +287,36 @@ def _profile_raw(
             diverged, np.inf, a0 * np.exp(np.log1p(np.where(diverged, 0.0, r)) / e)
         )
     return a
+
+
+def _profile_rows(
+    m: np.ndarray, log_c: np.ndarray, log_ds: np.ndarray, a0: float, n0: float, n_cycles
+) -> np.ndarray:
+    """:func:`_profile_raw` for one parameter row per entry of ``m``,
+    ``log_c`` and ``log_ds = log(ds * sqrt(pi))``; returns ``[rows, cycles]``
+    with +inf at and beyond each row's divergence cycle."""
+    dn = n_cycles - n0
+    out = np.empty((m.size, dn.size))
+    band = np.abs(m - 2.0) < PARIS_M_TOL
+    grow = ~band
+    with np.errstate(over="ignore", invalid="ignore"):
+        if band.any():
+            rate = _math_rows(math.exp, log_c[band] + 2.0 * log_ds[band])
+            out[band] = a0 * np.exp(rate[:, None] * dn)
+        if grow.any():
+            e = 1.0 - m[grow] / 2.0
+            log_scale = log_c[grow] + m[grow] * log_ds[grow] - e * math.log(a0)
+            scale = e * _math_rows(math.exp, log_scale)
+            r = scale[:, None] * dn
+            # infinite rate: instant divergence everywhere except dn = 0
+            r[np.isinf(scale)[:, None] & (dn == 0.0)] = 0.0
+            diverged = 1.0 + r <= 0.0
+            out[grow] = np.where(
+                diverged,
+                np.inf,
+                a0 * np.exp(np.log1p(np.where(diverged, 0.0, r)) / e[:, None]),
+            )
+    return out
 
 
 def _paris_profile(
@@ -373,6 +436,17 @@ class DegradationModel:
     def predict(self, theta: np.ndarray, cycles) -> np.ndarray:
         raise NotImplementedError
 
+    def predict_batch(self, theta: np.ndarray, cycles) -> np.ndarray:
+        """Curves for every row of ``theta`` (``[n, n_theta] -> [n, len]``),
+        equal to :meth:`predict` row by row. This default stacks
+        :meth:`predict`; the built-in families evaluate closed forms."""
+        theta = np.asarray(theta, dtype=float)
+        n_points = np.atleast_1d(np.asarray(cycles)).size
+        out = np.empty((theta.shape[0], n_points))
+        for i, row in enumerate(theta):
+            out[i] = self.predict(row, cycles)
+        return out
+
     def admissible(self, theta: np.ndarray) -> bool:
         raise NotImplementedError
 
@@ -425,6 +499,24 @@ class ParisCrackModel(DegradationModel):
         ds = self._ds_const if self._ds_const is not None else equivalent_stress(self.loading, m)
         return _profile_raw(m, log_c, self.geometry.a0, self.geometry.n0, ds, n)
 
+    def predict_batch(self, theta, cycles) -> np.ndarray:
+        theta = np.asarray(theta, dtype=float)
+        n = np.atleast_1d(np.asarray(cycles, dtype=float))
+        out = np.full((theta.shape[0], n.size), np.inf)
+        t1, t2 = theta[:, 0], theta[:, 1]
+        ok = (t1 > 0) & np.isfinite(t1) & np.isfinite(t2)
+        if not ok.any():
+            return out
+        m = t1[ok] * self.m0
+        log_c = t2[ok] * self.log_c0
+        if self._ds_const is not None:
+            log_ds = np.full(m.size, math.log(self._ds_const * SQRT_PI))
+        else:
+            ds = _equivalent_stress_rows(self.loading, m)
+            log_ds = _math_rows(math.log, ds * SQRT_PI)
+        out[ok] = _profile_rows(m, log_c, log_ds, self.geometry.a0, self.geometry.n0, n)
+        return out
+
     def cycles_to_failure(self, theta, a_f: float | None = None) -> float:
         return cycles_to_failure(self._params(theta), self.geometry, self.loading, a_f)
 
@@ -453,6 +545,24 @@ class BatterySingleModel(DegradationModel):
             return np.full(k.shape, np.inf)
         p = BatterySingleParams(*(float(v) for v in theta), nominals=self.nominals)
         return np.asarray(battery_capacity_single(p, k), dtype=float)
+
+    def predict_batch(self, theta, cycles) -> np.ndarray:
+        t = np.asarray(theta, dtype=float)
+        k = np.atleast_1d(np.asarray(cycles, dtype=float))
+        nom = self.nominals
+        ok = np.isfinite(t).all(axis=1) & (t[:, 0] * nom[0] > 0)
+        if ok.any() and np.any(k < 1):
+            raise ValueError("cycle index below model domain (k >= 1 required)")
+        c0, a, b = (t[:, j, None] * nom[j] for j in range(3))
+        # in place, so a batch holds one [n, len] array; same values as
+        # c0 + a * exp(b / k)
+        with np.errstate(over="ignore", invalid="ignore"):
+            q = b / k
+            np.exp(q, out=q)
+            q *= a
+            q += c0
+        q[~ok] = np.inf
+        return q
 
 
 class BatteryDoubleModel(DegradationModel):
@@ -483,3 +593,24 @@ class BatteryDoubleModel(DegradationModel):
         with np.errstate(over="ignore"):
             q = battery_capacity_double(p, k)
         return np.asarray(q, dtype=float)
+
+    def predict_batch(self, theta, cycles) -> np.ndarray:
+        t = np.asarray(theta, dtype=float)
+        k = np.atleast_1d(np.asarray(cycles, dtype=float))
+        nom = self.nominals
+        ok = np.isfinite(t).all(axis=1) & (t[:, 0] * nom[0] + t[:, 2] * nom[2] > 0)
+        if ok.any() and np.any(k < 0):
+            raise ValueError("cycle index must be >= 0")
+        a, b, c, d = (t[:, j, None] * nom[j] for j in range(4))
+        # in place, so a batch holds two [n, len] arrays; same values as
+        # a * exp(b * k) + c * exp(d * k)
+        with np.errstate(over="ignore", invalid="ignore"):
+            q = b * k
+            np.exp(q, out=q)
+            q *= a
+            second = d * k
+            np.exp(second, out=second)
+            second *= c
+            q += second
+        q[~ok] = np.inf
+        return q

@@ -76,14 +76,22 @@ class TargetSpec:
 
 @dataclass(frozen=True)
 class TemperedTarget:
-    """Prior-sampler / log-likelihood pair consumed by :func:`tmcmc`."""
+    """Prior-sampler / log-likelihood pair consumed by :func:`tmcmc`.
+
+    With ``vectorized=False`` the prior log-density and the log-likelihood
+    map one point ``[dim]`` to a float. With ``vectorized=True`` both map a
+    batch ``[n, dim]`` to ``[n]``, so the sampler evaluates a whole particle
+    population per call. Either way -inf marks an impossible point, and a
+    NaN log-likelihood rejects a proposal.
+    """
 
     dim: int
     sample_prior: Callable[[np.random.Generator, int], np.ndarray]
-    prior_logpdf: Callable[[np.ndarray], float]
-    log_likelihood: Callable[[np.ndarray], float]
+    prior_logpdf: Callable[[np.ndarray], float | np.ndarray]
+    log_likelihood: Callable[[np.ndarray], float | np.ndarray]
     labels: tuple[str, ...] | None = None
     name: str = "tempered"
+    vectorized: bool = False
 
 
 @dataclass(frozen=True)
@@ -314,6 +322,20 @@ def _choose_dbeta(loglik: np.ndarray, beta: float, target_cov: float) -> float:
     return db
 
 
+def _batched(fn: Callable, vectorized: bool, what: str) -> Callable[[np.ndarray], np.ndarray]:
+    """Batch form ``[n, dim] -> [n]`` of a log-density; a scalar one is
+    lifted to apply row by row."""
+    rows = fn if vectorized else (lambda x: [float(fn(row)) for row in x])
+
+    def batch(x: np.ndarray) -> np.ndarray:
+        out = np.asarray(rows(x), dtype=float)
+        if out.shape != (x.shape[0],):
+            raise SamplerError(f"{what} returned shape {out.shape} for {x.shape[0]} rows")
+        return out
+
+    return batch
+
+
 def tmcmc(target: TemperedTarget, config: SamplerConfig) -> SampleSet:
     """Transitional MCMC over a staged tempering of likelihood^beta.
 
@@ -324,15 +346,24 @@ def tmcmc(target: TemperedTarget, config: SamplerConfig) -> SampleSet:
     proposal scaled from the weighted particle covariance. The log-evidence
     is the sum over stages of the log mean incremental weight; a rough
     standard error accumulates the per-stage weight variances.
+
+    The prior draws, the resampled particles and each Metropolis sweep are
+    evaluated as one batch; the likelihood only sees proposals with a
+    finite prior. Scalar and vectorized forms of the same target give
+    identical results. ``n_loglik_rows`` in the provenance counts the
+    likelihood rows evaluated.
     """
     rng = np.random.default_rng(config.seed)
     n = config.tmcmc_stage_size or config.n_samples
     dim = target.dim
+    prior_logpdf = _batched(target.prior_logpdf, target.vectorized, "prior log-density")
+    log_likelihood = _batched(target.log_likelihood, target.vectorized, "log-likelihood")
 
     particles = np.asarray(target.sample_prior(rng, n), dtype=float)
     if particles.shape != (n, dim):
         raise SamplerError(f"prior sampler returned shape {particles.shape}, wanted {(n, dim)}")
-    loglik = np.array([float(target.log_likelihood(p)) for p in particles])
+    loglik = log_likelihood(particles)
+    n_loglik_rows = n
     if np.any(np.isnan(loglik)):
         raise SamplerError("log-likelihood returned NaN on a prior draw")
     if not np.any(np.isfinite(loglik)):
@@ -372,24 +403,25 @@ def tmcmc(target: TemperedTarget, config: SamplerConfig) -> SampleSet:
         idx = rng.choice(n, size=n, p=weights)
         particles = particles[idx].copy()
         loglik = loglik[idx].copy()
-        log_prior = np.array([float(target.prior_logpdf(p)) for p in particles])
+        log_prior = prior_logpdf(particles)
 
         for _ in range(config.tmcmc_moves):
             steps = rng.standard_normal((n, dim)) @ chol.T
             log_u = np.log(rng.uniform(size=n))
-            for i in range(n):
-                prop = particles[i] + steps[i]
-                lp_prior = float(target.prior_logpdf(prop))
-                if lp_prior == -math.inf:
-                    continue
-                ll = float(target.log_likelihood(prop))
-                if math.isnan(ll):
-                    continue
-                log_alpha = (lp_prior + beta * ll) - (log_prior[i] + beta * loglik[i])
-                if log_u[i] < log_alpha:
-                    particles[i] = prop
-                    loglik[i] = ll
-                    log_prior[i] = lp_prior
+            props = particles + steps
+            lp_prop = prior_logpdf(props)
+            # NaN marks "not evaluated"; it fails the acceptance test below
+            ll_prop = np.full(n, np.nan)
+            live = np.flatnonzero(lp_prop != -np.inf)
+            if live.size:
+                ll_prop[live] = log_likelihood(props[live])
+                n_loglik_rows += live.size
+            with np.errstate(invalid="ignore"):
+                log_alpha = (lp_prop + beta * ll_prop) - (log_prior + beta * loglik)
+            accept = log_u < log_alpha
+            particles[accept] = props[accept]
+            loglik[accept] = ll_prop[accept]
+            log_prior[accept] = lp_prop[accept]
 
     labels = target.labels or tuple(f"x{j}" for j in range(dim))
     provenance = {
@@ -399,6 +431,7 @@ def tmcmc(target: TemperedTarget, config: SamplerConfig) -> SampleSet:
         "config_hash": config_fingerprint(config),
         "beta_schedule": [float(b) for b in betas],
         "n_stages": len(betas) - 1,
+        "n_loglik_rows": n_loglik_rows,
     }
     return SampleSet(
         particles,

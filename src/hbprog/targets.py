@@ -39,19 +39,20 @@ def logsumexp(a) -> float:
 def segment_logsumexp(
     values: np.ndarray, starts: np.ndarray, counts: np.ndarray | None = None
 ) -> np.ndarray:
-    """logsumexp over contiguous segments of a 1-d array.
+    """logsumexp over contiguous segments along the last axis of an array.
 
     ``starts`` holds each segment's first index (starts[0] == 0). Segments
     whose entries are all -inf yield -inf. ``counts`` (segment lengths) may
-    be passed to avoid recomputation in hot loops.
+    be passed to avoid recomputation in hot loops. A 2-d input is treated
+    as one row of segments per leading index.
     """
-    smax = np.maximum.reduceat(values, starts)
+    smax = np.maximum.reduceat(values, starts, axis=-1)
     finite = np.isfinite(smax)
     safe = np.where(finite, smax, 0.0)
     if counts is None:
-        counts = np.diff(np.append(starts, values.size))
-    shifted = np.exp(values - np.repeat(safe, counts))
-    sums = np.add.reduceat(shifted, starts)
+        counts = np.diff(np.append(starts, values.shape[-1]))
+    shifted = np.exp(values - np.repeat(safe, counts, axis=-1))
+    sums = np.add.reduceat(shifted, starts, axis=-1)
     with np.errstate(divide="ignore"):
         return np.where(finite, np.log(sums) + safe, smax)
 
@@ -465,6 +466,57 @@ def dataset_loglik(model, dataset, theta: np.ndarray, sigma: float) -> float:
     else:
         raise ValueError(f"unknown likelihood family {model.likelihood!r}")
     return total if not math.isnan(total) else -math.inf
+
+
+def dataset_loglik_batch(model, dataset, theta: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """:func:`dataset_loglik` for every row of ``theta`` ([n, k]) with its
+    error scale ``sigma`` ([n]), through one ``model.predict_batch`` call.
+
+    Rows whose curve is non-finite (or, for the lognormal family,
+    non-positive) at an observed cycle, or whose sigma is out of range, get
+    -inf. Each row equals the scalar function bit for bit.
+    """
+    theta = np.asarray(theta, dtype=float)
+    sigma = np.asarray(sigma, dtype=float)
+    out = np.full(sigma.shape, -np.inf)
+    good = np.flatnonzero((sigma > 0) & np.isfinite(sigma))
+    if not good.size:
+        return out
+    cycles = getattr(dataset, "cycles_float", dataset.cycles)
+    preds = model.predict_batch(theta[good], cycles)
+    ok = np.isfinite(preds).all(axis=1)
+    if model.likelihood == "lognormal":
+        ok &= (preds > 0).all(axis=1)
+    elif model.likelihood != "gaussian":
+        raise ValueError(f"unknown likelihood family {model.likelihood!r}")
+    rows = good
+    if not ok.all():
+        rows, preds = good[ok], preds[ok]
+    sig = sigma[rows]
+    y = dataset.values
+    n = y.size
+    if model.likelihood == "lognormal":
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            zeta2 = np.log1p((sig[:, None] / preds) ** 2)
+            log_y = np.log(y)
+            dev = log_y - np.log(preds) + 0.5 * zeta2
+            total = (
+                -log_y.sum()
+                - 0.5 * n * LOG_TWO_PI
+                - 0.5 * np.log(zeta2).sum(axis=1)
+                - (dev**2 / (2.0 * zeta2)).sum(axis=1)
+            )
+    else:
+        r = np.subtract(y, preds, out=preds)  # residuals overwrite the scratch curves
+        # stacked 1 x n by n x 1 products take the same dot kernel as r @ r
+        rr = np.matmul(r[:, None, :], r[:, :, None])[:, 0, 0]
+        # per-row scalars through Python floats, as in the scalar path:
+        # numpy's log and square may differ from math.log and ** in the last bit
+        log_sigma = np.array([math.log(v) for v in sig.tolist()])
+        two_var = np.array([2.0 * v**2 for v in sig.tolist()])
+        total = -0.5 * n * (LOG_TWO_PI + 2.0 * log_sigma) - rr / two_var
+    out[rows] = np.where(np.isnan(total), -np.inf, total)
+    return out
 
 
 def current_posterior_logtarget(

@@ -220,6 +220,23 @@ class TestExitCodes:
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert record["error"] == "SamplerError"
 
+    @pytest.mark.parametrize(
+        "sampler, field",
+        [({"n_samples": "abc"}, "sampler.n_samples"), ({"bogus": 1}, "sampler.bogus")],
+        ids=["wrong-type", "unknown-key"],
+    )
+    def test_bad_sampler_section_is_data_error(self, tmp_path, capsys, sampler, field):
+        config_dict = json.loads(json.dumps(BASE_CONFIG))
+        config_dict["sampler"] = sampler
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(config_dict))
+        code = main(["fit-historical", "--config", str(config), "--out", str(tmp_path)])
+        assert code == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "DataFormatError"
+        assert field in record["message"]
+        assert json.loads((tmp_path / "error.json").read_text()) == record
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
