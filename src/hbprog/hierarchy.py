@@ -303,14 +303,20 @@ def stage1_infer(
 
 
 #: cap on stacked stage-1 rows x hyper vectors evaluated at once by the
-#: batched stage-2 target, which bounds its scratch memory
+#: stage-2 target, which bounds its scratch memory
 STAGE2_CHUNK_ROWS = 4096
 
 
-def _stage2_stack(stage1: Sequence[SampleSet], bounds, correlated, sigma_trunc) -> tuple:
-    """Stacked stage-1 rows and what both stage-2 target forms precompute
-    from them: ``(n_theta, stacked, starts, counts, log_counts, sigma_bad,
-    base_const)``."""
+def _stage2_target_batch(stage1: Sequence[SampleSet], bounds, correlated, sigma_trunc):
+    """Log-likelihood of hyper vectors given stacked stage-1 samples.
+
+    Maps hyper vectors ``[p, d]`` to log-likelihoods ``[p]``. All datasets'
+    rows are stacked into one matrix; blocks of hyper vectors are evaluated
+    against all of it at once, at most ``STAGE2_CHUNK_ROWS`` stacked rows x
+    vectors per block. Stage-1 sigma draws outside the truncation range
+    contribute -inf rows regardless of the hyper vector, so that mask is
+    precomputed once.
+    """
     mats = [np.asarray(ss.samples, dtype=float) for ss in stage1]
     dims = {m.shape[1] for m in mats}
     if len(dims) != 1:
@@ -322,114 +328,62 @@ def _stage2_stack(stage1: Sequence[SampleSet], bounds, correlated, sigma_trunc) 
         raise ValueError("the correlated case is only defined for 2-parameter families")
     stacked = np.vstack(mats)
     counts = np.array([m.shape[0] for m in mats])
-    sigma_col = stacked[:, -1]
-    sigma_bad = ~((sigma_col > 0.0) & (sigma_col < sigma_trunc))
     starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
     log_counts = np.log(counts.astype(float))
+    sigma_col = stacked[:, -1]
+    sigma_ok = (sigma_col > 0.0) & (sigma_col < sigma_trunc)
+    # added to every row: -inf on draws outside the truncation range
+    sigma_mask = None if sigma_ok.all() else np.where(sigma_ok, 0.0, -np.inf)
     base_const = -0.5 * (n_theta + 1) * math.log(2.0 * math.pi)
-    return n_theta, stacked, starts, counts, log_counts, sigma_bad, base_const
-
-
-def _stage2_target(stage1: Sequence[SampleSet], bounds, correlated, sigma_trunc):
-    """Log-likelihood of the hyper vector given stacked stage-1 samples.
-
-    All datasets' rows are stacked into one matrix and evaluated in a single
-    fused pass per hyper vector (this closure sits inside the stage-2
-    sampler's innermost loop). Stage-1 sigma draws outside the truncation
-    range contribute -inf rows regardless of the hyper vector, so that mask
-    is precomputed once.
-    """
-    n_theta, stacked, starts, counts, log_counts, sigma_bad, base_const = _stage2_stack(
-        stage1, bounds, correlated, sigma_trunc
-    )
-    any_sigma_bad = bool(sigma_bad.any())
-
-    def loglik(vec: np.ndarray) -> float:
-        mu_full = vec[: n_theta + 1]
-        sd_full = vec[n_theta + 1 : 2 * n_theta + 2]
-        if np.any(sd_full <= 0):
-            return -math.inf
-        mu_s, sd_s = vec[n_theta], vec[2 * n_theta + 1]
-        z_trunc = float(ndtr((sigma_trunc - mu_s) / sd_s) - ndtr((0.0 - mu_s) / sd_s))
-        if not z_trunc > 0:
-            return -math.inf
-        z = (stacked - mu_full) / sd_full
-        if correlated:
-            rho = vec[-1]
-            if not abs(rho) < 1:
-                return -math.inf
-            quad = (
-                z[:, 0] ** 2 - 2.0 * rho * z[:, 0] * z[:, 1] + z[:, 1] ** 2
-            ) / (1.0 - rho**2) + z[:, 2] ** 2
-            const = base_const - 0.5 * math.log(1.0 - rho**2)
-        else:
-            quad = (z * z).sum(axis=1)
-            const = base_const
-        rows = const - np.log(sd_full).sum() - math.log(z_trunc) - 0.5 * quad
-        if any_sigma_bad:
-            rows[sigma_bad] = -np.inf
-        return float((segment_logsumexp(rows, starts, counts) - log_counts).sum())
-
-    return loglik, n_theta
-
-
-def _stage2_target_batch(stage1: Sequence[SampleSet], bounds, correlated, sigma_trunc):
-    """Batched form of :func:`_stage2_target`: maps hyper vectors
-    ``[p, d]`` to log-likelihoods ``[p]``, equal to the scalar closure row
-    by row. Blocks of hyper vectors are evaluated against all stacked rows
-    at once, at most ``STAGE2_CHUNK_ROWS`` stacked rows x vectors per block.
-    """
-    n_theta, stacked, starts, counts, log_counts, sigma_bad, base_const = _stage2_stack(
-        stage1, bounds, correlated, sigma_trunc
-    )
-    any_sigma_bad = bool(sigma_bad.any())
     block = max(1, STAGE2_CHUNK_ROWS // stacked.shape[0])
     # components on the leading axis keep numpy's inner loops over the long
-    # row axis; numpy sums fewer than 8 components left to right either
-    # way, so the quadratic form matches the scalar closure bit for bit
+    # row axis
     stacked_t = np.ascontiguousarray(stacked.T)
 
     def loglik(vecs: np.ndarray) -> np.ndarray:
         vecs = np.asarray(vecs, dtype=float)
-        out = np.full(vecs.shape[0], -np.inf)
-        mu_s, sd_s = vecs[:, n_theta], vecs[:, 2 * n_theta + 1]
+        mu = vecs[:, : n_theta + 1]
+        sd = vecs[:, n_theta + 1 : 2 * n_theta + 2]
+        out = np.empty(vecs.shape[0])
+        # vectors with sd <= 0, |rho| >= 1 or no truncation mass are set to
+        # -inf at the end; their scratch values are meaningless
         with np.errstate(divide="ignore", invalid="ignore"):
-            z_trunc = ndtr((sigma_trunc - mu_s) / sd_s) - ndtr((0.0 - mu_s) / sd_s)
-        ok = ~np.any(vecs[:, n_theta + 1 : 2 * n_theta + 2] <= 0, axis=1) & (z_trunc > 0)
-        if correlated:
-            ok &= np.abs(vecs[:, -1]) < 1
-        live = np.flatnonzero(ok)
-        mu = vecs[live, : n_theta + 1]
-        sd = vecs[live, n_theta + 1 : 2 * n_theta + 2]
-        # per-vector scalars go through Python floats as in the scalar
-        # closure: numpy's log and square may differ in the last bit
-        const = base_const
-        if correlated:
-            rho = vecs[live, -1]
-            one_m_rho2 = np.array([1.0 - v**2 for v in rho.tolist()])
-            const = base_const - 0.5 * np.array([math.log(v) for v in one_m_rho2.tolist()])
-        log_z = np.array([math.log(v) for v in z_trunc[live].tolist()])
-        offset = const - np.log(sd).sum(axis=1) - log_z
-        for lo in range(0, live.size, block):
-            b = slice(lo, lo + block)
-            # in-place steps keep the block's scratch at one [block, d, rows] array
-            z = stacked_t - mu[b, :, None]
-            z /= sd[b, :, None]
+            z_trunc = ndtr((sigma_trunc - mu[:, -1]) / sd[:, -1]) - ndtr(-mu[:, -1] / sd[:, -1])
+            offset = base_const - np.log(sd).sum(axis=1) - np.log(z_trunc)
             if correlated:
-                r = rho[b, None]
-                quad = (
-                    z[:, 0] ** 2 - 2.0 * r * z[:, 0] * z[:, 1] + z[:, 1] ** 2
-                ) / one_m_rho2[b, None] + z[:, 2] ** 2
-            else:
-                quad = np.square(z, out=z).sum(axis=1)
-            del z  # release the scratch before the segment sums allocate theirs
-            rows = offset[b, None] - 0.5 * quad
-            if any_sigma_bad:
-                rows[:, sigma_bad] = -np.inf
-            out[live[b]] = (segment_logsumexp(rows, starts, counts) - log_counts).sum(axis=1)
-        return out
+                rho = vecs[:, -1]
+                one_m_rho2 = 1.0 - rho**2
+                offset -= 0.5 * np.log(one_m_rho2)
+            for lo in range(0, vecs.shape[0], block):
+                b = slice(lo, lo + block)
+                # in-place steps keep the block's scratch at one [block, d, rows] array
+                z = stacked_t - mu[b, :, None]
+                z /= sd[b, :, None]
+                if correlated:
+                    r = rho[b, None]
+                    quad = (
+                        z[:, 0] ** 2 - 2.0 * r * z[:, 0] * z[:, 1] + z[:, 1] ** 2
+                    ) / one_m_rho2[b, None] + z[:, 2] ** 2
+                else:
+                    quad = np.square(z, out=z).sum(axis=1)
+                del z  # release the scratch before the segment sums allocate theirs
+                rows = offset[b, None] - 0.5 * quad
+                if sigma_mask is not None:
+                    rows += sigma_mask
+                out[b] = (segment_logsumexp(rows, starts, counts) - log_counts).sum(axis=1)
+        ok = (sd > 0).all(axis=1) & (z_trunc > 0)
+        if correlated:
+            ok &= np.abs(rho) < 1
+        return np.where(ok, out, -np.inf)
 
     return loglik, n_theta
+
+
+def _stage2_target(stage1: Sequence[SampleSet], bounds, correlated, sigma_trunc):
+    """:func:`_stage2_target_batch` for one hyper vector ``[d] -> float``,
+    the form the slice sampler calls."""
+    batch, n_theta = _stage2_target_batch(stage1, bounds, correlated, sigma_trunc)
+    return (lambda vec: float(batch(vec[None])[0])), n_theta
 
 
 def _box_logpdf_batch(lower: np.ndarray, upper: np.ndarray, log_const: float):

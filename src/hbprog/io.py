@@ -22,7 +22,9 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass
+import types
+import typing
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -455,34 +457,23 @@ def _true_eol(model, theta, spec: SyntheticSpec) -> float | None:
     return float(k[int(np.argmax(below))])
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _is_count(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-#: accepted JSON value per ``sampler`` key: (test, description)
-_SAMPLER_FIELDS = {
-    "kind": (lambda v: v in ("slice", "tmcmc"), "'slice' or 'tmcmc'"),
-    "n_samples": (_is_count, "an integer"),
-    "burn_in": (_is_number, "a number"),
-    "thinning": (_is_count, "an integer"),
-    "seed": (_is_count, "an integer"),
-    "slice_width": (
-        lambda v: v is None
-        or _is_number(v)
-        or (isinstance(v, list) and bool(v) and all(_is_number(x) for x in v)),
-        "a number, a list of numbers or null",
-    ),
-    "max_step_out": (_is_count, "an integer"),
-    "max_shrink": (_is_count, "an integer"),
-    "tmcmc_stage_size": (lambda v: v is None or _is_count(v), "an integer or null"),
-    "tmcmc_target_cov": (_is_number, "a number"),
-    "tmcmc_moves": (_is_count, "an integer"),
-    "tmcmc_proposal_scale": (_is_number, "a number"),
-}
+def _json_fits(value, hint) -> bool:
+    """Whether a JSON value fits a :class:`SamplerConfig` field type: ints
+    for ``int``, any number for ``float``, a nonempty list of numbers for
+    ``tuple``, null for ``None``."""
+    if isinstance(hint, types.UnionType):
+        return any(_json_fits(value, h) for h in typing.get_args(hint))
+    if hint is type(None):
+        return value is None
+    if hint is tuple:
+        return isinstance(value, list) and bool(value) and all(_json_fits(v, float) for v in value)
+    if isinstance(value, bool):
+        return False
+    if hint is int:
+        return isinstance(value, int)
+    if hint is float:
+        return isinstance(value, (int, float))
+    raise TypeError(f"no JSON form for the field type {hint!r}")
 
 
 class RunConfig:
@@ -549,13 +540,19 @@ class RunConfig:
         section = self.raw.get("sampler", {})
         if not isinstance(section, dict):
             raise DataFormatError("config: field 'sampler' must be an object")
+        hints = typing.get_type_hints(SamplerConfig)
+        declared = {f.name: f.type for f in fields(SamplerConfig)}
         for key, value in section.items():
-            if key not in _SAMPLER_FIELDS:
+            if key == "kind":
+                if value not in ("slice", "tmcmc"):
+                    raise DataFormatError(
+                        f"config: field 'sampler.kind' must be 'slice' or 'tmcmc', got {value!r}"
+                    )
+            elif key not in declared:
                 raise DataFormatError(f"config: unknown field 'sampler.{key}'")
-            valid, wanted = _SAMPLER_FIELDS[key]
-            if not valid(value):
+            elif not _json_fits(value, hints[key]):
                 raise DataFormatError(
-                    f"config: field 'sampler.{key}' must be {wanted}, got {value!r}"
+                    f"config: field 'sampler.{key}' must be of type {declared[key]}, got {value!r}"
                 )
         return dict(section)
 

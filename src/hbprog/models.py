@@ -28,22 +28,6 @@ BATT_DOUBLE_NOMINALS = (1.92, -0.02, -0.003, -0.05)
 SQRT_PI = math.sqrt(math.pi)
 
 
-def _math_rows(fn, values: np.ndarray) -> np.ndarray:
-    """``fn`` from :mod:`math` applied to each entry, +inf on overflow.
-
-    The batched closed forms take their per-row constants through here so
-    they match the scalar path bit for bit; numpy's vectorized exp and log
-    may differ from :mod:`math` in the last bit.
-    """
-    out = np.empty(len(values))
-    for i, v in enumerate(values.tolist()):
-        try:
-            out[i] = fn(v)
-        except OverflowError:
-            out[i] = math.inf
-    return out
-
-
 class CrackDivergedError(ArithmeticError):
     """The crack-growth closed form diverges before the requested cycle."""
 
@@ -225,9 +209,9 @@ def equivalent_stress(loading: LoadingSpec, m: float) -> float:
     return float(math.exp(log_mean / m))
 
 
-def _equivalent_stress_rows(loading: LoadingSpec, m: np.ndarray) -> np.ndarray:
-    """:func:`equivalent_stress` of two-block loading for a vector of
-    Paris exponents, with the two blocks combined through ``logaddexp``."""
+def _log_equivalent_stress_rows(loading: LoadingSpec, m: np.ndarray) -> np.ndarray:
+    """log of :func:`equivalent_stress` of two-block loading for a vector
+    of Paris exponents, with the two blocks combined through ``logaddexp``."""
     if not np.all(np.isfinite(m)):
         raise ValueError("Paris exponent m must be finite")
     if np.any(m == 0.0):
@@ -239,7 +223,7 @@ def _equivalent_stress_rows(loading: LoadingSpec, m: np.ndarray) -> np.ndarray:
     if n2 > 0:
         terms.append(math.log(n2) + m * math.log(loading.delta_sigma2))
     log_sum = np.logaddexp(*terms) if len(terms) == 2 else terms[0]
-    return _math_rows(math.exp, (log_sum - math.log(n1 + n2)) / m)
+    return (log_sum - math.log(n1 + n2)) / m
 
 
 def _log_growth_rate(params: CrackParams, delta_sigma: float) -> float:
@@ -301,12 +285,12 @@ def _profile_rows(
     grow = ~band
     with np.errstate(over="ignore", invalid="ignore"):
         if band.any():
-            rate = _math_rows(math.exp, log_c[band] + 2.0 * log_ds[band])
+            rate = np.exp(log_c[band] + 2.0 * log_ds[band])
             out[band] = a0 * np.exp(rate[:, None] * dn)
         if grow.any():
             e = 1.0 - m[grow] / 2.0
             log_scale = log_c[grow] + m[grow] * log_ds[grow] - e * math.log(a0)
-            scale = e * _math_rows(math.exp, log_scale)
+            scale = e * np.exp(log_scale)
             r = scale[:, None] * dn
             # infinite rate: instant divergence everywhere except dn = 0
             r[np.isinf(scale)[:, None] & (dn == 0.0)] = 0.0
@@ -512,8 +496,7 @@ class ParisCrackModel(DegradationModel):
         if self._ds_const is not None:
             log_ds = np.full(m.size, math.log(self._ds_const * SQRT_PI))
         else:
-            ds = _equivalent_stress_rows(self.loading, m)
-            log_ds = _math_rows(math.log, ds * SQRT_PI)
+            log_ds = _log_equivalent_stress_rows(self.loading, m) + math.log(SQRT_PI)
         out[ok] = _profile_rows(m, log_c, log_ds, self.geometry.a0, self.geometry.n0, n)
         return out
 

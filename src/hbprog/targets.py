@@ -474,7 +474,7 @@ def dataset_loglik_batch(model, dataset, theta: np.ndarray, sigma: np.ndarray) -
 
     Rows whose curve is non-finite (or, for the lognormal family,
     non-positive) at an observed cycle, or whose sigma is out of range, get
-    -inf. Each row equals the scalar function bit for bit.
+    -inf. Each row equals the scalar function up to rounding.
     """
     theta = np.asarray(theta, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
@@ -508,13 +508,8 @@ def dataset_loglik_batch(model, dataset, theta: np.ndarray, sigma: np.ndarray) -
             )
     else:
         r = np.subtract(y, preds, out=preds)  # residuals overwrite the scratch curves
-        # stacked 1 x n by n x 1 products take the same dot kernel as r @ r
-        rr = np.matmul(r[:, None, :], r[:, :, None])[:, 0, 0]
-        # per-row scalars through Python floats, as in the scalar path:
-        # numpy's log and square may differ from math.log and ** in the last bit
-        log_sigma = np.array([math.log(v) for v in sig.tolist()])
-        two_var = np.array([2.0 * v**2 for v in sig.tolist()])
-        total = -0.5 * n * (LOG_TWO_PI + 2.0 * log_sigma) - rr / two_var
+        rr = np.einsum("ij,ij->i", r, r)
+        total = -0.5 * n * (LOG_TWO_PI + 2.0 * np.log(sig)) - rr / (2.0 * sig**2)
     out[rows] = np.where(np.isnan(total), -np.inf, total)
     return out
 
