@@ -32,7 +32,7 @@ import numpy as np
 from hbprog import __version__
 from hbprog.hierarchy import Dataset, build_model
 from hbprog.models import CrackGeometry, LoadingSpec
-from hbprog.prognosis import PrognosisConfig, PrognosisResult
+from hbprog.prognosis import PrognosisConfig, PrognosisResult, end_of_life, quantile_levels
 from hbprog.samplers import SampleSet, SamplerConfig, config_fingerprint, subseed
 from hbprog.targets import HyperParameters, HyperPriorBounds, trunc_normal_ppf
 
@@ -66,13 +66,47 @@ def _meta_path(csv_path: Path) -> Path:
     return csv_path.with_name(csv_path.stem + ".meta.json")
 
 
-def _require(meta: dict, key: str, where: str):
-    cur = meta
+_REQUIRED = object()
+
+
+def _field(doc: dict, key: str, where: str, convert=None, default=_REQUIRED):
+    """The value at the dotted ``key`` of a JSON document ``where``, passed
+    through ``convert``. A missing field without a default, or a value that
+    ``convert`` rejects with TypeError or ValueError, is a
+    :class:`DataFormatError` naming the field."""
+    cur = doc
     for part in key.split("."):
         if not isinstance(cur, dict) or part not in cur:
-            raise DataFormatError(f"{where}: missing metadata field {key!r}")
+            if default is not _REQUIRED:
+                return default
+            raise DataFormatError(f"{where}: missing field {key!r}")
         cur = cur[part]
-    return cur
+    if convert is None:
+        return cur
+    try:
+        return convert(cur)
+    except (TypeError, ValueError) as exc:
+        raise DataFormatError(f"{where}: field {key!r}: {exc}") from None
+
+
+def _loading(doc: dict, key: str, where: str) -> LoadingSpec:
+    """The :class:`LoadingSpec` at ``key`` of a dataset sidecar or config."""
+    mode = _field(doc, f"{key}.mode", where)
+    names = ("delta_sigma",) if mode == "constant" else ("delta_sigma1", "n1", "delta_sigma2", "n2")
+    values = {k: _field(doc, f"{key}.{k}", where, float) for k in names}
+    try:
+        return LoadingSpec(mode, **values)
+    except ValueError as exc:
+        raise DataFormatError(f"{where}: field {key!r}: {exc}") from None
+
+
+def _geometry(doc: dict, key: str, where: str) -> CrackGeometry:
+    """The :class:`CrackGeometry` at ``key`` of a dataset sidecar or config."""
+    values = [_field(doc, f"{key}.{k}", where, float) for k in ("a0", "n0", "a_f")]
+    try:
+        return CrackGeometry(*values)
+    except ValueError as exc:
+        raise DataFormatError(f"{where}: field {key!r}: {exc}") from None
 
 
 def load_dataset(path: Path | str) -> Dataset:
@@ -108,29 +142,13 @@ def load_dataset(path: Path | str) -> Dataset:
 
     meta = json.loads(meta_path.read_text())
     where = str(meta_path)
-    family = _require(meta, "family", where)
-    unit_id = _require(meta, "unit_id", where)
-    units = _require(meta, "units", where)
+    family = _field(meta, "family", where)
+    unit_id = _field(meta, "unit_id", where)
+    units = _field(meta, "units", where)
     loading = geometry = None
     if family == "paris":
-        g = _require(meta, "geometry", where)
-        for k in ("a0", "n0", "a_f"):
-            _require(meta, f"geometry.{k}", where)
-        geometry = CrackGeometry(float(g["a0"]), float(g["n0"]), float(g["a_f"]))
-        ld = _require(meta, "loading", where)
-        mode = _require(meta, "loading.mode", where)
-        if mode == "constant":
-            loading = LoadingSpec("constant", delta_sigma=float(_require(meta, "loading.delta_sigma", where)))
-        else:
-            for k in ("delta_sigma1", "n1", "delta_sigma2", "n2"):
-                _require(meta, f"loading.{k}", where)
-            loading = LoadingSpec(
-                "two-block",
-                delta_sigma1=float(ld["delta_sigma1"]),
-                n1=float(ld["n1"]),
-                delta_sigma2=float(ld["delta_sigma2"]),
-                n2=float(ld["n2"]),
-            )
+        geometry = _geometry(meta, "geometry", where)
+        loading = _loading(meta, "loading", where)
     try:
         return Dataset(
             unit_id=str(unit_id),
@@ -448,13 +466,10 @@ def _true_eol(model, theta, spec: SyntheticSpec) -> float | None:
             return None
     if threshold is None:
         return None
-    horizon = 20 * int(spec.cycles[-1]) + 100
-    k = np.arange(1, horizon, dtype=float)
-    q = model.predict(theta, k)
-    below = q <= threshold
-    if not np.any(below):
-        return None
-    return float(k[int(np.argmax(below))])
+    # first crossing in cycles 1 .. 20 * (last observed cycle) + 99
+    horizon = 20 * int(spec.cycles[-1]) + 99
+    t_eol, censored = end_of_life(theta, model, PrognosisConfig(threshold, 0.0, horizon))
+    return None if censored else t_eol
 
 
 def _json_fits(value, hint) -> bool:
@@ -603,15 +618,22 @@ class RunConfig:
         return self.resolve(cur)
 
     def prognosis_config(self, t_c: float) -> PrognosisConfig:
-        sec = self.raw.get("prognosis")
-        if sec is None:
-            raise DataFormatError("config: missing field 'prognosis'")
+        t_c = float(t_c)
+        horizon = _field(self.raw, "prognosis.horizon", "config", float)
+        if not horizon > t_c:
+            raise DataFormatError(
+                f"config: field 'prognosis.horizon': {horizon:g} must exceed the current cycle {t_c:g}"
+            )
         return PrognosisConfig(
-            threshold=float(sec["threshold"]),
-            t_c=float(t_c),
-            horizon=float(sec["horizon"]),
-            quantiles=tuple(sec.get("quantiles", (0.025, 0.5, 0.975))),
-            include_observation_noise=bool(sec.get("include_observation_noise", False)),
+            threshold=_field(self.raw, "prognosis.threshold", "config", float),
+            t_c=t_c,
+            horizon=horizon,
+            quantiles=_field(
+                self.raw, "prognosis.quantiles", "config", quantile_levels, (0.025, 0.5, 0.975)
+            ),
+            include_observation_noise=bool(
+                _field(self.raw, "prognosis.include_observation_noise", "config", default=False)
+            ),
         )
 
     def synthetic_spec(self) -> SyntheticSpec:
@@ -630,20 +652,9 @@ class RunConfig:
         family = sec.get("family", self.raw.get("family"))
         loading = geometry = None
         if sec.get("loading") is not None:
-            ld = sec["loading"]
-            if ld["mode"] == "constant":
-                loading = LoadingSpec("constant", delta_sigma=float(ld["delta_sigma"]))
-            else:
-                loading = LoadingSpec(
-                    "two-block",
-                    delta_sigma1=float(ld["delta_sigma1"]),
-                    n1=float(ld["n1"]),
-                    delta_sigma2=float(ld["delta_sigma2"]),
-                    n2=float(ld["n2"]),
-                )
+            loading = _loading(self.raw, "synthetic.loading", "config")
         if sec.get("geometry") is not None:
-            g = sec["geometry"]
-            geometry = CrackGeometry(float(g["a0"]), float(g["n0"]), float(g["a_f"]))
+            geometry = _geometry(self.raw, "synthetic.geometry", "config")
         cyc = sec["cycles"]
         if isinstance(cyc, dict):
             cycles = np.linspace(cyc["start"], cyc["stop"], cyc["num"]).astype(np.int64)

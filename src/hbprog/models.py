@@ -192,26 +192,14 @@ def equivalent_stress(loading: LoadingSpec, m: float) -> float:
     """
     if loading.mode == "constant":
         return float(loading.delta_sigma)
-    if not math.isfinite(m):
-        raise ValueError("Paris exponent m must be finite")
-    if m == 0.0:
-        raise ValueError("power mean undefined for m = 0")
-    n1, n2 = float(loading.n1), float(loading.n2)
-    total = n1 + n2
-    if total <= 0:
-        raise ValueError("two-block loading requires n1 + n2 > 0")
-    terms = []
-    if n1 > 0:
-        terms.append(math.log(n1) + m * math.log(loading.delta_sigma1))
-    if n2 > 0:
-        terms.append(math.log(n2) + m * math.log(loading.delta_sigma2))
-    log_mean = np.logaddexp.reduce(terms) - math.log(total)
-    return float(math.exp(log_mean / m))
+    return float(math.exp(_log_equivalent_stress(loading, m)))
 
 
-def _log_equivalent_stress_rows(loading: LoadingSpec, m: np.ndarray) -> np.ndarray:
-    """log of :func:`equivalent_stress` of two-block loading for a vector
-    of Paris exponents, with the two blocks combined through ``logaddexp``."""
+def _log_equivalent_stress(loading: LoadingSpec, m):
+    """log of :func:`equivalent_stress` of two-block loading for a Paris
+    exponent or an array of them, with the two blocks combined through
+    ``logaddexp``. The curves only use it multiplied by m again, so a tiny
+    exponent, whose quotient overflows ``exp``, still gives a finite curve."""
     if not np.all(np.isfinite(m)):
         raise ValueError("Paris exponent m must be finite")
     if np.any(m == 0.0):
@@ -226,16 +214,19 @@ def _log_equivalent_stress_rows(loading: LoadingSpec, m: np.ndarray) -> np.ndarr
     return (log_sum - math.log(n1 + n2)) / m
 
 
-def _log_growth_rate(params: CrackParams, delta_sigma: float) -> float:
-    """log of C * (delta_sigma * sqrt(pi))^m, the cycle-rate prefactor."""
-    return params.log_c + params.m * math.log(delta_sigma * SQRT_PI)
+def _log_ds(loading: LoadingSpec, m):
+    """``log(ds * sqrt(pi))`` of the equivalent amplitude ds, for a Paris
+    exponent or an array of them (constant loading gives one float)."""
+    if loading.mode == "constant":
+        return math.log(loading.delta_sigma * SQRT_PI)
+    return _log_equivalent_stress(loading, m) + math.log(SQRT_PI)
 
 
 def _profile_raw(
-    m: float, log_c: float, a0: float, n0: float, ds: float, n_cycles: np.ndarray
+    m: float, log_c: float, a0: float, n0: float, log_ds: float, n_cycles: np.ndarray
 ) -> np.ndarray:
     """Crack length per cycle for raw physical parameters; +inf at and
-    beyond the divergence cycle.
+    beyond the divergence cycle. ``log_ds`` is :func:`_log_ds`.
 
     Uses the integration-consistent closed form
     ``a = (a0^e + e * C * (ds * sqrt(pi))^m * (N - N0))^(1/e)`` with
@@ -249,10 +240,10 @@ def _profile_raw(
     dn = n_cycles - n0
     with np.errstate(over="ignore"):
         if abs(m - 2.0) < PARIS_M_TOL:
-            rate = math.exp(log_c + 2.0 * math.log(ds * SQRT_PI))
+            rate = math.exp(log_c + 2.0 * log_ds)
             return a0 * np.exp(rate * dn)
         e = 1.0 - m / 2.0
-        log_scale = log_c + m * math.log(ds * SQRT_PI) - e * math.log(a0)
+        log_scale = log_c + m * log_ds - e * math.log(a0)
         try:
             scale = e * math.exp(log_scale)
         except OverflowError:
@@ -303,17 +294,6 @@ def _profile_rows(
     return out
 
 
-def _paris_profile(
-    params: CrackParams,
-    geometry: CrackGeometry,
-    loading: LoadingSpec,
-    n_cycles: np.ndarray,
-) -> np.ndarray:
-    m = params.m
-    ds = equivalent_stress(loading, m)
-    return _profile_raw(m, params.log_c, geometry.a0, geometry.n0, ds, n_cycles)
-
-
 def crack_length(
     params: CrackParams,
     geometry: CrackGeometry,
@@ -330,7 +310,8 @@ def crack_length(
     n = np.atleast_1d(np.asarray(n_cycles, dtype=float))
     if np.any(n < geometry.n0):
         raise ValueError("requested cycles must be >= geometry.n0")
-    a = _paris_profile(params, geometry, loading, n)
+    m = params.m
+    a = _profile_raw(m, params.log_c, geometry.a0, geometry.n0, _log_ds(loading, m), n)
     bad = ~np.isfinite(a)
     if np.any(bad):
         raise CrackDivergedError(float(np.min(n[bad])))
@@ -351,18 +332,18 @@ def cycles_to_failure(
     :class:`NoFailureError` when C <= 0 leaves the crack static.
     """
     m = params.m
-    ds = equivalent_stress(loading, m)
+    log_ds = _log_ds(loading, m)
     af = geometry.a_f if a_f is None else float(a_f)
     if af < geometry.a0:
         raise ValueError("critical length below initial length")
     if af == geometry.a0:
         return float(geometry.n0)
     if abs(m - 2.0) < PARIS_M_TOL:
-        rate = math.exp(params.log_c + 2.0 * math.log(ds * SQRT_PI))
+        rate = math.exp(params.log_c + 2.0 * log_ds)
         if rate == 0.0:
             raise NoFailureError("no finite failure time: crack growth rate is zero")
         return geometry.n0 + math.log(af / geometry.a0) / rate
-    rate = math.exp(_log_growth_rate(params, ds))
+    rate = math.exp(params.log_c + m * log_ds)
     if rate == 0.0:
         raise NoFailureError("no finite failure time: crack growth rate is zero")
     e = 1.0 - m / 2.0
@@ -465,7 +446,6 @@ class ParisCrackModel(DegradationModel):
         self.loading = loading
         self.m0, self.log_c0 = float(nominals[0]), float(nominals[1])
         self.nominal_scales = (self.m0, self.log_c0)
-        self._ds_const = loading.delta_sigma if loading.mode == "constant" else None
 
     def _params(self, theta) -> CrackParams:
         return CrackParams(float(theta[0]), float(theta[1]), self.m0, self.log_c0)
@@ -480,8 +460,8 @@ class ParisCrackModel(DegradationModel):
             return np.full(n.shape, np.inf)
         m = float(theta[0]) * self.m0
         log_c = float(theta[1]) * self.log_c0
-        ds = self._ds_const if self._ds_const is not None else equivalent_stress(self.loading, m)
-        return _profile_raw(m, log_c, self.geometry.a0, self.geometry.n0, ds, n)
+        log_ds = _log_ds(self.loading, m)
+        return _profile_raw(m, log_c, self.geometry.a0, self.geometry.n0, log_ds, n)
 
     def predict_batch(self, theta, cycles) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
@@ -493,10 +473,7 @@ class ParisCrackModel(DegradationModel):
             return out
         m = t1[ok] * self.m0
         log_c = t2[ok] * self.log_c0
-        if self._ds_const is not None:
-            log_ds = np.full(m.size, math.log(self._ds_const * SQRT_PI))
-        else:
-            log_ds = _log_equivalent_stress_rows(self.loading, m) + math.log(SQRT_PI)
+        log_ds = np.broadcast_to(_log_ds(self.loading, m), m.shape)
         out[ok] = _profile_rows(m, log_c, log_ds, self.geometry.a0, self.geometry.n0, n)
         return out
 
@@ -523,11 +500,7 @@ class BatterySingleModel(DegradationModel):
         return bool(np.all(np.isfinite(t)) and t[0] * self.nominals[0] > 0)
 
     def predict(self, theta, cycles) -> np.ndarray:
-        k = np.atleast_1d(np.asarray(cycles, dtype=float))
-        if not self.admissible(theta):
-            return np.full(k.shape, np.inf)
-        p = BatterySingleParams(*(float(v) for v in theta), nominals=self.nominals)
-        return np.asarray(battery_capacity_single(p, k), dtype=float)
+        return self.predict_batch(np.asarray(theta, dtype=float)[None], cycles)[0]
 
     def predict_batch(self, theta, cycles) -> np.ndarray:
         t = np.asarray(theta, dtype=float)
@@ -569,13 +542,7 @@ class BatteryDoubleModel(DegradationModel):
         return t[0] * self.nominals[0] + t[2] * self.nominals[2] > 0
 
     def predict(self, theta, cycles) -> np.ndarray:
-        k = np.atleast_1d(np.asarray(cycles, dtype=float))
-        if not self.admissible(theta):
-            return np.full(k.shape, np.inf)
-        p = BatteryDoubleParams(*(float(v) for v in theta), nominals=self.nominals)
-        with np.errstate(over="ignore"):
-            q = battery_capacity_double(p, k)
-        return np.asarray(q, dtype=float)
+        return self.predict_batch(np.asarray(theta, dtype=float)[None], cycles)[0]
 
     def predict_batch(self, theta, cycles) -> np.ndarray:
         t = np.asarray(theta, dtype=float)

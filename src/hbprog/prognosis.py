@@ -2,8 +2,9 @@
 
 Posterior parameter samples are pushed through the degradation model to get
 per-cycle quantile bands, per-sample end-of-life times (algebraic inversion
-for crack growth, integer first-crossing for battery capacity) and the
-remaining-useful-life distribution RUL = t_EOL - t_c.
+for crack growth, a chunked integer first-crossing scan over all samples at
+once for battery capacity) and the remaining-useful-life distribution
+RUL = t_EOL - t_c.
 """
 
 from __future__ import annotations
@@ -15,6 +16,20 @@ import numpy as np
 
 from hbprog.models import DegradationModel, NoFailureError, ParisCrackModel
 from hbprog.samplers import SampleSet
+
+#: Curve values (live draws x cycles) that one chunk of the battery
+#: first-crossing scan evaluates: 2^17 doubles, 1 MB per scratch array
+#: whatever the horizon, while at most ``SCAN_CHUNK // 16`` draws are live;
+#: with more, a chunk is 16 cycles wide.
+SCAN_CHUNK = 1 << 17
+
+
+def quantile_levels(values) -> tuple[float, ...]:
+    """Band quantile levels as floats; they must be sorted and inside (0, 1)."""
+    q = tuple(float(v) for v in values)
+    if any(not 0 < v < 1 for v in q) or list(q) != sorted(q):
+        raise ValueError("quantiles must be sorted and inside (0, 1)")
+    return q
 
 
 @dataclass(frozen=True)
@@ -36,10 +51,7 @@ class PrognosisConfig:
     def __post_init__(self):
         if not self.horizon > self.t_c:
             raise ValueError("horizon must exceed the current cycle t_c")
-        q = tuple(float(v) for v in self.quantiles)
-        if any(not 0 < v < 1 for v in q) or list(q) != sorted(q):
-            raise ValueError("quantiles must be sorted and inside (0, 1)")
-        object.__setattr__(self, "quantiles", q)
+        object.__setattr__(self, "quantiles", quantile_levels(self.quantiles))
 
 
 @dataclass
@@ -70,7 +82,8 @@ def predict_trajectory(
 ) -> PrognosisResult:
     """Per-cycle quantile bands of the predicted degradation.
 
-    Every posterior sample contributes one deterministic curve; a sample
+    Every posterior sample contributes one deterministic curve, all from one
+    :meth:`~hbprog.models.DegradationModel.predict_batch` call; a sample
     whose crack solution diverges holds +inf from the divergence cycle on
     (threshold-crossed) and shapes the upper quantiles accordingly. With
     ``include_observation_noise`` each curve is perturbed by the family's
@@ -81,14 +94,10 @@ def predict_trajectory(
         raise ValueError("grid must be a nonempty strictly increasing 1-d array")
     if samples.n == 0:
         raise ValueError("at least one posterior sample is required")
-    rng = np.random.default_rng(seed)
-    curves = np.empty((samples.n, grid.size))
-    for i, row in enumerate(samples.samples):
-        theta, sigma = row[:-1], float(row[-1])
-        pred = model.predict(theta, grid)
-        if cfg.include_observation_noise:
-            pred = _perturb(pred, sigma, model.likelihood, rng)
-        curves[i] = pred
+    rows = samples.samples
+    curves = model.predict_batch(rows[:, :-1], grid)
+    if cfg.include_observation_noise:
+        _perturb(curves, rows[:, -1], model.likelihood, np.random.default_rng(seed))
     # order-statistic quantiles stay well defined when diverged samples put
     # +inf into a column (linear interpolation would produce NaN there)
     bands = np.quantile(curves, cfg.quantiles, axis=0, method="inverted_cdf")
@@ -100,18 +109,55 @@ def predict_trajectory(
     )
 
 
-def _perturb(pred: np.ndarray, sigma: float, likelihood: str, rng) -> np.ndarray:
-    finite = np.isfinite(pred)
-    out = pred.copy()
+def _perturb(curves: np.ndarray, sigma: np.ndarray, likelihood: str, rng) -> None:
+    """Add observation noise to the finite entries of ``curves`` in place,
+    row ``i`` with ``sigma[i]``. The normals are drawn in one call in
+    row-major order, the stream a row-by-row loop would draw."""
+    finite = np.isfinite(curves)
+    sd = np.broadcast_to(sigma[:, None], curves.shape)[finite]
+    z = rng.standard_normal(sd.size)
+    p = curves[finite]
     if likelihood == "gaussian":
-        out[finite] = pred[finite] + sigma * rng.standard_normal(int(finite.sum()))
-        return out
+        curves[finite] = p + sd * z
+        return
     # lognormal with mean equal to the prediction
-    p = pred[finite]
-    zeta2 = np.log1p((sigma / p) ** 2)
+    zeta2 = np.log1p((sd / p) ** 2)
     eta = np.log(p) - 0.5 * zeta2
-    out[finite] = np.exp(eta + np.sqrt(zeta2) * rng.standard_normal(p.size))
-    return out
+    curves[finite] = np.exp(eta + np.sqrt(zeta2) * z)
+
+
+def _first_crossing(
+    theta: np.ndarray, model: DegradationModel, cfg: PrognosisConfig
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """First integer cycle in (t_c, horizon] at or below the capacity floor,
+    for every row of ``theta``, by a chunked forward scan.
+
+    Each chunk is one ``predict_batch`` call over the rows still live (not
+    yet crossed), ``max(16, SCAN_CHUNK // live)`` cycles wide; a row leaves
+    at its first crossing and the scan stops once none is live. Returns
+    ``(t_eol, censored, n_points)``: censored rows (no crossing, NaN or +inf
+    curves) hold the horizon, and ``n_points`` counts the curve values
+    evaluated. There is no bisection: a double exponential need not be
+    monotone, and the first crossing in scan order is the end of life.
+    """
+    n = theta.shape[0]
+    t_eol = np.full(n, float(cfg.horizon))
+    censored = np.ones(n, dtype=bool)
+    k, last = max(int(math.floor(cfg.t_c)) + 1, 1), int(math.floor(cfg.horizon))
+    live = np.arange(n)
+    n_points = 0
+    while live.size and k <= last:
+        width = min(max(16, SCAN_CHUNK // live.size), last - k + 1)
+        cycles = np.arange(k, k + width, dtype=float)
+        below = model.predict_batch(theta[live], cycles) <= cfg.threshold
+        n_points += below.size
+        hit = below.any(axis=1)
+        crossed = live[hit]
+        t_eol[crossed] = cycles[below[hit].argmax(axis=1)]
+        censored[crossed] = False
+        live = live[~hit]
+        k += width
+    return t_eol, censored, n_points
 
 
 def end_of_life(row, model: DegradationModel, cfg: PrognosisConfig) -> tuple[float, bool]:
@@ -120,9 +166,10 @@ def end_of_life(row, model: DegradationModel, cfg: PrognosisConfig) -> tuple[flo
     Crack growth inverts the closed form algebraically (already at or past
     the threshold at t_c gives t_EOL = t_c). Battery capacity is scanned on
     the integer cycle grid from t_c to the horizon for the first cycle at or
-    below the floor; capacities are per-cycle measurements, so integer
-    resolution is the data's own granularity. Returns ``(t_eol, censored)``
-    with ``t_eol = horizon`` as the lower bound when censored.
+    below the floor (the one-row case of the scan :func:`rul_distribution`
+    runs); capacities are per-cycle measurements, so integer resolution is
+    the data's own granularity. Returns ``(t_eol, censored)`` with
+    ``t_eol = horizon`` as the lower bound when censored.
     """
     row = np.asarray(row, dtype=float)
     theta = row[: model.n_theta]
@@ -139,16 +186,8 @@ def end_of_life(row, model: DegradationModel, cfg: PrognosisConfig) -> tuple[flo
         if nf > cfg.horizon:
             return float(cfg.horizon), True
         return float(nf), False
-    # battery families: first integer cycle in (t_c, horizon] at/below floor
-    k_start = max(int(math.floor(cfg.t_c)) + 1, 1)
-    k_grid = np.arange(k_start, int(math.floor(cfg.horizon)) + 1, dtype=float)
-    if k_grid.size == 0:
-        return float(cfg.horizon), True
-    q = model.predict(theta, k_grid)
-    below = q <= cfg.threshold
-    if not np.any(below):
-        return float(cfg.horizon), True
-    return float(k_grid[int(np.argmax(below))]), False
+    t_eol, censored, _ = _first_crossing(theta[None], model, cfg)
+    return float(t_eol[0]), bool(censored[0])
 
 
 def rul_distribution(
@@ -156,17 +195,25 @@ def rul_distribution(
 ) -> PrognosisResult:
     """Remaining-useful-life distribution over all posterior samples.
 
-    Maps :func:`end_of_life` over the sample set; RUL is exactly
-    ``t_eol - t_c`` per sample. Censored samples enter the summary at their
-    ``horizon - t_c`` lower bound; the summary records the censored fraction
-    and flags the result uninformative when every sample is censored.
+    Crack growth maps :func:`end_of_life` over the sample set; battery
+    capacity runs one first-crossing scan over all samples at once, and the
+    provenance records ``n_curve_points``, the capacity values it evaluated.
+    RUL is exactly ``t_eol - t_c`` per sample. Censored samples enter the
+    summary at their ``horizon - t_c`` lower bound; the summary records the
+    censored fraction and flags the result uninformative when every sample
+    is censored.
     """
     if samples.n == 0:
         raise ValueError("at least one posterior sample is required")
-    t_eol = np.empty(samples.n)
-    censored = np.zeros(samples.n, dtype=bool)
-    for i, row in enumerate(samples.samples):
-        t_eol[i], censored[i] = end_of_life(row, model, cfg)
+    provenance = {"n_samples": samples.n, "family": model.family}
+    if isinstance(model, ParisCrackModel):
+        t_eol = np.empty(samples.n)
+        censored = np.zeros(samples.n, dtype=bool)
+        for i, row in enumerate(samples.samples):
+            t_eol[i], censored[i] = end_of_life(row, model, cfg)
+    else:
+        theta = samples.samples[:, : model.n_theta]
+        t_eol, censored, provenance["n_curve_points"] = _first_crossing(theta, model, cfg)
     rul = t_eol - cfg.t_c
     frac = float(censored.mean())
     summary = {
@@ -184,5 +231,5 @@ def rul_distribution(
         rul=rul,
         censored=censored,
         summary=summary,
-        provenance={"n_samples": samples.n, "family": model.family},
+        provenance=provenance,
     )

@@ -114,6 +114,18 @@ class TestPredictBatch:
         assert_matches(got, want, BATT_RTOL)
         assert np.isinf(want[:3]).all()
 
+    @pytest.mark.parametrize("n1, n2", [(1.0, 2.0), (5.0, 5.0), (0.3, 0.9)])
+    def test_paris_tiny_exponent_two_block(self, n1, n2):
+        """At theta1 = 1e-300 the power mean's log, rounded to about 1e-16,
+        divided by m overflows exp; the curve only needs it times m again,
+        so both paths return the same finite curve."""
+        loading = LoadingSpec("two-block", delta_sigma1=50.0, n1=n1, delta_sigma2=90.0, n2=n2)
+        model = ParisCrackModel(GEO, loading)
+        theta = np.array([[1e-300, 1.0]])
+        want = model.predict_batch(theta, [0.0, 1000.0])
+        assert np.isfinite(want).all() and want[0, 1] > want[0, 0] == GEO.a0
+        assert_matches(model.predict(theta[0], [0.0, 1000.0])[None], want, PARIS_RTOL)
+
     def test_default_stacks_predict(self):
         model = ConstantCapacity()
         theta = np.array([[1.0], [0.5], [-1.0], [np.nan]])

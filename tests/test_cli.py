@@ -237,6 +237,41 @@ class TestExitCodes:
         assert field in record["message"]
         assert json.loads((tmp_path / "error.json").read_text()) == record
 
+    @pytest.mark.parametrize(
+        "command, section, key, value",
+        [
+            ("rul", "prognosis", "horizon", "x"),
+            ("rul", "prognosis", "threshold", "x"),
+            ("rul", "prognosis", "horizon", 5000.0),  # before t_c = 10000
+            ("predict", "prognosis", "quantiles", [0.975, 0.5, 0.025]),
+            ("synth", "synthetic.loading", "delta_sigma", "x"),
+            ("synth", "synthetic.geometry", "a0", "x"),
+        ],
+        ids=["horizon-type", "threshold-type", "horizon-before-t_c", "unsorted-quantiles",
+             "delta_sigma-type", "a0-type"],
+    )
+    def test_bad_config_field_is_data_error(self, tmp_path, capsys, command, section, key, value):
+        config_dict = json.loads(json.dumps(BASE_CONFIG))
+        node = config_dict
+        for part in section.split("."):
+            node = node[part]
+        node[key] = value
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(config_dict))
+        ss = SampleSet(np.array([[1.0, 1.05, 0.05]]), ("theta1", "theta2", "sigma"), {"t_c": 10000.0})
+        save_sample_set(ss, tmp_path / "current_posterior")
+        assert main(["synth", "--config", str(config), "--out", str(tmp_path / "data")]) == (
+            2 if command == "synth" else 0
+        )
+        if command != "synth":
+            capsys.readouterr()
+            assert main([command, "--config", str(config), "--out", str(tmp_path)]) == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "DataFormatError"
+        assert f"'{section}.{key}'" in record["message"]
+        out = tmp_path / "data" if command == "synth" else tmp_path
+        assert json.loads((out / "error.json").read_text()) == record
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])

@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from hbprog import prognosis
 from hbprog.models import (
     BatteryDoubleModel,
     BatteryDoubleParams,
+    BatterySingleModel,
     ParisCrackModel,
     battery_capacity_double,
     cycles_to_failure,
@@ -25,6 +27,15 @@ from conftest import CONST_LOADING, GEOMETRY
 
 CRACK_MODEL = ParisCrackModel(GEOMETRY, CONST_LOADING)
 BATT_MODEL = BatteryDoubleModel()
+BATT_SINGLE = BatterySingleModel()
+BATTERIES = pytest.mark.parametrize(
+    "model", [BATT_SINGLE, BATT_MODEL], ids=["batt-single", "batt-double"]
+)
+#: capacity floor of the scan tests, in Ahr
+FLOOR = 1.5
+#: batt-double curve that falls through the floor near cycle 13, bottoms out
+#: near cycle 79 and climbs back above it near cycle 124
+DIP = [1.0, 1.0, -1.0, -1.0]
 
 
 def singleton(theta, sigma=0.05):
@@ -102,6 +113,41 @@ class TestPredictTrajectory:
         assert np.isinf(res.bands[-1][-1])
         assert np.isfinite(res.bands[0]).all()
 
+    @pytest.mark.parametrize("family", ["batt-double", "paris"])
+    def test_noise_stream_matches_per_row_loop(self, family):
+        """With observation noise the bands are byte-identical to a loop that
+        perturbs one curve at a time from the same generator."""
+        rng = np.random.default_rng(3)
+        if family == "paris":
+            model, grid = CRACK_MODEL, np.linspace(0.0, 3e4, 40)
+            rows = np.column_stack([rng.normal(1.0, 0.1, 60), rng.normal(1.05, 0.02, 60)])
+            rows[0] = [1.5, 1.0]  # diverges inside the grid: +inf entries stay
+        else:
+            model, grid = BATT_MODEL, np.arange(1.0, 400.0, 7.0)
+            rows = rng.normal(1.0, 0.05, (60, 4))
+            rows[0, 0] = -1.0  # inadmissible: a row of +inf
+        ss = sample_set(rows, sigma=rng.uniform(0.01, 0.1, 60))
+        cfg = PrognosisConfig(
+            threshold=25.0, t_c=0.0, horizon=1e5, include_observation_noise=True
+        )
+        got = predict_trajectory(ss, model, grid, cfg, seed=11).bands
+        loop = np.random.default_rng(11)
+        curves = []
+        for row in ss.samples:
+            pred = model.predict_batch(row[None, :-1], grid)[0]
+            finite = np.isfinite(pred)
+            p, sigma = pred[finite], row[-1]
+            z = loop.standard_normal(p.size)
+            if model.likelihood == "gaussian":
+                pred[finite] = p + sigma * z
+            else:
+                zeta2 = np.log1p((sigma / p) ** 2)
+                pred[finite] = np.exp(np.log(p) - 0.5 * zeta2 + np.sqrt(zeta2) * z)
+            curves.append(pred)
+        want = np.quantile(np.array(curves), cfg.quantiles, axis=0, method="inverted_cdf")
+        assert not np.isfinite(np.array(curves)).all()
+        assert got.tobytes() == want.tobytes()
+
     def test_grid_validation(self):
         cfg = PrognosisConfig(threshold=25.0, t_c=0.0, horizon=1e5)
         with pytest.raises(ValueError):
@@ -155,6 +201,108 @@ class TestEndOfLife:
         cfg = PrognosisConfig(threshold=25.0, t_c=0.0, horizon=1e4)
         t_eol, censored = end_of_life(np.array([*theta, 0.05]), CRACK_MODEL, cfg)
         assert censored
+
+
+def capacity(model, theta, k):
+    """Capacity at one integer cycle through ``math.exp``, +inf where the
+    parameters are inadmissible."""
+    if not model.admissible(np.asarray(theta, dtype=float)):
+        return math.inf
+    p = [t * n for t, n in zip(theta, model.nominals)]
+    if model.family == "batt-single":
+        return p[0] + p[1] * math.exp(p[2] / k)
+    return p[0] * math.exp(p[1] * k) + p[2] * math.exp(p[3] * k)
+
+
+def per_cycle_eol(model, theta, cfg):
+    """First integer cycle in (t_c, horizon] at or below the floor, one
+    cycle at a time."""
+    for k in range(max(math.floor(cfg.t_c) + 1, 1), math.floor(cfg.horizon) + 1):
+        if capacity(model, theta, k) <= cfg.threshold:
+            return float(k), False
+    return float(cfg.horizon), True
+
+
+def crossing_row(model, cycle):
+    """Parameters of a falling curve that is above FLOOR up to ``cycle - 1``
+    and at or below it from ``cycle`` on (it crosses at ``cycle - 0.5``)."""
+    x = cycle - 0.5
+    if model.family == "batt-single":
+        # 2 - exp(-100 theta3 / k) reaches 1.5 at k = 100 theta3 / ln 2
+        return [1.0, 1.0, x * math.log(2.0) / 100.0]
+    # 1.92 exp(-0.02 theta2 k) reaches 1.5 at k = ln(1.92 / 1.5) / (0.02 theta2)
+    return [1.0, math.log(1.92 / FLOOR) / (0.02 * x), 0.0, 1.0]
+
+
+def sample_set(rows, sigma=0.01):
+    rows = np.asarray(rows, dtype=float)
+    labels = tuple(f"theta{j + 1}" for j in range(rows.shape[1])) + ("sigma",)
+    return SampleSet(np.column_stack([rows, np.broadcast_to(sigma, len(rows))]), labels)
+
+
+class TestFirstCrossingScan:
+    """The batched battery scan against a per-cycle ``math.exp`` loop."""
+
+    @BATTERIES
+    @pytest.mark.parametrize(
+        "t_c, horizon", [(0.0, 400.0), (100.0, 400.0), (100.5, 400.0), (150.0, 400.7)]
+    )
+    def test_matches_per_cycle_loop(self, monkeypatch, model, t_c, horizon):
+        # 16-cycle chunks while more than 4 draws are live
+        monkeypatch.setattr(prognosis, "SCAN_CHUNK", 64)
+        first, last = math.floor(t_c) + 1, math.floor(horizon)
+        edges = [first + 16 * j + d for j in (1, 2) for d in (-2, -1, 0, 1)]
+        cycles = [first - 30, first, first + 1, *edges, last - 1, last, last + 1, last + 50]
+        rows = [crossing_row(model, c) for c in cycles if c >= 1]
+        n = model.n_theta
+        inadmissible = [[-1.0] + [1.0] * (n - 1), [0.0] + [1.0] * (n - 1)]
+        rows += inadmissible
+        if model.family == "batt-double":
+            rows.append(DIP)
+        cfg = PrognosisConfig(threshold=FLOOR, t_c=t_c, horizon=horizon)
+        res = rul_distribution(sample_set(rows), model, cfg)
+        want = [per_cycle_eol(model, row, cfg) for row in rows]
+        assert res.t_eol.tolist() == [w[0] for w in want]
+        assert res.censored.tolist() == [w[1] for w in want]
+        assert [end_of_life([*row, 0.01], model, cfg) for row in rows] == want
+        # the cases the rows stand for: crossings at t_c + 1, at the chunk
+        # edges and at the horizon; beyond it and inadmissible ones censored
+        by_cycle = dict(zip([c for c in cycles if c >= 1], res.t_eol))
+        assert by_cycle[first] == first and by_cycle[first + 1] == first + 1
+        assert all(by_cycle[c] == c for c in edges)
+        assert by_cycle[last] == last and by_cycle[last - 1] == last - 1
+        assert by_cycle[last + 1] == horizon and by_cycle[last + 50] == horizon
+        assert res.censored[len(by_cycle):][: len(inadmissible)].all()
+        assert res.provenance["n_curve_points"] < len(rows) * (last - first + 1)
+
+    def test_first_crossing_of_a_curve_that_recovers(self):
+        """The dip row crosses the floor, climbs back above it and stays
+        there: the end of life is the first crossing, and a scan that starts
+        after the recovery censors the draw."""
+        dense = [capacity(BATT_MODEL, DIP, k) for k in range(1, 401)]
+        below = [k for k, q in zip(range(1, 401), dense) if q <= FLOOR]
+        assert below == list(range(below[0], below[-1] + 1)) and 1 < below[0] < below[-1] < 400
+        early = PrognosisConfig(threshold=FLOOR, t_c=0.0, horizon=400.0)
+        assert end_of_life([*DIP, 0.01], BATT_MODEL, early) == (float(below[0]), False)
+        late = PrognosisConfig(threshold=FLOOR, t_c=float(below[-1]), horizon=400.0)
+        assert end_of_life([*DIP, 0.01], BATT_MODEL, late) == (400.0, True)
+
+    @BATTERIES
+    def test_empty_cycle_range_is_censored(self, model):
+        cfg = PrognosisConfig(threshold=FLOOR, t_c=10.2, horizon=10.9)
+        res = rul_distribution(sample_set([crossing_row(model, 5)] * 2), model, cfg)
+        assert res.censored.all() and res.t_eol.tolist() == [10.9, 10.9]
+        assert res.provenance["n_curve_points"] == 0
+
+    def test_scan_stops_at_the_crossing_chunk(self, monkeypatch):
+        cfg = PrognosisConfig(threshold=FLOOR, t_c=0.0, horizon=500.0)
+        ss = sample_set([crossing_row(BATT_MODEL, 145)])
+        assert rul_distribution(ss, BATT_MODEL, cfg).provenance["n_curve_points"] == 500
+        monkeypatch.setattr(prognosis, "SCAN_CHUNK", 16)
+        res = rul_distribution(ss, BATT_MODEL, cfg)
+        # chunks of 16 cycles from cycle 1; cycle 145 opens the tenth
+        assert res.t_eol.tolist() == [145.0]
+        assert res.provenance["n_curve_points"] == 160
 
 
 class TestRulDistribution:
