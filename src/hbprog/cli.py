@@ -22,7 +22,6 @@ import numpy as np
 
 from hbprog import __version__
 from hbprog.hierarchy import (
-    Candidate,
     ClassicalPrior,
     build_model,
     classical_update,
@@ -120,13 +119,14 @@ def cmd_synth(cfg: RunConfig, args, out: Path) -> str:
 
 
 def cmd_fit_historical(cfg: RunConfig, args, out: Path) -> str:
+    stage1_bounds, hyper_bounds = cfg.stage1_bounds(), cfg.hyper_bounds()
     datasets = [load_dataset(p) for p in cfg.historical_paths()]
     sampler = args.sampler or cfg.sampler_kind
     family = args.model or cfg.raw.get("family")
     result = fit_historical(
         datasets,
-        cfg.stage1_bounds(),
-        cfg.hyper_bounds(),
+        stage1_bounds,
+        hyper_bounds,
         case=args.case or cfg.case,
         config=cfg.sampler_config(seed=args.seed, n_samples=args.samples),
         sampler=sampler,
@@ -207,21 +207,8 @@ def cmd_rul(cfg: RunConfig, args, out: Path) -> str:
 
 
 def cmd_model_select(cfg: RunConfig, args, out: Path) -> str:
-    sections = cfg.raw.get("candidates")
-    if not sections:
-        raise DataFormatError("config: missing field 'candidates'")
+    candidates = cfg.candidates()
     datasets = [load_dataset(p) for p in cfg.historical_paths()]
-    candidates = [
-        Candidate(
-            family=sec["family"],
-            stage1_bounds=cfg.stage1_bounds(sec["stage1_bounds"]),
-            hyper_bounds=cfg.hyper_bounds(sec["hyper_bounds"]),
-            nominals=tuple(sec["nominals"]) if sec.get("nominals") else None,
-            sigma_trunc=float(sec.get("sigma_trunc", cfg.sigma_trunc)),
-            name=sec.get("name"),
-        )
-        for sec in sections
-    ]
     records = model_select(
         datasets,
         candidates,

@@ -38,6 +38,7 @@ from hbprog.samplers import (
     tmcmc,
 )
 from hbprog.targets import (
+    LOG_TWO_PI,
     HyperParameters,
     HyperPriorBounds,
     dataset_loglik,
@@ -91,6 +92,13 @@ class Dataset:
         cycles_f = cycles.astype(float)
         cycles_f.setflags(write=False)
         object.__setattr__(self, "cycles_float", cycles_f)
+        # the lognormal likelihood's data-only terms, fixed for the dataset
+        log_values = np.log(values)
+        log_values.setflags(write=False)
+        object.__setattr__(self, "log_values", log_values)
+        object.__setattr__(
+            self, "lognormal_const", float(-log_values.sum() - 0.5 * values.size * LOG_TWO_PI)
+        )
 
     def __len__(self) -> int:
         return self.cycles.size
@@ -263,6 +271,21 @@ def _slice_whitened(
     return SampleSet(samples, target.labels, provenance)
 
 
+def _in_box(lower: np.ndarray, upper: np.ndarray) -> Callable[[list], bool]:
+    """Membership test of a point, given as a list of floats, in the box
+    [lower, upper]. Plain floats keep the scalar log-targets cheap; a NaN
+    coordinate counts as inside, as with array comparisons."""
+    lower_l, upper_l = lower.tolist(), upper.tolist()
+
+    def inside(xl: list) -> bool:
+        for v, lo_v, hi_v in zip(xl, lower_l, upper_l):
+            if v < lo_v or v > hi_v:
+                return False
+        return True
+
+    return inside
+
+
 def stage1_infer(
     dataset: Dataset,
     model: DegradationModel,
@@ -281,13 +304,12 @@ def stage1_infer(
         raise ValueError(f"bounds must cover {dim} components (theta..., sigma)")
     if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
         raise ValueError("stage-1 bounds must be finite")
-    lower_l, upper_l = lower.tolist(), upper.tolist()
+    inside = _in_box(lower, upper)
 
     def log_target(x: np.ndarray) -> float:
         xl = x.tolist()
-        for v, lo_v, hi_v in zip(xl, lower_l, upper_l):
-            if v < lo_v or v > hi_v:
-                return -math.inf
+        if not inside(xl):
+            return -math.inf
         return dataset_loglik(model, dataset, x[:-1], xl[-1])
 
     labels = model.theta_labels + ("sigma",)
@@ -344,14 +366,24 @@ def _stage2_target_batch(stage1: Sequence[SampleSet], bounds, correlated, sigma_
         vecs = np.asarray(vecs, dtype=float)
         mu = vecs[:, : n_theta + 1]
         sd = vecs[:, n_theta + 1 : 2 * n_theta + 2]
+        mu_s, sd_s = mu[:, -1], sd[:, -1]
         out = np.empty(vecs.shape[0])
-        # vectors with sd <= 0, |rho| >= 1 or no truncation mass are set to
-        # -inf at the end; their scratch values are meaningless
         with np.errstate(divide="ignore", invalid="ignore"):
-            z_trunc = ndtr((sigma_trunc - mu[:, -1]) / sd[:, -1]) - ndtr(-mu[:, -1] / sd[:, -1])
-            offset = base_const - np.log(sd).sum(axis=1) - np.log(z_trunc)
+            z_trunc = ndtr((sigma_trunc - mu_s) / sd_s) - ndtr(-mu_s / sd_s)
+            # vectors with sd <= 0, |rho| >= 1 or no truncation mass get
+            # -inf. A call with no valid vector stops here; otherwise all
+            # are evaluated, so no vector's value depends on which others
+            # share its call
+            ok = (sd > 0).all(axis=1) & (z_trunc > 0)
             if correlated:
                 rho = vecs[:, -1]
+                ok &= np.abs(rho) < 1
+            n_ok = np.count_nonzero(ok)  # cheaper than ok.any() on a few vectors
+            if not n_ok:
+                out.fill(-np.inf)
+                return out
+            offset = base_const - np.log(sd).sum(axis=1) - np.log(z_trunc)
+            if correlated:
                 one_m_rho2 = 1.0 - rho**2
                 offset -= 0.5 * np.log(one_m_rho2)
             for lo in range(0, vecs.shape[0], block):
@@ -371,10 +403,9 @@ def _stage2_target_batch(stage1: Sequence[SampleSet], bounds, correlated, sigma_
                 if sigma_mask is not None:
                     rows += sigma_mask
                 out[b] = (segment_logsumexp(rows, starts, counts) - log_counts).sum(axis=1)
-        ok = (sd > 0).all(axis=1) & (z_trunc > 0)
-        if correlated:
-            ok &= np.abs(rho) < 1
-        return np.where(ok, out, -np.inf)
+        if n_ok < ok.size:
+            out[~ok] = -np.inf
+        return out
 
     return loglik, n_theta
 
@@ -428,9 +459,10 @@ def stage2_infer(
     seed = subseed(config.seed, _TAG_STAGE2)
 
     if sampler == "slice":
+        inside = _in_box(lower, upper)
 
         def log_target(vec: np.ndarray) -> float:
-            if np.any(vec < lower) or np.any(vec > upper):
+            if not inside(vec.tolist()):
                 return -math.inf
             return log_prior_const + loglik(vec)
 

@@ -30,8 +30,14 @@ from pathlib import Path
 import numpy as np
 
 from hbprog import __version__
-from hbprog.hierarchy import Dataset, build_model
-from hbprog.models import CrackGeometry, LoadingSpec
+from hbprog.hierarchy import Candidate, Dataset, build_model
+from hbprog.models import (
+    BatteryDoubleModel,
+    BatterySingleModel,
+    CrackGeometry,
+    LoadingSpec,
+    ParisCrackModel,
+)
 from hbprog.prognosis import PrognosisConfig, PrognosisResult, end_of_life, quantile_levels
 from hbprog.samplers import SampleSet, SamplerConfig, config_fingerprint, subseed
 from hbprog.targets import HyperParameters, HyperPriorBounds, trunc_normal_ppf
@@ -71,22 +77,74 @@ _REQUIRED = object()
 
 def _field(doc: dict, key: str, where: str, convert=None, default=_REQUIRED):
     """The value at the dotted ``key`` of a JSON document ``where``, passed
-    through ``convert``. A missing field without a default, or a value that
-    ``convert`` rejects with TypeError or ValueError, is a
+    through ``convert``. A part of the key may index a list, as in
+    ``candidates[0].family``. A missing field without a default, or a value
+    that ``convert`` rejects with TypeError or ValueError, is a
     :class:`DataFormatError` naming the field."""
     cur = doc
     for part in key.split("."):
-        if not isinstance(cur, dict) or part not in cur:
+        name, bracket, index = part.partition("[")
+        found = isinstance(cur, dict) and name in cur
+        if found:
+            cur = cur[name]
+            if bracket:
+                i = int(index.rstrip("]"))
+                found = isinstance(cur, list) and 0 <= i < len(cur)
+                cur = cur[i] if found else None
+        if not found:
             if default is not _REQUIRED:
                 return default
             raise DataFormatError(f"{where}: missing field {key!r}")
-        cur = cur[part]
     if convert is None:
         return cur
     try:
         return convert(cur)
     except (TypeError, ValueError) as exc:
         raise DataFormatError(f"{where}: field {key!r}: {exc}") from None
+
+
+def _json_bool(value) -> bool:
+    """A JSON boolean; anything else (a string such as "no", a number,
+    null) is rejected rather than cast."""
+    if not isinstance(value, bool):
+        raise TypeError(f"must be true or false, got {value!r}")
+    return value
+
+
+def _numbers(value) -> list[float]:
+    """A JSON list of finite numbers (booleans are not numbers here)."""
+    if not isinstance(value, list) or not all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
+    ):
+        raise TypeError(f"must be a list of numbers, got {value!r}")
+    if not all(math.isfinite(v) for v in value):
+        raise ValueError(f"must hold finite numbers, got {value!r}")
+    return [float(v) for v in value]
+
+
+def _pair(value) -> tuple[float, float]:
+    """A ``[lower, upper]`` bound pair."""
+    pair = _numbers(value)
+    if len(pair) != 2:
+        raise ValueError(f"must be a [lower, upper] pair, got {value!r}")
+    return pair[0], pair[1]
+
+
+def _pairs(value) -> tuple[tuple[float, float], ...]:
+    """A list of ``[lower, upper]`` bound pairs."""
+    if not isinstance(value, list):
+        raise TypeError(f"must be a list of [lower, upper] pairs, got {value!r}")
+    return tuple(_pair(v) for v in value)
+
+
+def _optional_pair(value) -> tuple[float, float] | None:
+    return None if value is None else _pair(value)
+
+
+#: parameters per model family, for checking bound lengths in the config
+_N_THETA = {
+    cls.family: cls.n_theta for cls in (ParisCrackModel, BatterySingleModel, BatteryDoubleModel)
+}
 
 
 def _loading(doc: dict, key: str, where: str) -> LoadingSpec:
@@ -585,23 +643,71 @@ class RunConfig:
     def sampler_kind(self) -> str:
         return self._sampler_section().get("kind", "slice")
 
-    def stage1_bounds(self, section: dict | None = None):
-        sec = section if section is not None else self.raw.get("stage1_bounds")
-        if sec is None:
-            raise DataFormatError("config: missing field 'stage1_bounds'")
-        return (np.asarray(sec["lower"], float), np.asarray(sec["upper"], float))
-
-    def hyper_bounds(self, section: dict | None = None) -> HyperPriorBounds:
-        sec = section if section is not None else self.raw.get("hyper_bounds")
-        if sec is None:
-            raise DataFormatError("config: missing field 'hyper_bounds'")
-        return HyperPriorBounds(
-            mu_theta=tuple(tuple(p) for p in sec["mu_theta"]),
-            sd_theta=tuple(tuple(p) for p in sec["sd_theta"]),
-            mu_sigma=tuple(sec["mu_sigma"]),
-            sd_sigma=tuple(sec["sd_sigma"]),
-            rho=tuple(sec["rho"]) if sec.get("rho") is not None else None,
+    def stage1_bounds(self, key: str = "stage1_bounds", family: str | None = None):
+        """The ``(lower, upper)`` arrays of the stage-1 prior box at ``key``.
+        With a known ``family`` (the config's own by default) each must hold
+        one entry per model parameter plus one for sigma."""
+        lower, upper = (
+            np.asarray(_field(self.raw, f"{key}.{side}", "config", _numbers))
+            for side in ("lower", "upper")
         )
+        n_theta = _N_THETA.get(family or self.raw.get("family"))
+        dim = lower.size if n_theta is None else n_theta + 1
+        for side, arr in (("lower", lower), ("upper", upper)):
+            if arr.size != dim:
+                raise DataFormatError(
+                    f"config: field '{key}.{side}' must have {dim} entries "
+                    f"(theta..., sigma), got {arr.size}"
+                )
+        if np.any(lower > upper):
+            raise DataFormatError(f"config: field {key!r}: lower exceeds upper")
+        return lower, upper
+
+    def hyper_bounds(
+        self, key: str = "hyper_bounds", family: str | None = None
+    ) -> HyperPriorBounds:
+        """The uniform hyper-prior box at ``key``; with a known ``family`` it
+        must bound one mean and one spread per model parameter."""
+        mu_theta, sd_theta = (
+            _field(self.raw, f"{key}.{name}", "config", _pairs) for name in ("mu_theta", "sd_theta")
+        )
+        n_theta = _N_THETA.get(family or self.raw.get("family"))
+        if n_theta is not None and len(mu_theta) != n_theta:
+            raise DataFormatError(
+                f"config: field '{key}.mu_theta' must have {n_theta} pairs, got {len(mu_theta)}"
+            )
+        try:
+            return HyperPriorBounds(
+                mu_theta=mu_theta,
+                sd_theta=sd_theta,
+                mu_sigma=_field(self.raw, f"{key}.mu_sigma", "config", _pair),
+                sd_sigma=_field(self.raw, f"{key}.sd_sigma", "config", _pair),
+                rho=_field(self.raw, f"{key}.rho", "config", _optional_pair, None),
+            )
+        except ValueError as exc:
+            raise DataFormatError(f"config: field {key!r}: {exc}") from None
+
+    def candidates(self) -> list[Candidate]:
+        """The ``candidates`` section for model selection, one
+        :class:`~hbprog.hierarchy.Candidate` per entry."""
+        sections = self.raw.get("candidates")
+        if not sections:
+            raise DataFormatError("config: missing field 'candidates'")
+        out = []
+        for i, sec in enumerate(sections):
+            key = f"candidates[{i}]"
+            family = _field(self.raw, f"{key}.family", "config")
+            out.append(
+                Candidate(
+                    family=family,
+                    stage1_bounds=self.stage1_bounds(f"{key}.stage1_bounds", family),
+                    hyper_bounds=self.hyper_bounds(f"{key}.hyper_bounds", family),
+                    nominals=tuple(sec["nominals"]) if sec.get("nominals") else None,
+                    sigma_trunc=float(sec.get("sigma_trunc", self.sigma_trunc)),
+                    name=sec.get("name"),
+                )
+            )
+        return out
 
     def historical_paths(self) -> list[Path]:
         ds = self.raw.get("datasets", {})
@@ -631,8 +737,8 @@ class RunConfig:
             quantiles=_field(
                 self.raw, "prognosis.quantiles", "config", quantile_levels, (0.025, 0.5, 0.975)
             ),
-            include_observation_noise=bool(
-                _field(self.raw, "prognosis.include_observation_noise", "config", default=False)
+            include_observation_noise=_field(
+                self.raw, "prognosis.include_observation_noise", "config", _json_bool, False
             ),
         )
 

@@ -223,10 +223,17 @@ def _log_ds(loading: LoadingSpec, m):
 
 
 def _profile_raw(
-    m: float, log_c: float, a0: float, n0: float, log_ds: float, n_cycles: np.ndarray
+    m: float,
+    log_c: float,
+    a0: float,
+    log_a0: float,
+    n0: float,
+    log_ds: float,
+    n_cycles: np.ndarray,
 ) -> np.ndarray:
     """Crack length per cycle for raw physical parameters; +inf at and
-    beyond the divergence cycle. ``log_ds`` is :func:`_log_ds`.
+    beyond the divergence cycle. ``log_a0`` is ``math.log(a0)`` and
+    ``log_ds`` is :func:`_log_ds`.
 
     Uses the integration-consistent closed form
     ``a = (a0^e + e * C * (ds * sqrt(pi))^m * (N - N0))^(1/e)`` with
@@ -237,13 +244,18 @@ def _profile_raw(
     is used. A zero rate (log C underflowing exp, the C = 0 surrogate) gives
     a0 at every cycle.
     """
-    dn = n_cycles - n0
+    # N - 0.0 is N itself, so the common n0 = 0 needs no copy
+    dn = n_cycles - n0 if n0 else n_cycles
     with np.errstate(over="ignore"):
         if abs(m - 2.0) < PARIS_M_TOL:
-            rate = math.exp(log_c + 2.0 * log_ds)
+            try:
+                rate = math.exp(log_c + 2.0 * log_ds)
+            except OverflowError:
+                # infinite rate: instant divergence everywhere except dn = 0
+                return np.where(dn == 0.0, a0, np.where(dn > 0.0, np.inf, 0.0))
             return a0 * np.exp(rate * dn)
         e = 1.0 - m / 2.0
-        log_scale = log_c + m * log_ds - e * math.log(a0)
+        log_scale = log_c + m * log_ds - e * log_a0
         try:
             scale = e * math.exp(log_scale)
         except OverflowError:
@@ -254,10 +266,11 @@ def _profile_raw(
             # infinite rate: instant divergence everywhere except dn = 0
             with np.errstate(invalid="ignore"):
                 r = np.where(dn == 0.0, 0.0, scale * dn)
-        base = 1.0 + r
-        if base.min() > 0.0:
+        # in floating point 1 + r > 0 exactly when r > -1, so the divergence
+        # test needs no 1 + r array
+        if r.min() > -1.0:
             return a0 * np.exp(np.log1p(r) / e)
-        diverged = base <= 0.0
+        diverged = r <= -1.0
         a = np.where(
             diverged, np.inf, a0 * np.exp(np.log1p(np.where(diverged, 0.0, r)) / e)
         )
@@ -277,7 +290,10 @@ def _profile_rows(
     with np.errstate(over="ignore", invalid="ignore"):
         if band.any():
             rate = np.exp(log_c[band] + 2.0 * log_ds[band])
-            out[band] = a0 * np.exp(rate[:, None] * dn)
+            x = rate[:, None] * dn
+            # infinite rate: instant divergence everywhere except dn = 0
+            x[np.isinf(rate)[:, None] & (dn == 0.0)] = 0.0
+            out[band] = a0 * np.exp(x)
         if grow.any():
             e = 1.0 - m[grow] / 2.0
             log_scale = log_c[grow] + m[grow] * log_ds[grow] - e * math.log(a0)
@@ -311,7 +327,10 @@ def crack_length(
     if np.any(n < geometry.n0):
         raise ValueError("requested cycles must be >= geometry.n0")
     m = params.m
-    a = _profile_raw(m, params.log_c, geometry.a0, geometry.n0, _log_ds(loading, m), n)
+    a0 = geometry.a0
+    a = _profile_raw(
+        m, params.log_c, a0, math.log(a0), geometry.n0, _log_ds(loading, m), n
+    )
     bad = ~np.isfinite(a)
     if np.any(bad):
         raise CrackDivergedError(float(np.min(n[bad])))
@@ -426,7 +445,9 @@ class ParisCrackModel(DegradationModel):
     """Paris-law crack growth bound to one specimen's geometry and loading.
 
     The equivalent stress amplitude of two-block loading is re-evaluated for
-    every parameter vector, since it depends on the sampled exponent m.
+    every parameter vector, since it depends on the sampled exponent m;
+    constant loading's ``log(ds * sqrt(pi))`` and ``log a0`` are computed
+    once, at construction.
     """
 
     family = "paris"
@@ -446,32 +467,46 @@ class ParisCrackModel(DegradationModel):
         self.loading = loading
         self.m0, self.log_c0 = float(nominals[0]), float(nominals[1])
         self.nominal_scales = (self.m0, self.log_c0)
+        self._log_a0 = math.log(geometry.a0)
+        self._log_ds = _log_ds(loading, None) if loading.mode == "constant" else None
 
     def _params(self, theta) -> CrackParams:
         return CrackParams(float(theta[0]), float(theta[1]), self.m0, self.log_c0)
 
-    def admissible(self, theta) -> bool:
+    def _m_log_c(self, theta) -> tuple[float, float] | None:
+        """Physical (m, log C) of a parameter vector, or None when it is
+        inadmissible: theta1 not positive, m = theta1 * m0 not finite (which
+        also covers an overflowing product), or theta2 not finite."""
         t1, t2 = float(theta[0]), float(theta[1])
-        return t1 > 0 and math.isfinite(t1) and math.isfinite(t2)
+        m = t1 * self.m0
+        if t1 > 0 and math.isfinite(m) and math.isfinite(t2):
+            return m, t2 * self.log_c0
+        return None
+
+    def admissible(self, theta) -> bool:
+        return self._m_log_c(theta) is not None
 
     def predict(self, theta, cycles) -> np.ndarray:
         n = np.atleast_1d(np.asarray(cycles, dtype=float))
-        if not self.admissible(theta):
+        params = self._m_log_c(theta)
+        if params is None:
             return np.full(n.shape, np.inf)
-        m = float(theta[0]) * self.m0
-        log_c = float(theta[1]) * self.log_c0
-        log_ds = _log_ds(self.loading, m)
-        return _profile_raw(m, log_c, self.geometry.a0, self.geometry.n0, log_ds, n)
+        m, log_c = params
+        log_ds = self._log_ds if self._log_ds is not None else _log_ds(self.loading, m)
+        geo = self.geometry
+        return _profile_raw(m, log_c, geo.a0, self._log_a0, geo.n0, log_ds, n)
 
     def predict_batch(self, theta, cycles) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
         n = np.atleast_1d(np.asarray(cycles, dtype=float))
         out = np.full((theta.shape[0], n.size), np.inf)
         t1, t2 = theta[:, 0], theta[:, 1]
-        ok = (t1 > 0) & np.isfinite(t1) & np.isfinite(t2)
+        with np.errstate(over="ignore"):
+            m = t1 * self.m0
+        ok = (t1 > 0) & np.isfinite(m) & np.isfinite(t2)
         if not ok.any():
             return out
-        m = t1[ok] * self.m0
+        m = m[ok]
         log_c = t2[ok] * self.log_c0
         log_ds = np.broadcast_to(_log_ds(self.loading, m), m.shape)
         out[ok] = _profile_rows(m, log_c, log_ds, self.geometry.a0, self.geometry.n0, n)

@@ -218,9 +218,10 @@ def slice_sample(target: TargetSpec, init, config: SamplerConfig) -> SampleSet:
     if not math.isfinite(lp):
         raise SamplerError("initial point has non-finite log-target")
 
-    widths = _resolve_widths(target, config)
-    pinned = target.lower == target.upper
-    lo, hi = target.lower, target.upper
+    # plain floats: the coordinate loop reads them once per step
+    widths = _resolve_widths(target, config).tolist()
+    pinned = (target.lower == target.upper).tolist()
+    lo, hi = target.lower.tolist(), target.upper.tolist()
 
     keep_every = config.thinning
     n_keep = config.n_samples
@@ -228,6 +229,15 @@ def slice_sample(target: TargetSpec, init, config: SamplerConfig) -> SampleSet:
     n_burn = math.ceil(config.burn_in / (1.0 - config.burn_in) * n_iters)
     out = np.empty((n_keep, target.dim))
     kept = 0
+    log_target = target.log_target
+
+    def f(d: int, v: float) -> float:
+        """The log-target at x with coordinate d set to v."""
+        xd = x[d]
+        x[d] = v
+        val = float(log_target(x))
+        x[d] = xd
+        return val
 
     for it in range(n_burn + n_iters):
         for d in range(target.dim):
@@ -240,15 +250,8 @@ def slice_sample(target: TargetSpec, init, config: SamplerConfig) -> SampleSet:
             left = max(left, lo[d])
             right = min(right, hi[d])
 
-            def f(v: float) -> float:
-                xd = x[d]
-                x[d] = v
-                val = float(target.log_target(x))
-                x[d] = xd
-                return val
-
             steps = 0
-            while left > lo[d] and f(left) > logy:
+            while left > lo[d] and f(d, left) > logy:
                 left = max(left - widths[d], lo[d])
                 steps += 1
                 if steps > config.max_step_out:
@@ -257,7 +260,7 @@ def slice_sample(target: TargetSpec, init, config: SamplerConfig) -> SampleSet:
                         f"expanding left on dim {d} (width={widths[d]:g}, level={logy:g})"
                     )
             steps = 0
-            while right < hi[d] and f(right) > logy:
+            while right < hi[d] and f(d, right) > logy:
                 right = min(right + widths[d], hi[d])
                 steps += 1
                 if steps > config.max_step_out:
@@ -268,7 +271,7 @@ def slice_sample(target: TargetSpec, init, config: SamplerConfig) -> SampleSet:
 
             for _ in range(config.max_shrink):
                 prop = rng.uniform(left, right)
-                lp_prop = f(prop)
+                lp_prop = f(d, prop)
                 if lp_prop > logy:
                     x[d] = prop
                     lp = lp_prop

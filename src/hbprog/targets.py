@@ -30,8 +30,8 @@ def logsumexp(a) -> float:
     tolerance and maps all -inf input to -inf without NaN.
     """
     a = np.asarray(a, dtype=float)
-    m = np.max(a) if a.size else -math.inf
-    if not np.isfinite(m):
+    m = a.max() if a.size else -math.inf
+    if not math.isfinite(m):
         return float(m)
     return float(m + math.log(np.exp(a - m).sum()))
 
@@ -48,11 +48,15 @@ def segment_logsumexp(
     """
     smax = np.maximum.reduceat(values, starts, axis=-1)
     finite = np.isfinite(smax)
-    safe = np.where(finite, smax, 0.0)
     if counts is None:
         counts = np.diff(np.append(starts, values.shape[-1]))
+    all_finite = np.count_nonzero(finite) == finite.size
+    safe = smax if all_finite else np.where(finite, smax, 0.0)
     shifted = np.exp(values - np.repeat(safe, counts, axis=-1))
     sums = np.add.reduceat(shifted, starts, axis=-1)
+    if all_finite:
+        # every segment holds its maximum, so each sum is >= 1
+        return np.log(sums) + smax
     with np.errstate(divide="ignore"):
         return np.where(finite, np.log(sums) + safe, smax)
 
@@ -433,35 +437,28 @@ def dataset_loglik(model, dataset, theta: np.ndarray, sigma: float) -> float:
     of range.
 
     This sits in every sampler's innermost loop, so the per-point densities
-    are inlined rather than routed through the validating public functions;
-    dataset values are already checked at construction and the curve is
-    checked here.
+    are inlined rather than routed through the validating public functions,
+    and the curve is not scanned for bad values: a non-finite or (lognormal)
+    non-positive prediction makes the summed total NaN or -inf, which is
+    returned as -inf. ``log y`` and the data-only constant come from the
+    :class:`~hbprog.hierarchy.Dataset`.
     """
-    if not sigma > 0 or not np.isfinite(sigma):
+    if not (sigma > 0 and math.isfinite(sigma)):
         return -math.inf
-    cycles = getattr(dataset, "cycles_float", dataset.cycles)
-    preds = model.predict(theta, cycles)
-    if not np.isfinite(preds).all():
-        return -math.inf
-    y = dataset.values
-    n = y.size
+    preds = model.predict(theta, dataset.cycles_float)
     if model.likelihood == "lognormal":
-        if np.any(preds <= 0):
-            return -math.inf
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             zeta2 = np.log1p((sigma / preds) ** 2)
-            log_y = np.log(y)
-            dev = log_y - np.log(preds) + 0.5 * zeta2
+            dev = dataset.log_values - np.log(preds) + 0.5 * zeta2
             total = float(
-                -log_y.sum()
-                - 0.5 * n * LOG_TWO_PI
+                dataset.lognormal_const
                 - 0.5 * np.log(zeta2).sum()
                 - (dev**2 / (2.0 * zeta2)).sum()
             )
     elif model.likelihood == "gaussian":
-        r = y - preds
+        r = dataset.values - preds
         total = float(
-            -0.5 * n * (LOG_TWO_PI + 2.0 * math.log(sigma)) - (r @ r) / (2.0 * sigma**2)
+            -0.5 * r.size * (LOG_TWO_PI + 2.0 * math.log(sigma)) - (r @ r) / (2.0 * sigma**2)
         )
     else:
         raise ValueError(f"unknown likelihood family {model.likelihood!r}")
@@ -482,8 +479,7 @@ def dataset_loglik_batch(model, dataset, theta: np.ndarray, sigma: np.ndarray) -
     good = np.flatnonzero((sigma > 0) & np.isfinite(sigma))
     if not good.size:
         return out
-    cycles = getattr(dataset, "cycles_float", dataset.cycles)
-    preds = model.predict_batch(theta[good], cycles)
+    preds = model.predict_batch(theta[good], dataset.cycles_float)
     ok = np.isfinite(preds).all(axis=1)
     if model.likelihood == "lognormal":
         ok &= (preds > 0).all(axis=1)
@@ -493,23 +489,20 @@ def dataset_loglik_batch(model, dataset, theta: np.ndarray, sigma: np.ndarray) -
     if not ok.all():
         rows, preds = good[ok], preds[ok]
     sig = sigma[rows]
-    y = dataset.values
-    n = y.size
     if model.likelihood == "lognormal":
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             zeta2 = np.log1p((sig[:, None] / preds) ** 2)
-            log_y = np.log(y)
-            dev = log_y - np.log(preds) + 0.5 * zeta2
+            dev = dataset.log_values - np.log(preds) + 0.5 * zeta2
             total = (
-                -log_y.sum()
-                - 0.5 * n * LOG_TWO_PI
+                dataset.lognormal_const
                 - 0.5 * np.log(zeta2).sum(axis=1)
                 - (dev**2 / (2.0 * zeta2)).sum(axis=1)
             )
     else:
-        r = np.subtract(y, preds, out=preds)  # residuals overwrite the scratch curves
+        # residuals overwrite the scratch curves
+        r = np.subtract(dataset.values, preds, out=preds)
         rr = np.einsum("ij,ij->i", r, r)
-        total = -0.5 * n * (LOG_TWO_PI + 2.0 * np.log(sig)) - rr / (2.0 * sig**2)
+        total = -0.5 * r.shape[1] * (LOG_TWO_PI + 2.0 * np.log(sig)) - rr / (2.0 * sig**2)
     out[rows] = np.where(np.isnan(total), -np.inf, total)
     return out
 

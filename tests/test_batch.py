@@ -126,6 +126,33 @@ class TestPredictBatch:
         assert np.isfinite(want).all() and want[0, 1] > want[0, 0] == GEO.a0
         assert_matches(model.predict(theta[0], [0.0, 1000.0])[None], want, PARIS_RTOL)
 
+    @pytest.mark.parametrize("mode", ["two-block", "constant"])
+    def test_paris_exponent_overflow_is_one_inf_row(self, mode):
+        """theta1 * m0 overflows at theta1 = 1e308: that row alone is +inf,
+        in both paths, and the other rows are unaffected."""
+        if mode == "two-block":
+            loading = LoadingSpec("two-block", delta_sigma1=50.0, n1=1.0, delta_sigma2=90.0, n2=2.0)
+        else:
+            loading = LoadingSpec("constant", delta_sigma=60.0)
+        model = ParisCrackModel(GEO, loading)
+        theta = np.array([[1e308, 1.0], [1.0, 1.0]])
+        cycles = [0.0, 1000.0]
+        got = model.predict_batch(theta, cycles)
+        assert np.isposinf(got[0]).all() and np.isfinite(got[1]).all()
+        assert np.isposinf(model.predict(theta[0], cycles)).all()
+        assert_matches(model.predict(theta[1], cycles)[None], got[1:], PARIS_RTOL)
+        assert not model.admissible(theta[0]) and model.admissible(theta[1])
+
+    def test_paris_band_rate_overflow(self):
+        """In the m = 2 band a rate that overflows exp gives a0 at n0 and
+        +inf after it (0 before it), in both paths, instead of raising."""
+        geo = CrackGeometry(a0=1.0, n0=100.0, a_f=25.0)
+        model = ParisCrackModel(geo, LoadingSpec("constant", delta_sigma=60.0))
+        theta = np.array([1.0, -40.0])
+        want = np.array([[0.0, 1.0, np.inf]])
+        assert np.array_equal(model.predict(theta, [0.0, 100.0, 1000.0])[None], want)
+        assert np.array_equal(model.predict_batch(theta[None], [0.0, 100.0, 1000.0]), want)
+
     def test_default_stacks_predict(self):
         model = ConstantCapacity()
         theta = np.array([[1.0], [0.5], [-1.0], [np.nan]])

@@ -174,6 +174,10 @@ class TestModelSelectCommand:
         assert (tmp_path / "model_select.csv").exists()
 
 
+def _drop_upper(bounds):
+    del bounds["upper"]
+
+
 class TestExitCodes:
     def test_usage_error(self, capsys):
         assert main(["no-such-command"]) == 1
@@ -246,9 +250,11 @@ class TestExitCodes:
             ("predict", "prognosis", "quantiles", [0.975, 0.5, 0.025]),
             ("synth", "synthetic.loading", "delta_sigma", "x"),
             ("synth", "synthetic.geometry", "a0", "x"),
+            ("rul", "prognosis", "include_observation_noise", "no"),
+            ("predict", "prognosis", "include_observation_noise", 1),
         ],
         ids=["horizon-type", "threshold-type", "horizon-before-t_c", "unsorted-quantiles",
-             "delta_sigma-type", "a0-type"],
+             "delta_sigma-type", "a0-type", "noise-flag-string", "noise-flag-number"],
     )
     def test_bad_config_field_is_data_error(self, tmp_path, capsys, command, section, key, value):
         config_dict = json.loads(json.dumps(BASE_CONFIG))
@@ -271,6 +277,52 @@ class TestExitCodes:
         assert f"'{section}.{key}'" in record["message"]
         out = tmp_path / "data" if command == "synth" else tmp_path
         assert json.loads((out / "error.json").read_text()) == record
+
+    @pytest.mark.parametrize(
+        "command, path, edit, field",
+        [
+            ("fit-historical", ["stage1_bounds"], lambda b: b.update(lower="abc"),
+             "stage1_bounds.lower"),
+            ("fit-historical", ["stage1_bounds"], lambda b: b.update(lower=[0.6, 0.8]),
+             "stage1_bounds.lower"),
+            ("fit-historical", ["stage1_bounds"], _drop_upper, "stage1_bounds.upper"),
+            ("fit-historical", ["hyper_bounds"], lambda b: b.update(mu_sigma=[0.4]),
+             "hyper_bounds.mu_sigma"),
+            ("fit-historical", ["hyper_bounds"], lambda b: b.update(mu_theta=[[0.8, 1.4]]),
+             "hyper_bounds.mu_theta"),
+            ("model-select", ["candidates", 1, "stage1_bounds"], lambda b: b.update(lower="abc"),
+             "candidates[1].stage1_bounds.lower"),
+            ("model-select", ["candidates", 0, "stage1_bounds"], _drop_upper,
+             "candidates[0].stage1_bounds.upper"),
+            ("model-select", ["candidates", 1, "hyper_bounds"],
+             lambda b: b.update(sd_sigma="x"), "candidates[1].hyper_bounds.sd_sigma"),
+        ],
+        ids=["lower-string", "lower-short", "upper-missing", "hyper-pair-short",
+             "hyper-mu_theta-short", "candidate-lower-string", "candidate-upper-missing",
+             "candidate-hyper-string"],
+    )
+    def test_bad_bounds_are_data_errors(self, tmp_path, capsys, command, path, edit, field):
+        """Malformed prior boxes exit 2 before any sampling, naming the
+        dotted field, instead of failing later as a numerical error."""
+        config_dict = json.loads(json.dumps(BASE_CONFIG))
+        config_dict["candidates"] = [
+            {"family": "paris", "stage1_bounds": config_dict["stage1_bounds"],
+             "hyper_bounds": config_dict["hyper_bounds"]}
+            for _ in range(2)
+        ]
+        config_dict = json.loads(json.dumps(config_dict))
+        node = config_dict
+        for part in path:
+            node = node[part]
+        edit(node)
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(config_dict))
+        code = main([command, "--config", str(config), "--out", str(tmp_path)])
+        assert code == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "DataFormatError"
+        assert f"'{field}'" in record["message"]
+        assert json.loads((tmp_path / "error.json").read_text()) == record
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
