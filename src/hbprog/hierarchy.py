@@ -11,8 +11,10 @@ module.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from scipy.optimize import differential_evolution, minimize
@@ -716,6 +718,62 @@ def classical_update(
     return out
 
 
+# (fn, items) of the pool this process was forked to serve; None outside one
+_WORKER_JOBS: tuple | None = None
+
+
+def _available_cpus() -> int:
+    """CPUs this process may run on, or 1 where forked workers are not an
+    option: no CPU affinity or fork on the platform, or other threads
+    running (forking a threaded process can copy a lock another thread
+    holds)."""
+    if hasattr(os, "sched_getaffinity") and hasattr(os, "fork") and threading.active_count() == 1:
+        return len(os.sched_getaffinity(0))
+    return 1
+
+
+def _init_worker(fn, items) -> None:
+    global _WORKER_JOBS
+    _WORKER_JOBS = (fn, items)
+
+
+def _run_job(i: int):
+    fn, items = _WORKER_JOBS
+    return fn(items[i])
+
+
+def _map_jobs(fn: Callable, items: Iterable) -> list:
+    """``[fn(x) for x in items]`` in input order, computed in up to
+    :func:`_available_cpus` forked worker processes, at most one per item.
+
+    The jobs reach the workers through fork, so ``fn`` may be a closure;
+    only results are pickled. Every job must seed its own randomness, so
+    the results do not depend on the worker count. A job that raises stops
+    the run, and the first failing job in input order re-raises its
+    exception, as the serial loop would. With one worker, and inside a
+    worker (no nested pools), the jobs run serially in this process.
+    """
+    items = list(items)
+    workers = 1 if _WORKER_JOBS is not None else min(len(items), _available_cpus())
+    if workers <= 1:
+        return [fn(x) for x in items]
+    # imported here so commands that never fan out do not load them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(
+        workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_init_worker,
+        initargs=(fn, items),
+    )
+    try:
+        futures = [pool.submit(_run_job, i) for i in range(len(items))]
+        return [f.result() for f in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def _forward_stage1(stage1_sets: Sequence[SampleSet], stage1_thin: int | None) -> list:
     """Stage-1 sets as forwarded to stage 2: each thinned to about
     ``stage1_thin`` draws when it holds more."""
@@ -739,17 +797,20 @@ def fit_historical(
     stage1_thin: int | None = None,
 ) -> HierarchyResult:
     """Run the complete historical workflow: independent stage-1 jobs (one
-    derived seed each, so results do not depend on execution order), then the
-    stage-2 hyper-posterior. ``stage1_thin`` caps the per-dataset samples
-    forwarded to stage 2."""
+    derived seed each, so results do not depend on execution order; they run
+    in worker processes, see :func:`_map_jobs`), then the stage-2
+    hyper-posterior. ``stage1_thin`` caps the per-dataset samples forwarded
+    to stage 2."""
     if not datasets:
         raise ValueError("at least one historical dataset is required")
     config = config or SamplerConfig()
-    stage1_sets = []
-    for i, ds in enumerate(datasets):
-        model = build_model(ds, family, nominals)
+
+    def stage1_job(job: tuple[int, Dataset]) -> SampleSet:
+        i, ds = job
         job_cfg = config.replace(seed=subseed(config.seed, _TAG_STAGE1, i))
-        stage1_sets.append(stage1_infer(ds, model, stage1_bounds, job_cfg))
+        return stage1_infer(ds, build_model(ds, family, nominals), stage1_bounds, job_cfg)
+
+    stage1_sets = _map_jobs(stage1_job, enumerate(datasets))
     hyper = stage2_infer(
         _forward_stage1(stage1_sets, stage1_thin), hyper_bounds, case, config, sampler, sigma_trunc
     )
@@ -843,15 +904,17 @@ def model_select(
     wanted.
 
     A failing candidate is marked failed and ranked last; the ranking
-    proceeds over the rest.
+    proceeds over the rest. The candidates run in worker processes (see
+    :func:`_map_jobs`).
     """
     if len(candidates) < 2:
         raise ValueError("model selection requires at least two candidates")
     if rank_by not in ("total", "hyper"):
         raise ValueError("rank_by must be 'total' or 'hyper'")
     config = config or SamplerConfig()
-    records = []
-    for j, cand in enumerate(candidates):
+
+    def candidate_job(job: tuple[int, Candidate]) -> dict:
+        j, cand = job
         cand_cfg = config.replace(seed=subseed(config.seed, _TAG_SELECT, j))
         record = {
             "name": cand.label,
@@ -897,7 +960,9 @@ def model_select(
             )
         except (SamplerError, ValueError, ArithmeticError) as exc:
             record["error"] = f"{type(exc).__name__}: {exc}"
-        records.append(record)
+        return record
+
+    records = _map_jobs(candidate_job, enumerate(candidates))
     records.sort(
         key=lambda r: (-math.inf if r["log_evidence"] is None else r["log_evidence"]),
         reverse=True,

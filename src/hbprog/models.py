@@ -35,6 +35,10 @@ class CrackDivergedError(ArithmeticError):
         self.cycle = float(cycle)
         super().__init__(f"crack diverged before cycle {cycle:g}")
 
+    def __reduce__(self):
+        # the default rebuilds from ``args`` (the message), not the cycle
+        return (type(self), (self.cycle,), self.__dict__)
+
 
 class NoFailureError(ValueError):
     """The crack never reaches the critical length (no finite failure time)."""
@@ -347,7 +351,9 @@ def cycles_to_failure(
 
     Inverts the implemented closed form exactly (including the m ~ 2
     exponential branch). ``a_f`` overrides the geometry's critical length,
-    which is how prognosis thresholds are applied. Raises
+    which is how prognosis thresholds are applied. A growth rate that
+    overflows diverges at once, so the crack fails at ``n0`` (where
+    :meth:`ParisCrackModel.predict` turns +inf). Raises
     :class:`NoFailureError` when C <= 0 leaves the crack static.
     """
     m = params.m
@@ -357,12 +363,15 @@ def cycles_to_failure(
         raise ValueError("critical length below initial length")
     if af == geometry.a0:
         return float(geometry.n0)
-    if abs(m - 2.0) < PARIS_M_TOL:
-        rate = math.exp(params.log_c + 2.0 * log_ds)
+    band = abs(m - 2.0) < PARIS_M_TOL
+    try:
+        rate = math.exp(params.log_c + (2.0 if band else m) * log_ds)
+    except OverflowError:
+        return float(geometry.n0)
+    if band:
         if rate == 0.0:
             raise NoFailureError("no finite failure time: crack growth rate is zero")
         return geometry.n0 + math.log(af / geometry.a0) / rate
-    rate = math.exp(params.log_c + m * log_ds)
     if rate == 0.0:
         raise NoFailureError("no finite failure time: crack growth rate is zero")
     e = 1.0 - m / 2.0

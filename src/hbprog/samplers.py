@@ -189,6 +189,14 @@ class SampleSet:
             self.log_evidence_se,
         )
 
+    def __reduce__(self):
+        # rebuilt through the constructor, so a set sent back from a worker
+        # process is validated and read-only like the one the worker built
+        return (
+            SampleSet,
+            (self.samples, self.labels, self.provenance, self.log_evidence, self.log_evidence_se),
+        )
+
 
 def _resolve_widths(target: TargetSpec, config: SamplerConfig) -> np.ndarray:
     if config.slice_width is not None:

@@ -96,7 +96,7 @@ def gaussian_loglik(y, pred, sigma):
         raise ValueError("error scale sigma must be > 0")
     y = np.asarray(y, dtype=float)
     pred_arr = np.asarray(pred, dtype=float)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
         out = -0.5 * (LOG_TWO_PI + 2.0 * math.log(sigma)) - (y - pred_arr) ** 2 / (
             2.0 * sigma**2
         )
@@ -456,10 +456,13 @@ def dataset_loglik(model, dataset, theta: np.ndarray, sigma: float) -> float:
                 - (dev**2 / (2.0 * zeta2)).sum()
             )
     elif model.likelihood == "gaussian":
+        two_var = 2.0 * sigma**2
+        if two_var == 0.0:
+            # sigma**2 underflowed: the total would be -inf, or NaN on a
+            # perfect fit, and numpy would warn of a division by zero
+            return -math.inf
         r = dataset.values - preds
-        total = float(
-            -0.5 * r.size * (LOG_TWO_PI + 2.0 * math.log(sigma)) - (r @ r) / (2.0 * sigma**2)
-        )
+        total = float(-0.5 * r.size * (LOG_TWO_PI + 2.0 * math.log(sigma)) - (r @ r) / two_var)
     else:
         raise ValueError(f"unknown likelihood family {model.likelihood!r}")
     return total if not math.isnan(total) else -math.inf
@@ -502,7 +505,10 @@ def dataset_loglik_batch(model, dataset, theta: np.ndarray, sigma: np.ndarray) -
         # residuals overwrite the scratch curves
         r = np.subtract(dataset.values, preds, out=preds)
         rr = np.einsum("ij,ij->i", r, r)
-        total = -0.5 * r.shape[1] * (LOG_TWO_PI + 2.0 * np.log(sig)) - rr / (2.0 * sig**2)
+        # a sigma whose square underflows divides by zero: -inf, or NaN on a
+        # perfect fit, which is set to -inf below
+        with np.errstate(divide="ignore", invalid="ignore"):
+            total = -0.5 * r.shape[1] * (LOG_TWO_PI + 2.0 * np.log(sig)) - rr / (2.0 * sig**2)
     out[rows] = np.where(np.isnan(total), -np.inf, total)
     return out
 

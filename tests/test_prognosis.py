@@ -316,6 +316,19 @@ class TestRulDistribution:
         assert res.rul[0] == pytest.approx(nf - t_c, rel=1e-12)
         assert res.summary["mean"] == res.summary["median"] == res.rul[0]
 
+    def test_overflowing_growth_rate_fails_at_tc(self):
+        """A draw whose growth rate overflows ``math.exp`` (in the m ~ 2
+        band and out of it) has failed by t_c, where ``predict`` turns +inf
+        at once: t_eol = t_c, not censored."""
+        rows = np.array([[1.0, -40.0, 0.05], [0.5, -40.0, 0.05]])
+        for theta in rows[:, :2]:
+            assert CRACK_MODEL.cycles_to_failure(theta) == GEOMETRY.n0
+            assert CRACK_MODEL.predict(theta, [0.0, 1.0]).tolist() == [1.0, math.inf]
+        cfg = PrognosisConfig(threshold=25.0, t_c=5000.0, horizon=1e6)
+        res = rul_distribution(SampleSet(rows, ("theta1", "theta2", "sigma")), CRACK_MODEL, cfg)
+        assert res.t_eol.tolist() == [5000.0, 5000.0]
+        assert res.censored.tolist() == [False, False]
+
     def test_rul_is_exactly_eol_minus_tc(self, crack_fleet):
         _, truth = crack_fleet
         rows = np.array([[u["theta"][0], u["theta"][1], u["sigma"]] for u in truth["units"]])

@@ -11,6 +11,7 @@ a tolerance.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -31,6 +32,8 @@ from hbprog.targets import (
     LOG_TWO_PI,
     HyperPriorBounds,
     dataset_loglik,
+    dataset_loglik_batch,
+    gaussian_loglik,
     logsumexp,
     segment_logsumexp,
 )
@@ -280,6 +283,24 @@ def test_gaussian_loglik_matches_reference():
             want = ref_loglik(model, data, np.array(theta), sigma)
             got = dataset_loglik(model, data, np.array(theta), sigma)
             assert same(got, want), (theta, sigma)
+
+
+def test_gaussian_loglik_tiny_sigma_is_silent():
+    """A sigma whose square underflows gives -inf without a numpy warning,
+    off the curve (x / 0) and on it (0 / 0), in the scalar, batch and public
+    forms."""
+    model = BatteryDoubleModel()
+    k = np.arange(1, 80, 2)
+    theta = np.array([1.0, 1.0, 1.0, 1.0])
+    curve = model.predict(theta, k)
+    for values in (curve + 0.01, curve):
+        data = Dataset("B", k, values, "batt-double")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert dataset_loglik(model, data, theta, 1e-300) == -math.inf
+            got = dataset_loglik_batch(model, data, theta[None], np.array([1e-300]))
+            assert got.tolist() == [-math.inf]
+            assert np.all(gaussian_loglik(values, curve, 1e-300) == -math.inf)
 
 
 def test_segment_logsumexp_matches_reference():
