@@ -7,7 +7,7 @@ cycle-by-cycle updating picture of fleet-informed prognosis.
 
 import numpy as np
 
-from hbprog.hierarchy import build_model, fit_historical, update_current
+from hbprog.hierarchy import build_model, fit_historical, update_many
 from hbprog.io import SyntheticSpec, generate_synthetic
 from hbprog.models import CrackGeometry, LoadingSpec
 from hbprog.prognosis import PrognosisConfig, rul_distribution
@@ -48,12 +48,13 @@ eol_true = truth["units"][0]["eol"]
 print(f"current unit: true end of life {eol_true:.0f} cycles\n")
 print(f"{'t_c':>8s} {'points':>7s} {'true RUL':>9s} {'95% RUL interval':>22s}  hit")
 
-for frac in np.linspace(0.15, 0.9, 9):
-    t_c = frac * eol_true
-    posterior = update_current(
-        unit.truncate(t_c), hyper, model,
-        SamplerConfig(n_samples=700, seed=8), hyper_subsample=300,
-    )
+# the updates at each cutoff are independent, so they run in worker processes
+cutoffs = np.linspace(0.15, 0.9, 9) * eol_true
+posteriors = update_many(
+    [unit.truncate(t_c) for t_c in cutoffs], hyper, model,
+    SamplerConfig(n_samples=700, seed=8), hyper_subsample=300,
+)
+for t_c, posterior in zip(cutoffs, posteriors):
     cfg = PrognosisConfig(threshold=25.0, t_c=float(t_c), horizon=600000)
     rul = rul_distribution(posterior, model, cfg)
     lo, hi = rul.summary["interval"]

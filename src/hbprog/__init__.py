@@ -60,6 +60,7 @@ from hbprog.hierarchy import (
     stage1_infer,
     stage2_infer,
     update_current,
+    update_many,
 )
 from hbprog.prognosis import (
     PrognosisConfig,

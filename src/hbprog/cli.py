@@ -96,7 +96,7 @@ def _build_parser() -> _Parser:
 
 def _load_current(cfg: RunConfig, args) -> tuple:
     dataset = load_dataset(cfg.current_path())
-    cutoff = args.cutoff if args.cutoff is not None else cfg.raw.get("cutoff")
+    cutoff = args.cutoff if args.cutoff is not None else cfg.cutoff
     truncated = dataset.truncate(float(cutoff)) if cutoff is not None else dataset
     t_c = float(cutoff) if cutoff is not None else float(dataset.cycles[-1])
     return dataset, truncated, t_c
@@ -132,8 +132,8 @@ def cmd_fit_historical(cfg: RunConfig, args, out: Path) -> str:
         sampler=sampler,
         sigma_trunc=cfg.sigma_trunc,
         family=family,
-        nominals=cfg.raw.get("nominals"),
-        stage1_thin=cfg.raw.get("stage1_thin"),
+        nominals=cfg.nominals,
+        stage1_thin=cfg.stage1_thin,
     )
     for ds, ss in zip(datasets, result.stage1):
         save_sample_set(_stamp(ss, cfg), out / f"stage1_{ds.unit_id}")
@@ -150,13 +150,13 @@ def cmd_fit_current(cfg: RunConfig, args, out: Path) -> str:
     hyper = load_sample_set(hyper_stem)
     dataset, truncated, t_c = _load_current(cfg, args)
     family = args.model or cfg.raw.get("family")
-    model = build_model(dataset, family, cfg.raw.get("nominals"))
+    model = build_model(dataset, family, cfg.nominals)
     posterior = update_current(
         truncated,
         hyper,
         model,
         cfg.sampler_config(seed=args.seed, n_samples=args.samples),
-        hyper_subsample=cfg.raw.get("hyper_subsample"),
+        hyper_subsample=cfg.hyper_subsample,
     )
     posterior.provenance.update(t_c=t_c, n_data=len(truncated))
     path = save_sample_set(_stamp(posterior, cfg), out / "current_posterior")
@@ -173,7 +173,7 @@ def _posterior_and_model(cfg: RunConfig, args, out: Path):
     if "t_c" in samples.provenance:
         t_c = float(samples.provenance["t_c"])
     family = args.model or cfg.raw.get("family")
-    model = build_model(dataset, family, cfg.raw.get("nominals"))
+    model = build_model(dataset, family, cfg.nominals)
     return samples, model, dataset, t_c
 
 
@@ -214,7 +214,7 @@ def cmd_model_select(cfg: RunConfig, args, out: Path) -> str:
         candidates,
         cfg.sampler_config(seed=args.seed, n_samples=args.samples),
         case=args.case or cfg.case,
-        stage1_thin=cfg.raw.get("stage1_thin"),
+        stage1_thin=cfg.stage1_thin,
     )
     cols = (
         "name",
@@ -249,7 +249,7 @@ def cmd_compare_prior(cfg: RunConfig, args, out: Path) -> str:
     )
     dataset, truncated, t_c = _load_current(cfg, args)
     family = args.model or cfg.raw.get("family")
-    model = build_model(dataset, family, cfg.raw.get("nominals"))
+    model = build_model(dataset, family, cfg.nominals)
     posterior = classical_update(
         truncated, prior, model, cfg.sampler_config(seed=args.seed, n_samples=args.samples)
     )
@@ -283,11 +283,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        cfg = RunConfig.from_file(args.config)
-        if args.seed is not None:
-            cfg.raw["seed"] = args.seed
-        if args.model is not None:
-            cfg.raw["family"] = args.model
+        cfg = RunConfig.from_file(args.config, seed=args.seed, family=args.model)
         print(_COMMANDS[args.command](cfg, args, out))
         return 0
     except UsageError as exc:

@@ -774,6 +774,23 @@ def _map_jobs(fn: Callable, items: Iterable) -> list:
         pool.shutdown(cancel_futures=True)
 
 
+def update_many(
+    datasets: Sequence[Dataset | None],
+    hyper: SampleSet,
+    model: DegradationModel,
+    config: SamplerConfig,
+    hyper_subsample: int | None = None,
+) -> list[SampleSet]:
+    """:func:`update_current` for each dataset (say, one unit truncated at
+    successive cutoffs) under the same hyper set, model and sampler config,
+    returned in input order. The updates are independent and each seeds
+    itself from ``config``, so they run in worker processes (see
+    :func:`_map_jobs`) with the serial loop's bytes."""
+    return _map_jobs(
+        lambda ds: update_current(ds, hyper, model, config, hyper_subsample), datasets
+    )
+
+
 def _forward_stage1(stage1_sets: Sequence[SampleSet], stage1_thin: int | None) -> list:
     """Stage-1 sets as forwarded to stage 2: each thinned to about
     ``stage1_thin`` draws when it holds more."""

@@ -122,6 +122,41 @@ def _numbers(value) -> list[float]:
     return [float(v) for v in value]
 
 
+def _number(value) -> float:
+    """A finite JSON number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise TypeError(f"must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _positive(value) -> float:
+    value = _number(value)
+    if not value > 0:
+        raise ValueError(f"must be > 0, got {value!r}")
+    return value
+
+
+def _integer(value, low: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"must be >= {low}, got {value}")
+    return value
+
+
+def _seed(value) -> int:
+    return _integer(value, 0)
+
+
+def _count(value) -> int:
+    return _integer(value, 1)
+
+
+def _optional(convert):
+    """``convert`` that also passes JSON null through as None."""
+    return lambda value: None if value is None else convert(value)
+
+
 def _pair(value) -> tuple[float, float]:
     """A ``[lower, upper]`` bound pair."""
     pair = _numbers(value)
@@ -569,9 +604,15 @@ class RunConfig:
                     f"family {fam!r} pairs with the {expected} likelihood, not {lik!r}"
                 )
         self._sampler_section()
+        # type- and range-check the top-level run fields before any sampling
+        for name in ("seed", "sigma_trunc", "cutoff", "nominals", "stage1_thin", "hyper_subsample"):
+            getattr(self, name)
 
     @classmethod
-    def from_file(cls, path: Path | str) -> "RunConfig":
+    def from_file(cls, path: Path | str, **overrides) -> "RunConfig":
+        """The config at ``path``, with the top-level fields in
+        ``overrides`` (command-line flags; None leaves a field alone)
+        replaced before it is checked."""
         path = Path(path)
         try:
             raw = json.loads(path.read_text())
@@ -579,6 +620,9 @@ class RunConfig:
             raise DataFormatError(f"{path}: no such config file") from None
         except json.JSONDecodeError as exc:
             raise DataFormatError(f"{path}: invalid JSON ({exc})") from None
+        if not isinstance(raw, dict):
+            raise DataFormatError(f"{path}: the config must be a JSON object")
+        raw.update({k: v for k, v in overrides.items() if v is not None})
         return cls(raw, path.parent)
 
     def fingerprint(self) -> str:
@@ -590,7 +634,7 @@ class RunConfig:
 
     @property
     def seed(self) -> int:
-        return int(self.raw.get("seed", 0))
+        return _field(self.raw, "seed", "config", _seed, 0)
 
     @property
     def family(self) -> str:
@@ -602,7 +646,33 @@ class RunConfig:
     @property
     def sigma_trunc(self) -> float:
         default = 0.2 if self.raw.get("family") == "paris" else 0.4
-        return float(self.raw.get("sigma_trunc", default))
+        return _field(self.raw, "sigma_trunc", "config", _positive, default)
+
+    @property
+    def cutoff(self) -> float | None:
+        """The current-data cutoff cycle t_c, or None for all the data."""
+        return _field(self.raw, "cutoff", "config", _optional(_number), None)
+
+    @property
+    def nominals(self) -> list[float] | None:
+        """Nominal-value overrides, one per parameter of the config's
+        family, or None for the dataset's own."""
+        nominals = _field(self.raw, "nominals", "config", _optional(_numbers), None)
+        family = self.raw.get("family")
+        n_theta = _N_THETA.get(family) if isinstance(family, str) else None
+        if nominals is not None and n_theta is not None and len(nominals) != n_theta:
+            raise DataFormatError(
+                f"config: field 'nominals' must have {n_theta} entries, got {len(nominals)}"
+            )
+        return nominals
+
+    @property
+    def stage1_thin(self) -> int | None:
+        return _field(self.raw, "stage1_thin", "config", _optional(_count), None)
+
+    @property
+    def hyper_subsample(self) -> int | None:
+        return _field(self.raw, "hyper_subsample", "config", _optional(_count), None)
 
     @property
     def case(self) -> str:

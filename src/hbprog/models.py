@@ -443,6 +443,19 @@ class DegradationModel:
     def admissible(self, theta: np.ndarray) -> bool:
         raise NotImplementedError
 
+    def scan_bound(self, theta: np.ndarray, k0: float, k1: float):
+        """Bound on every row's curve over the cycles [k0, k1], or None.
+
+        A family with a closed form returns ``(value, slope, magnitude)``,
+        three ``[n]`` arrays: the curve at ``k0``, a bound S on |dQ/dk| over
+        [k0, k1] and a bound M on the magnitude of each term summed there
+        (so on the curve's rounding). The battery first-crossing scan uses
+        them to skip rows that provably stay above the floor; see
+        :data:`hbprog.prognosis.SCAN_ETA`. This default bounds nothing, so
+        every row is evaluated.
+        """
+        return None
+
     def normalize_gaussian(self, means, sds):
         """Map independent Gaussians on physical parameters to the
         dimensionless parameterization (exact linear rescaling)."""
@@ -525,6 +538,19 @@ class ParisCrackModel(DegradationModel):
         return cycles_to_failure(self._params(theta), self.geometry, self.loading, a_f)
 
 
+_TINY = np.finfo(float).tiny
+
+
+def _exp_max(e0: np.ndarray, e1: np.ndarray) -> np.ndarray:
+    """The larger of an exponential's values at the two ends of a cycle
+    range (its maximum over the range, as it is monotone), raised to at
+    least the smallest normal double. numpy's exp has a small relative
+    error only for normal results: a subnormal one is off by up to a few
+    units of 2^-1074 absolute, and the floor keeps that inside the
+    relative slack the scan applies to the magnitude bound."""
+    return np.maximum(np.maximum(e0, e1), _TINY)
+
+
 class BatterySingleModel(DegradationModel):
     """Single-exponential capacity model, valid for cycle indices k >= 1."""
 
@@ -563,6 +589,21 @@ class BatterySingleModel(DegradationModel):
             q += c0
         q[~ok] = np.inf
         return q
+
+    def scan_bound(self, theta, k0, k1):
+        """Q = c0 + a e^(b/k): value at k0, S = |ab|/k0^2 max(e^(b/k0),
+        e^(b/k1)) and M = |c0| + |a| max(e^(b/k0), e^(b/k1)); see
+        :meth:`DegradationModel.scan_bound`."""
+        t = np.asarray(theta, dtype=float)
+        c0, a, b = (t[:, j] * self.nominals[j] for j in range(3))
+        with np.errstate(over="ignore", invalid="ignore"):
+            e0 = np.exp(b / k0)
+            value = e0 * a + c0
+            e = _exp_max(e0, np.exp(b / k1))
+            abs_a = np.abs(a)
+            slope = abs_a * np.abs(b) / (k0 * k0) * e
+            magnitude = np.abs(c0) + abs_a * e
+        return value, slope, magnitude
 
 
 class BatteryDoubleModel(DegradationModel):
@@ -608,3 +649,19 @@ class BatteryDoubleModel(DegradationModel):
             q += second
         q[~ok] = np.inf
         return q
+
+    def scan_bound(self, theta, k0, k1):
+        """Q = a e^(bk) + c e^(dk): value at k0,
+        S = |ab| max(e^(bk0), e^(bk1)) + |cd| max(e^(dk0), e^(dk1)) and
+        M = |a| max(e^(bk0), e^(bk1)) + |c| max(e^(dk0), e^(dk1)); see
+        :meth:`DegradationModel.scan_bound`."""
+        t = np.asarray(theta, dtype=float)
+        a, b, c, d = (t[:, j] * self.nominals[j] for j in range(4))
+        with np.errstate(over="ignore", invalid="ignore"):
+            eb0, ed0 = np.exp(b * k0), np.exp(d * k0)
+            value = eb0 * a + ed0 * c
+            eb, ed = _exp_max(eb0, np.exp(b * k1)), _exp_max(ed0, np.exp(d * k1))
+            abs_a, abs_c = np.abs(a), np.abs(c)
+            slope = abs_a * np.abs(b) * eb + abs_c * np.abs(d) * ed
+            magnitude = abs_a * eb + abs_c * ed
+        return value, slope, magnitude

@@ -23,6 +23,27 @@ from hbprog.samplers import SampleSet
 #: with more, a chunk is 16 cycles wide.
 SCAN_CHUNK = 1 << 17
 
+#: Relative slack of the certified skip-ahead in the battery scan. Before a
+#: chunk [k0, k1] the scan skips a live draw whose family bound (value Q(k0),
+#: slope bound S, term magnitude M; see
+#: :meth:`~hbprog.models.DegradationModel.scan_bound`) gives
+#: ``Q(k0) - (k1 - k0) * S * (1 + eta) - eta * M > floor``. In exact
+#: arithmetic Q(k) >= Q(k0) - (k - k0) * S on the chunk, so only rounding
+#: separates the bound from the values ``predict_batch`` would compute. Each
+#: exponential's argument is rounded once (relative error 2^-53, amplified
+#: by exp to at most |x| * 2^-53 < 1e-13 for any finite nonzero result,
+#: |x| < 746), exp itself is accurate to a few units in the last place, and
+#: each multiply and add rounds once more (2^-53 of a partial sum, which M
+#: bounds; exponentials below the normal range enter S and M at the
+#: smallest normal double, which covers exp's absolute error there). Both
+#: the computed Q(k0) and every computed Q(k) are therefore
+#: within about 1e-12 * M of the exact curve, and the computed S and the
+#: bound's own three roundings are within about 1e-15 of theirs; eta = 1e-9
+#: covers all of them a thousandfold while costing a margin of a billionth
+#: of the capacity. NaN and +-inf values, slopes or magnitudes compare false
+#: and never certify.
+SCAN_ETA = 1e-9
+
 
 def quantile_levels(values) -> tuple[float, ...]:
     """Band quantile levels as floats; they must be sorted and inside (0, 1)."""
@@ -126,38 +147,62 @@ def _perturb(curves: np.ndarray, sigma: np.ndarray, likelihood: str, rng) -> Non
     curves[finite] = np.exp(eta + np.sqrt(zeta2) * z)
 
 
+def _certified(theta: np.ndarray, model: DegradationModel, k0: int, k1: int, floor):
+    """Rows of ``theta`` whose curve provably stays strictly above ``floor``
+    at every cycle in [k0, k1] (the rule at :data:`SCAN_ETA`), or None when
+    the family has no bound."""
+    bound = model.scan_bound(theta, float(k0), float(k1))
+    if bound is None:
+        return None
+    value, slope, magnitude = bound
+    with np.errstate(invalid="ignore"):
+        return value - (k1 - k0) * slope * (1.0 + SCAN_ETA) - SCAN_ETA * magnitude > floor
+
+
 def _first_crossing(
     theta: np.ndarray, model: DegradationModel, cfg: PrognosisConfig
-) -> tuple[np.ndarray, np.ndarray, int]:
+) -> tuple[np.ndarray, np.ndarray, int, int]:
     """First integer cycle in (t_c, horizon] at or below the capacity floor,
     for every row of ``theta``, by a chunked forward scan.
 
-    Each chunk is one ``predict_batch`` call over the rows still live (not
-    yet crossed), ``max(16, SCAN_CHUNK // live)`` cycles wide; a row leaves
-    at its first crossing and the scan stops once none is live. Returns
-    ``(t_eol, censored, n_points)``: censored rows (no crossing, NaN or +inf
-    curves) hold the horizon, and ``n_points`` counts the curve values
-    evaluated. There is no bisection: a double exponential need not be
-    monotone, and the first crossing in scan order is the end of life.
+    The rows still live (not yet crossed) are scanned in chunks of
+    ``max(16, SCAN_CHUNK // live)`` cycles; a row leaves at its first
+    crossing and the scan stops once none is live. Before each chunk the
+    family's :meth:`~hbprog.models.DegradationModel.scan_bound` certifies
+    the rows that stay strictly above the floor at every cycle of it (rule
+    at :data:`SCAN_ETA`); one ``predict_batch`` call covers the rest. A
+    certified cell cannot be a crossing, so the chunks, the live set and the
+    results are those of evaluating every live row.
+
+    Returns ``(t_eol, censored, n_points, n_evaluated)``: censored rows (no
+    crossing, NaN or +inf curves) hold the horizon, ``n_points`` counts the
+    cells (live rows x cycles) the scan covered and ``n_evaluated`` the
+    curve values it computed. There is no bisection: a double exponential
+    need not be monotone, and the first crossing in scan order is the end
+    of life.
     """
     n = theta.shape[0]
     t_eol = np.full(n, float(cfg.horizon))
     censored = np.ones(n, dtype=bool)
     k, last = max(int(math.floor(cfg.t_c)) + 1, 1), int(math.floor(cfg.horizon))
     live = np.arange(n)
-    n_points = 0
+    n_points = n_evaluated = 0
     while live.size and k <= last:
         width = min(max(16, SCAN_CHUNK // live.size), last - k + 1)
-        cycles = np.arange(k, k + width, dtype=float)
-        below = model.predict_batch(theta[live], cycles) <= cfg.threshold
-        n_points += below.size
-        hit = below.any(axis=1)
-        crossed = live[hit]
-        t_eol[crossed] = cycles[below[hit].argmax(axis=1)]
-        censored[crossed] = False
-        live = live[~hit]
+        n_points += live.size * width
+        safe = _certified(theta[live], model, k, k + width - 1, cfg.threshold)
+        todo = live if safe is None else live[~safe]
+        if todo.size:
+            cycles = np.arange(k, k + width, dtype=float)
+            below = model.predict_batch(theta[todo], cycles) <= cfg.threshold
+            n_evaluated += below.size
+            hit = below.any(axis=1)
+            crossed = todo[hit]
+            t_eol[crossed] = cycles[below[hit].argmax(axis=1)]
+            censored[crossed] = False
+            live = live[censored[live]]
         k += width
-    return t_eol, censored, n_points
+    return t_eol, censored, n_points, n_evaluated
 
 
 def end_of_life(row, model: DegradationModel, cfg: PrognosisConfig) -> tuple[float, bool]:
@@ -186,7 +231,7 @@ def end_of_life(row, model: DegradationModel, cfg: PrognosisConfig) -> tuple[flo
         if nf > cfg.horizon:
             return float(cfg.horizon), True
         return float(nf), False
-    t_eol, censored, _ = _first_crossing(theta[None], model, cfg)
+    t_eol, censored, _, _ = _first_crossing(theta[None], model, cfg)
     return float(t_eol[0]), bool(censored[0])
 
 
@@ -197,7 +242,9 @@ def rul_distribution(
 
     Crack growth maps :func:`end_of_life` over the sample set; battery
     capacity runs one first-crossing scan over all samples at once, and the
-    provenance records ``n_curve_points``, the capacity values it evaluated.
+    provenance records ``n_curve_points``, the cells (draws x cycles) the
+    scan covered, and ``n_curve_evaluated``, the capacity values it
+    computed; the rest were certified above the floor.
     RUL is exactly ``t_eol - t_c`` per sample. Censored samples enter the
     summary at their ``horizon - t_c`` lower bound; the summary records the
     censored fraction and flags the result uninformative when every sample
@@ -213,7 +260,8 @@ def rul_distribution(
             t_eol[i], censored[i] = end_of_life(row, model, cfg)
     else:
         theta = samples.samples[:, : model.n_theta]
-        t_eol, censored, provenance["n_curve_points"] = _first_crossing(theta, model, cfg)
+        t_eol, censored, n_points, n_evaluated = _first_crossing(theta, model, cfg)
+        provenance.update(n_curve_points=n_points, n_curve_evaluated=n_evaluated)
     rul = t_eol - cfg.t_c
     frac = float(censored.mean())
     summary = {

@@ -456,7 +456,13 @@ def dataset_loglik(model, dataset, theta: np.ndarray, sigma: float) -> float:
                 - (dev**2 / (2.0 * zeta2)).sum()
             )
     elif model.likelihood == "gaussian":
-        two_var = 2.0 * sigma**2
+        try:
+            two_var = 2.0 * sigma**2
+        except OverflowError:
+            # sigma above ~1.3e154: the variance is +inf, as in the batch
+            # form. (sigma * sigma would not raise, but it differs from
+            # libm's pow in the last bit for about 1 sigma in 1,250.)
+            two_var = math.inf
         if two_var == 0.0:
             # sigma**2 underflowed: the total would be -inf, or NaN on a
             # perfect fit, and numpy would warn of a division by zero

@@ -21,6 +21,7 @@ from hbprog.hierarchy import (
     fit_historical,
     model_select,
     update_current,
+    update_many,
 )
 from hbprog.io import SyntheticSpec, generate_synthetic, load_dataset
 from hbprog.models import CrackGeometry, CrackParams, LoadingSpec, crack_length, cycles_to_failure
@@ -65,16 +66,17 @@ def tracking_run(crack_hyper, current_unit):
     eol_true = truth["eol"]
     cutoffs = np.linspace(0.10, 0.92, 22) * eol_true
     probe_cycle = 52000.0  # future for every cutoff, inside the unit's life
+    # the updates are independent, so they run in worker processes with the
+    # serial loop's bytes (tests/test_parallel.py)
+    posteriors = update_many(
+        [unit.truncate(t_c) for t_c in cutoffs],
+        crack_hyper,
+        model,
+        SamplerConfig(n_samples=1200, thinning=2, seed=8),
+        hyper_subsample=400,
+    )
     records = []
-    for t_c in cutoffs:
-        start = time.perf_counter()
-        posterior = update_current(
-            unit.truncate(t_c),
-            crack_hyper,
-            model,
-            SamplerConfig(n_samples=1200, thinning=2, seed=8),
-            hyper_subsample=400,
-        )
+    for t_c, posterior in zip(cutoffs, posteriors):
         cfg = PrognosisConfig(threshold=25.0, t_c=float(t_c), horizon=600000)
         rul = rul_distribution(posterior, model, cfg)
         bands = predict_trajectory(posterior, model, np.array([probe_cycle]), cfg)
@@ -84,7 +86,6 @@ def tracking_run(crack_hyper, current_unit):
                 "interval": rul.summary["interval"],
                 "posterior": posterior,
                 "half_width": 0.5 * float(bands.bands[-1][0] - bands.bands[0][0]),
-                "seconds": time.perf_counter() - start,
             }
         )
     return {"records": records, "eol_true": eol_true, "model": model}

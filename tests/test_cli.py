@@ -324,6 +324,35 @@ class TestExitCodes:
         assert f"'{field}'" in record["message"]
         assert json.loads((tmp_path / "error.json").read_text()) == record
 
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("fit-current", "hyper_subsample", "x"),
+            ("fit-historical", "stage1_thin", "x"),
+            ("model-select", "stage1_thin", 0),
+            ("fit-current", "nominals", [2.0]),
+            ("fit-historical", "seed", "x"),
+            ("fit-historical", "sigma_trunc", "x"),
+            ("fit-current", "cutoff", "x"),
+        ],
+        ids=["hyper_subsample-string", "stage1_thin-string", "stage1_thin-zero",
+             "nominals-short", "seed-string", "sigma_trunc-string", "cutoff-string"],
+    )
+    def test_bad_run_field_is_data_error(self, tmp_path, capsys, command, key, value):
+        """Malformed top-level run fields exit 2 when the config loads,
+        naming the field, before any data is read or sampled."""
+        config_dict = json.loads(json.dumps(BASE_CONFIG))
+        config_dict[key] = value
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(config_dict))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(config), "--out", str(out)]) == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "DataFormatError"
+        assert f"'{key}'" in record["message"]
+        assert json.loads((out / "error.json").read_text()) == record
+        assert [p.name for p in out.iterdir()] == ["error.json"]
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])

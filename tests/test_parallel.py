@@ -20,7 +20,14 @@ import pytest
 import hbprog
 import hbprog.hierarchy as hierarchy
 from hbprog.cli import UsageError
-from hbprog.hierarchy import Candidate, fit_historical, model_select
+from hbprog.hierarchy import (
+    Candidate,
+    build_model,
+    fit_historical,
+    model_select,
+    update_current,
+    update_many,
+)
 from hbprog.io import DataFormatError, SyntheticSpec, generate_synthetic
 from hbprog.models import CrackDivergedError, NoFailureError
 from hbprog.samplers import SampleSet, SamplerConfig, SamplerError
@@ -77,6 +84,28 @@ def test_fit_historical_independent_of_worker_count(crack_fleet, monkeypatch):
         assert not b.samples.flags.writeable  # rebuilt read-only after the trip back
     assert_same_set(serial.hyper, forked.hyper)
     assert (serial.log_evidence, serial.fingerprint) == (forked.log_evidence, forked.fingerprint)
+
+
+def test_update_many_matches_serial_loop(crack_fleet, current_unit, monkeypatch):
+    """Current-unit updates at several cutoffs (one with no data, which
+    draws from the mixture prior) equal the serial ``update_current`` loop
+    byte for byte, with one worker and with two."""
+    fleet, _ = crack_fleet
+    hyper = fit_historical(
+        fleet[:3], CRACK_BOUNDS, HyperPriorBounds.crack_default(),
+        config=SamplerConfig(n_samples=200, seed=3), stage1_thin=100,
+    ).hyper
+    unit, _ = current_unit
+    model = build_model(unit)
+    datasets = [unit.truncate(t_c) for t_c in (15000.0, 30000.0, 45000.0)] + [None]
+    cfg = SamplerConfig(n_samples=150, seed=8)
+    serial = [update_current(ds, hyper, model, cfg, hyper_subsample=60) for ds in datasets]
+    for n in (1, 2):
+        with_workers(monkeypatch, n)
+        runs = update_many(datasets, hyper, model, cfg, hyper_subsample=60)
+        assert len(runs) == len(serial)
+        for a, b in zip(serial, runs):
+            assert_same_set(a, b)
 
 
 def _battery_fleet(seed):

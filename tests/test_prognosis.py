@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hbprog import prognosis
 from hbprog.models import (
@@ -23,7 +24,7 @@ from hbprog.prognosis import (
 )
 from hbprog.samplers import SampleSet
 
-from conftest import CONST_LOADING, GEOMETRY
+from conftest import CONST_LOADING, GEOMETRY, ConstantCapacity
 
 CRACK_MODEL = ParisCrackModel(GEOMETRY, CONST_LOADING)
 BATT_MODEL = BatteryDoubleModel()
@@ -303,6 +304,183 @@ class TestFirstCrossingScan:
         # chunks of 16 cycles from cycle 1; cycle 145 opens the tenth
         assert res.t_eol.tolist() == [145.0]
         assert res.provenance["n_curve_points"] == 160
+
+
+def full_scan(theta, model, cfg):
+    """Reference copy of the first-crossing scan as it was before chunks
+    were certified: every live row is evaluated at every cycle of every
+    chunk. Returns ``(t_eol, censored, n_points)``."""
+    n = theta.shape[0]
+    t_eol = np.full(n, float(cfg.horizon))
+    censored = np.ones(n, dtype=bool)
+    k, last = max(int(math.floor(cfg.t_c)) + 1, 1), int(math.floor(cfg.horizon))
+    live = np.arange(n)
+    n_points = 0
+    while live.size and k <= last:
+        width = min(max(16, prognosis.SCAN_CHUNK // live.size), last - k + 1)
+        cycles = np.arange(k, k + width, dtype=float)
+        below = model.predict_batch(theta[live], cycles) <= cfg.threshold
+        n_points += below.size
+        hit = below.any(axis=1)
+        crossed = live[hit]
+        t_eol[crossed] = cycles[below[hit].argmax(axis=1)]
+        censored[crossed] = False
+        live = live[~hit]
+        k += width
+    return t_eol, censored, n_points
+
+
+#: parameter rows that stress the bound, per family: mixed signs, zeros,
+#: NaN and +-inf, inadmissible rows, near-flat curves whose values move by
+#: single ulps, and terms whose slope grows across a chunk
+EDGE_ROWS = {
+    "batt-single": [
+        [1.0, 1.0, 1.0], [1.0, -1.0, 1.0], [1.0, 1.0, -1.0], [1.0, -1.0, -1.0],
+        [-1.0, -1.0, -1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0], [0.0, 1.0, 1.0],
+        [math.nan, 1.0, 1.0], [1.0, math.inf, 1.0], [1.0, 1.0, -math.inf],
+        [1.0, 1e-16, 1.0], [1.0, 1.0, 1e-14], [0.75, 1e-3, -1e-15], [1.0, 0.3, -0.2],
+    ],
+    "batt-double": [
+        DIP, [1.0, -1.0, 1.0, 1.0], [-1.0, 1.0, -1.0, 1.0], [1.0, 1.0, 1.0, -1.0],
+        [1.0, 0.0, 1.0, -1.0], [1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 1.0, 1.0], [1.0, 1.0, 0.0, 0.0],
+        [-1.0, 1.0, 1.0, 1.0], [0.0, 1.0, 0.0, 1.0], [math.nan, 1.0, 1.0, 1.0],
+        [1.0, math.inf, 1.0, 1.0], [1.0, -math.inf, 1.0, 1.0], [math.inf, 1.0, 1.0, 1.0],
+        [1.0, 5e-17, 0.0, 0.0], [1.0, 1e-15, 1.0, 1e-14], [0.8, -2e-16, 1.0, 3e-16],
+    ],
+}
+
+#: relative offsets of a floor placed at a curve's own value
+NEAR = [0.0, 1e-12, -1e-12]
+
+coordinate = st.one_of(
+    st.floats(-3.0, 3.0),
+    st.floats(-60.0, 60.0),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]),
+    st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from([-1.0, 1.0]), st.floats(-18.0, -8.0)),
+)
+
+
+def theta_rows(n_theta, max_rows=8):
+    row = st.lists(coordinate, min_size=n_theta, max_size=n_theta)
+    return st.lists(row, min_size=1, max_size=max_rows).map(lambda r: np.array(r, dtype=float))
+
+
+def scan_range(cfg):
+    first, last = max(math.floor(cfg.t_c) + 1, 1), math.floor(cfg.horizon)
+    return np.arange(first, last + 1, dtype=float)
+
+
+def near_floors(model, row, cfg):
+    """Floors at and within 1e-12 (relative) of the row's minimum over the
+    scan range, and of its value at a few cycles of it."""
+    cycles = scan_range(cfg)
+    curve = model.predict_batch(np.asarray(row, dtype=float)[None], cycles)[0]
+    picks = [curve.min(), curve[0], curve[len(curve) // 3], curve[-1]]
+    return [v * (1.0 + r) for v in picks if math.isfinite(v) for r in NEAR]
+
+
+def assert_matches_full_scan(theta, model, cfg):
+    t_eol, censored, n_points, n_evaluated = prognosis._first_crossing(theta, model, cfg)
+    want = full_scan(theta, model, cfg)
+    assert t_eol.tobytes() == want[0].tobytes()
+    assert censored.tobytes() == want[1].tobytes()
+    assert n_points == want[2]
+    assert 0 <= n_evaluated <= n_points
+
+
+# predict_batch's admissibility test warns on +-inf parameters (inf - inf)
+@pytest.mark.filterwarnings("ignore:invalid value encountered in add:RuntimeWarning")
+class TestCertifiedScan:
+    """The scan skips chunks the family bound certifies above the floor;
+    its results must be those of the full scan, bit for bit."""
+
+    @BATTERIES
+    @pytest.mark.parametrize("chunk", [16, 64])
+    @pytest.mark.parametrize("t_c, horizon", [(0.0, 400.0), (100.5, 400.7)])
+    def test_edge_rows_match_full_scan(self, monkeypatch, model, chunk, t_c, horizon):
+        monkeypatch.setattr(prognosis, "SCAN_CHUNK", chunk)
+        rows = np.array(EDGE_ROWS[model.family])
+        cfg = PrognosisConfig(threshold=FLOOR, t_c=t_c, horizon=horizon)
+        assert_matches_full_scan(rows, model, cfg)
+        for row in rows:
+            for floor in near_floors(model, row, cfg):
+                cfg = PrognosisConfig(threshold=floor, t_c=t_c, horizon=horizon)
+                assert_matches_full_scan(row[None], model, cfg)
+                assert_matches_full_scan(rows, model, cfg)
+
+    @BATTERIES
+    @pytest.mark.parametrize("chunk", [16, 64, prognosis.SCAN_CHUNK])
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_drawn_rows_match_full_scan(self, model, chunk, data):
+        theta = data.draw(theta_rows(model.n_theta))
+        t_c = data.draw(st.floats(0.0, 300.0))
+        horizon = t_c + data.draw(st.floats(0.5, 400.0))
+        cfg = PrognosisConfig(threshold=FLOOR, t_c=t_c, horizon=horizon)
+        near = near_floors(model, theta[0], cfg) if scan_range(cfg).size else []
+        floor = data.draw(st.sampled_from(near) | st.floats(-2.0, 4.0) if near else st.floats(-2.0, 4.0))
+        cfg = PrognosisConfig(threshold=floor, t_c=t_c, horizon=horizon)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(prognosis, "SCAN_CHUNK", chunk)
+            assert_matches_full_scan(theta, model, cfg)
+
+    @BATTERIES
+    @given(
+        data=st.data(),
+        k0=st.integers(1, 3000),
+        width=st.integers(1, 300),
+        rel=st.sampled_from(NEAR),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_certified_chunk_stays_above_floor(self, model, data, k0, width, rel):
+        """Direct soundness: with each row's floor at (or within 1e-12 of)
+        its own minimum over the chunk, a certified row has a
+        ``predict_batch`` value above the floor at every integer cycle."""
+        theta = data.draw(theta_rows(model.n_theta, max_rows=16))
+        curves = model.predict_batch(theta, np.arange(k0, k0 + width, dtype=float))
+        with np.errstate(invalid="ignore"):
+            floor = curves.min(axis=1) * (1.0 + rel)
+        safe = prognosis._certified(theta, model, k0, k0 + width - 1, floor)
+        assert np.all(curves[safe] > floor[safe, None])
+
+    @BATTERIES
+    @pytest.mark.parametrize("k0, width", [(1, 16), (30, 16), (200, 64), (1, 1)])
+    def test_edge_rows_certified_only_above_their_minimum(self, model, k0, width):
+        rows = np.array(EDGE_ROWS[model.family])
+        curves = model.predict_batch(rows, np.arange(k0, k0 + width, dtype=float))
+        for rel in NEAR:
+            with np.errstate(invalid="ignore"):
+                floor = curves.min(axis=1) * (1.0 + rel)
+            safe = prognosis._certified(rows, model, k0, k0 + width - 1, floor)
+            assert np.all(curves[safe] > floor[safe, None])
+
+    def test_flat_curve_certified_whole_range(self):
+        """A constant curve well above the floor is never evaluated; the
+        scan still counts every cell it covered."""
+        cfg = PrognosisConfig(threshold=FLOOR, t_c=0.0, horizon=300.0)
+        res = rul_distribution(sample_set([[1.0, 0.0, 1.0, 0.0]]), BATT_MODEL, cfg)
+        assert res.censored.tolist() == [True]
+        assert res.provenance["n_curve_points"] == 300
+        assert res.provenance["n_curve_evaluated"] == 0
+
+    def test_only_the_crossing_chunk_is_evaluated(self, monkeypatch):
+        """A gently falling curve: the nine 16-cycle chunks before the
+        crossing at cycle 145 are certified, the tenth is evaluated."""
+        monkeypatch.setattr(prognosis, "SCAN_CHUNK", 16)
+        cfg = PrognosisConfig(threshold=FLOOR, t_c=0.0, horizon=500.0)
+        res = rul_distribution(sample_set([crossing_row(BATT_MODEL, 145)]), BATT_MODEL, cfg)
+        assert res.t_eol.tolist() == [145.0]
+        assert res.provenance["n_curve_points"] == 160
+        assert res.provenance["n_curve_evaluated"] == 16
+
+    def test_base_model_certifies_nothing(self):
+        model = ConstantCapacity()
+        rows = np.array([[1.0], [0.5], [-1.0]])
+        assert prognosis._certified(rows, model, 1, 16, FLOOR) is None
+        cfg = PrognosisConfig(threshold=1.2, t_c=0.0, horizon=50.0)
+        res = rul_distribution(sample_set(rows), model, cfg)
+        assert res.t_eol.tolist() == [50.0, 1.0, 50.0]
+        assert res.provenance["n_curve_evaluated"] == res.provenance["n_curve_points"]
 
 
 class TestRulDistribution:

@@ -303,6 +303,30 @@ def test_gaussian_loglik_tiny_sigma_is_silent():
             assert np.all(gaussian_loglik(values, curve, 1e-300) == -math.inf)
 
 
+def test_gaussian_loglik_huge_sigma_is_finite_and_silent():
+    """A sigma whose square overflows gives the finite total of an infinite
+    variance, as the batch form does, without raising or warning; sigmas
+    whose square is finite keep the bits of ``2 * sigma**2``."""
+    model = BatteryDoubleModel()
+    k = np.arange(1, 39, 2)
+    theta = np.array([1.0, 1.0, 1.0, 1.0])
+    values = model.predict(theta, k) + 0.01
+    data = Dataset("B", k, values, "batt-double")
+    with np.errstate(over="ignore"):
+        batch = dataset_loglik_batch(model, data, np.tile(theta, (2, 1)), np.array([1e200, 2e154]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for sigma, want in zip((1e200, 2e154), batch):
+            got = dataset_loglik(model, data, theta, sigma)
+            assert got == -0.5 * k.size * (LOG_TWO_PI + 2.0 * math.log(sigma))
+            assert same(got, want)
+        assert round(dataset_loglik(model, data, theta, 1e200), 2) == -8767.28
+        # a sigma at which libm's pow(sigma, 2) and sigma * sigma differ
+        sigma = 0.42672114373024106
+        assert sigma**2 != sigma * sigma
+        assert same(dataset_loglik(model, data, theta, sigma), ref_loglik(model, data, theta, sigma))
+
+
 def test_segment_logsumexp_matches_reference():
     rng = np.random.default_rng(8)
     counts = np.array([5, 1, 7, 3])
