@@ -43,6 +43,7 @@ from hbprog.io import (
 )
 from hbprog.prognosis import predict_trajectory, rul_distribution
 from hbprog.samplers import SamplerError
+from hbprog.targets import HyperRowError
 
 
 class UsageError(Exception):
@@ -151,13 +152,13 @@ def cmd_fit_current(cfg: RunConfig, args, out: Path) -> str:
     dataset, truncated, t_c = _load_current(cfg, args)
     family = args.model or cfg.raw.get("family")
     model = build_model(dataset, family, cfg.nominals)
-    posterior = update_current(
-        truncated,
-        hyper,
-        model,
-        cfg.sampler_config(seed=args.seed, n_samples=args.samples),
-        hyper_subsample=cfg.hyper_subsample,
-    )
+    sampler_config = cfg.sampler_config(seed=args.seed, n_samples=args.samples)
+    try:
+        posterior = update_current(
+            truncated, hyper, model, sampler_config, hyper_subsample=cfg.hyper_subsample
+        )
+    except HyperRowError as exc:
+        raise DataFormatError(f"{hyper_stem.with_suffix('.csv')}: {exc}") from None
     posterior.provenance.update(t_c=t_c, n_data=len(truncated))
     path = save_sample_set(_stamp(posterior, cfg), out / "current_posterior")
     return (

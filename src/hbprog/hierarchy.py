@@ -18,7 +18,6 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from scipy.optimize import differential_evolution, minimize
-from scipy.special import ndtr
 
 from hbprog.models import (
     BatteryDoubleModel,
@@ -43,10 +42,12 @@ from hbprog.targets import (
     LOG_TWO_PI,
     HyperParameters,
     HyperPriorBounds,
+    _decode_hyper_meta,
+    _mixture_kernel,
+    _stage2_target,
+    _stage2_target_batch,
     dataset_loglik,
     dataset_loglik_batch,
-    logsumexp,
-    segment_logsumexp,
     trunc_normal_logpdf,
     trunc_normal_ppf,
 )
@@ -326,99 +327,6 @@ def stage1_infer(
     return out
 
 
-#: cap on stacked stage-1 rows x hyper vectors evaluated at once by the
-#: stage-2 target, which bounds its scratch memory
-STAGE2_CHUNK_ROWS = 4096
-
-
-def _stage2_target_batch(stage1: Sequence[SampleSet], bounds, correlated, sigma_trunc):
-    """Log-likelihood of hyper vectors given stacked stage-1 samples.
-
-    Maps hyper vectors ``[p, d]`` to log-likelihoods ``[p]``. All datasets'
-    rows are stacked into one matrix; blocks of hyper vectors are evaluated
-    against all of it at once, at most ``STAGE2_CHUNK_ROWS`` stacked rows x
-    vectors per block. Stage-1 sigma draws outside the truncation range
-    contribute -inf rows regardless of the hyper vector, so that mask is
-    precomputed once.
-    """
-    mats = [np.asarray(ss.samples, dtype=float) for ss in stage1]
-    dims = {m.shape[1] for m in mats}
-    if len(dims) != 1:
-        raise ValueError("stage-1 sample sets have mismatched dimensions")
-    n_theta = dims.pop() - 1
-    if bounds.n_theta != n_theta:
-        raise ValueError("hyper-prior bounds do not match the stage-1 parameter dimension")
-    if correlated and n_theta != 2:
-        raise ValueError("the correlated case is only defined for 2-parameter families")
-    stacked = np.vstack(mats)
-    counts = np.array([m.shape[0] for m in mats])
-    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    log_counts = np.log(counts.astype(float))
-    sigma_col = stacked[:, -1]
-    sigma_ok = (sigma_col > 0.0) & (sigma_col < sigma_trunc)
-    # added to every row: -inf on draws outside the truncation range
-    sigma_mask = None if sigma_ok.all() else np.where(sigma_ok, 0.0, -np.inf)
-    base_const = -0.5 * (n_theta + 1) * math.log(2.0 * math.pi)
-    block = max(1, STAGE2_CHUNK_ROWS // stacked.shape[0])
-    # components on the leading axis keep numpy's inner loops over the long
-    # row axis
-    stacked_t = np.ascontiguousarray(stacked.T)
-
-    def loglik(vecs: np.ndarray) -> np.ndarray:
-        vecs = np.asarray(vecs, dtype=float)
-        mu = vecs[:, : n_theta + 1]
-        sd = vecs[:, n_theta + 1 : 2 * n_theta + 2]
-        mu_s, sd_s = mu[:, -1], sd[:, -1]
-        out = np.empty(vecs.shape[0])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            z_trunc = ndtr((sigma_trunc - mu_s) / sd_s) - ndtr(-mu_s / sd_s)
-            # vectors with sd <= 0, |rho| >= 1 or no truncation mass get
-            # -inf. A call with no valid vector stops here; otherwise all
-            # are evaluated, so no vector's value depends on which others
-            # share its call
-            ok = (sd > 0).all(axis=1) & (z_trunc > 0)
-            if correlated:
-                rho = vecs[:, -1]
-                ok &= np.abs(rho) < 1
-            n_ok = np.count_nonzero(ok)  # cheaper than ok.any() on a few vectors
-            if not n_ok:
-                out.fill(-np.inf)
-                return out
-            offset = base_const - np.log(sd).sum(axis=1) - np.log(z_trunc)
-            if correlated:
-                one_m_rho2 = 1.0 - rho**2
-                offset -= 0.5 * np.log(one_m_rho2)
-            for lo in range(0, vecs.shape[0], block):
-                b = slice(lo, lo + block)
-                # in-place steps keep the block's scratch at one [block, d, rows] array
-                z = stacked_t - mu[b, :, None]
-                z /= sd[b, :, None]
-                if correlated:
-                    r = rho[b, None]
-                    quad = (
-                        z[:, 0] ** 2 - 2.0 * r * z[:, 0] * z[:, 1] + z[:, 1] ** 2
-                    ) / one_m_rho2[b, None] + z[:, 2] ** 2
-                else:
-                    quad = np.square(z, out=z).sum(axis=1)
-                del z  # release the scratch before the segment sums allocate theirs
-                rows = offset[b, None] - 0.5 * quad
-                if sigma_mask is not None:
-                    rows += sigma_mask
-                out[b] = (segment_logsumexp(rows, starts, counts) - log_counts).sum(axis=1)
-        if n_ok < ok.size:
-            out[~ok] = -np.inf
-        return out
-
-    return loglik, n_theta
-
-
-def _stage2_target(stage1: Sequence[SampleSet], bounds, correlated, sigma_trunc):
-    """:func:`_stage2_target_batch` for one hyper vector ``[d] -> float``,
-    the form the slice sampler calls."""
-    batch, n_theta = _stage2_target_batch(stage1, bounds, correlated, sigma_trunc)
-    return (lambda vec: float(batch(vec[None])[0])), n_theta
-
-
 def _box_logpdf_batch(lower: np.ndarray, upper: np.ndarray, log_const: float):
     """Uniform log-density on a box, for a batch of points ``[n, d]``."""
 
@@ -497,10 +405,7 @@ def sample_mixture_prior(hyper: SampleSet, n: int, seed: int) -> SampleSet:
     """Ancestral draws from the hyper-averaged mixture prior: pick a hyper
     sample uniformly, then draw theta from its population Gaussian and sigma
     from its truncated block."""
-    prov = hyper.provenance
-    n_theta = int(prov["n_theta"])
-    correlated = bool(prov["correlated"])
-    sigma_trunc = float(prov["sigma_trunc"])
+    n_theta, correlated, sigma_trunc = _decode_hyper_meta(hyper)
     rng = np.random.default_rng(seed)
     mat = hyper.samples
     idx = rng.integers(0, mat.shape[0], size=n)
@@ -531,47 +436,6 @@ def sample_mixture_prior(hyper: SampleSet, n: int, seed: int) -> SampleSet:
     )
 
 
-def _mixture_kernel(hyper_mat: np.ndarray, n_theta: int, correlated: bool, sigma_trunc: float):
-    """Precompiled mixture-prior log-density over fixed hyper samples.
-
-    Everything that does not depend on the evaluated parameter vector (sd
-    logs, truncation constants, reciprocal scales) is computed once; the
-    returned closure agrees with :func:`targets.mixture_prior_logpdf` and
-    costs a handful of array passes per call.
-    """
-    mu = hyper_mat[:, :n_theta]
-    sd = hyper_mat[:, n_theta + 1 : 2 * n_theta + 1]
-    mu_s = hyper_mat[:, n_theta]
-    sd_s = hyper_mat[:, 2 * n_theta + 1]
-    inv_sd = 1.0 / sd
-    inv_sd_s = 1.0 / sd_s
-    zden = ndtr((sigma_trunc - mu_s) * inv_sd_s) - ndtr(-mu_s * inv_sd_s)
-    with np.errstate(divide="ignore"):
-        const = (
-            -0.5 * (n_theta + 1) * math.log(2.0 * math.pi)
-            - np.log(sd).sum(axis=1)
-            - np.log(sd_s)
-            - np.log(zden)
-        )
-    if correlated:
-        rho = hyper_mat[:, -1]
-        const = const - 0.5 * np.log1p(-(rho**2))
-        inv_one_m_rho2 = 1.0 / (1.0 - rho**2)
-    log_ns = math.log(hyper_mat.shape[0])
-
-    def logpdf(x: np.ndarray) -> float:
-        z = (x[:n_theta] - mu) * inv_sd
-        if correlated:
-            quad = (z[:, 0] ** 2 - 2.0 * rho * z[:, 0] * z[:, 1] + z[:, 1] ** 2) * inv_one_m_rho2
-        else:
-            quad = (z * z).sum(axis=1)
-        zs = (x[n_theta] - mu_s) * inv_sd_s
-        rows = const - 0.5 * (quad + zs * zs)
-        return logsumexp(rows) - log_ns
-
-    return logpdf
-
-
 def update_current(
     current: Dataset | None,
     hyper: SampleSet,
@@ -585,30 +449,25 @@ def update_current(
     ancestral sampling. ``hyper_subsample`` caps the number of mixture
     components for speed (uniform thinning of the hyper set).
     """
-    prov = hyper.provenance
     if hyper.n == 0:
         raise ValueError("hyper sample set must be nonempty")
-    try:
-        n_theta = int(prov["n_theta"])
-        sigma_trunc = float(prov["sigma_trunc"])
-        correlated = bool(prov["correlated"])
-    except KeyError as exc:
-        raise ValueError("hyper sample set lacks population metadata") from exc
+    n_theta, correlated, sigma_trunc = _decode_hyper_meta(hyper)
     if current is not None and len(current) and current.family != model.family:
         raise ValueError(
             f"model/likelihood family mismatch: dataset {current.family!r} vs model {model.family!r}"
         )
     if n_theta != model.n_theta:
         raise ValueError("hyper-sample dimension does not match the model family")
+    hyper_mat = hyper.samples
+    # built on every hyper sample, so a malformed set raises in either branch
+    mixture = _mixture_kernel(hyper_mat, n_theta, correlated, sigma_trunc)
     seed = subseed(config.seed, _TAG_CURRENT)
     if current is None or len(current) == 0:
         return sample_mixture_prior(hyper, config.n_samples, seed)
 
-    hyper_mat = hyper.samples
     if hyper_subsample is not None and hyper_subsample < hyper_mat.shape[0]:
-        step = hyper_mat.shape[0] // hyper_subsample
-        hyper_mat = hyper_mat[::step][:hyper_subsample]
-    mixture = _mixture_kernel(hyper_mat, n_theta, correlated, sigma_trunc)
+        thinned = hyper_mat[:: hyper_mat.shape[0] // hyper_subsample][:hyper_subsample]
+        mixture = _mixture_kernel(thinned, n_theta, correlated, sigma_trunc)
 
     def log_target(x: np.ndarray) -> float:
         sigma = float(x[-1])

@@ -80,9 +80,10 @@ def _field(doc: dict, key: str, where: str, convert=None, default=_REQUIRED):
     through ``convert``. A part of the key may index a list, as in
     ``candidates[0].family``. A missing field without a default, or a value
     that ``convert`` rejects with TypeError or ValueError, is a
-    :class:`DataFormatError` naming the field."""
+    :class:`DataFormatError` naming the field (or its first missing part)."""
     cur = doc
-    for part in key.split("."):
+    parts = key.split(".")
+    for depth, part in enumerate(parts, 1):
         name, bracket, index = part.partition("[")
         found = isinstance(cur, dict) and name in cur
         if found:
@@ -94,7 +95,7 @@ def _field(doc: dict, key: str, where: str, convert=None, default=_REQUIRED):
         if not found:
             if default is not _REQUIRED:
                 return default
-            raise DataFormatError(f"{where}: missing field {key!r}")
+            raise DataFormatError(f"{where}: missing field {'.'.join(parts[:depth])!r}")
     if convert is None:
         return cur
     try:
@@ -141,6 +142,12 @@ def _integer(value, low: int) -> int:
         raise TypeError(f"must be an integer, got {value!r}")
     if value < low:
         raise ValueError(f"must be >= {low}, got {value}")
+    return value
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"must be a string, got {value!r}")
     return value
 
 
@@ -816,35 +823,43 @@ class RunConfig:
         sec = self.raw.get("synthetic")
         if sec is None:
             raise DataFormatError("config: missing field 'synthetic'")
-        psi_sec = sec["psi"]
-        psi = HyperParameters(
-            mu0=np.asarray(psi_sec["mu0"], float),
-            sd0=np.asarray(psi_sec["sd0"], float),
-            mu_sigma=float(psi_sec["mu_sigma"]),
-            sd_sigma=float(psi_sec["sd_sigma"]),
-            rho=psi_sec.get("rho"),
-            sigma_trunc=float(psi_sec.get("sigma_trunc", self.sigma_trunc)),
-        )
+
+        def field(key, convert, default=_REQUIRED):
+            return _field(self.raw, f"synthetic.{key}", "config", convert, default)
+
+        mu0, sd0 = (np.asarray(field(f"psi.{k}", _numbers)) for k in ("mu0", "sd0"))
+        mu_sigma, sd_sigma = (field(f"psi.{k}", _number) for k in ("mu_sigma", "sd_sigma"))
+        rho = field("psi.rho", _optional(_number), None)
+        sigma_trunc = field("psi.sigma_trunc", _positive, self.sigma_trunc)
+        try:
+            psi = HyperParameters(mu0, sd0, mu_sigma, sd_sigma, rho, sigma_trunc)
+        except ValueError as exc:
+            raise DataFormatError(f"config: field 'synthetic.psi': {exc}") from None
         family = sec.get("family", self.raw.get("family"))
         loading = geometry = None
         if sec.get("loading") is not None:
             loading = _loading(self.raw, "synthetic.loading", "config")
         if sec.get("geometry") is not None:
             geometry = _geometry(self.raw, "synthetic.geometry", "config")
-        cyc = sec["cycles"]
-        if isinstance(cyc, dict):
-            cycles = np.linspace(cyc["start"], cyc["stop"], cyc["num"]).astype(np.int64)
+        if isinstance(field("cycles", None), dict):
+            start, stop = (field(f"cycles.{k}", _number) for k in ("start", "stop"))
+            cycles = np.linspace(start, stop, field("cycles.num", _count)).astype(np.int64)
         else:
-            cycles = np.asarray(cyc, dtype=np.int64)
-        return SyntheticSpec(
+            cycles = np.asarray(field("cycles", _numbers), dtype=np.int64)
+        nominals = field("nominals", _optional(_numbers), None)
+        spec = dict(
             family=family,
             psi=psi,
-            n_units=int(sec["n_units"]),
+            n_units=field("n_units", _count),
             cycles=cycles,
-            noise_scale=float(sec.get("noise_scale", 1.0)),
+            noise_scale=field("noise_scale", _number, 1.0),
             loading=loading,
             geometry=geometry,
-            threshold=sec.get("threshold"),
-            nominals=tuple(sec["nominals"]) if sec.get("nominals") else None,
-            unit_prefix=sec.get("unit_prefix", "S"),
+            threshold=field("threshold", _optional(_number), None),
+            nominals=tuple(nominals) if nominals else None,
+            unit_prefix=field("unit_prefix", _text, "S"),
         )
+        try:
+            return SyntheticSpec(**spec)
+        except ValueError as exc:
+            raise DataFormatError(f"config: field 'synthetic': {exc}") from None

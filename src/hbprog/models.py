@@ -633,7 +633,10 @@ class BatteryDoubleModel(DegradationModel):
         t = np.asarray(theta, dtype=float)
         k = np.atleast_1d(np.asarray(cycles, dtype=float))
         nom = self.nominals
-        ok = np.isfinite(t).all(axis=1) & (t[:, 0] * nom[0] + t[:, 2] * nom[2] > 0)
+        ok = np.isfinite(t).all(axis=1)
+        # rows with a non-finite entry are zeroed for the sum: inf - inf would warn
+        s = t if ok.all() else np.where(ok[:, None], t, 0.0)
+        ok &= s[:, 0] * nom[0] + s[:, 2] * nom[2] > 0
         if ok.any() and np.any(k < 0):
             raise ValueError("cycle index must be >= 0")
         a, b, c, d = (t[:, j, None] * nom[j] for j in range(4))

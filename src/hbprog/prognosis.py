@@ -155,7 +155,8 @@ def _certified(theta: np.ndarray, model: DegradationModel, k0: int, k1: int, flo
     if bound is None:
         return None
     value, slope, magnitude = bound
-    with np.errstate(invalid="ignore"):
+    # an overflowing slope term is +inf, so its row is not certified
+    with np.errstate(over="ignore", invalid="ignore"):
         return value - (k1 - k0) * slope * (1.0 + SCAN_ETA) - SCAN_ETA * magnitude > floor
 
 

@@ -7,6 +7,9 @@ box, and the two composite unnormalized log-targets: the hyper-posterior
 given stage-1 sample sets and the current-unit posterior under the
 hyper-sample mixture prior.
 
+The population density has one kernel per sampling shape (stage-1 rows x hyper
+vectors, one row x a fixed hyper set); the public densities are views of them.
+
 All functions return -inf (never NaN) for out-of-support input.
 """
 
@@ -14,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -300,36 +304,176 @@ class HyperPriorBounds:
         )
 
 
-def _theta_logpdf_rows(theta_rows: np.ndarray, psi: HyperParameters) -> np.ndarray:
-    """Gaussian population log-density of each row of dimensionless
-    parameters under psi (diagonal or 2x2 correlated covariance)."""
-    mu, sd = psi.mu0, psi.sd0
-    z = (theta_rows - mu) / sd
-    const = -0.5 * theta_rows.shape[1] * LOG_TWO_PI - np.log(sd).sum()
-    if not psi.correlated:
-        return const - 0.5 * (z**2).sum(axis=1)
-    rho = psi.rho
-    quad = (z[:, 0] ** 2 - 2.0 * rho * z[:, 0] * z[:, 1] + z[:, 1] ** 2) / (1.0 - rho**2)
-    return const - 0.5 * math.log(1.0 - rho**2) - 0.5 * quad
+#: cap on stacked stage-1 rows x hyper vectors evaluated at once by the
+#: stage-2 target, which bounds its scratch memory
+STAGE2_CHUNK_ROWS = 4096
 
 
-def _hier_logpdf_rows(rows: np.ndarray, psi: HyperParameters) -> np.ndarray:
-    """Joint population log-density of (theta..., sigma) rows under psi."""
-    theta_part = _theta_logpdf_rows(rows[:, :-1], psi)
-    sigma_part = trunc_normal_logpdf(
-        rows[:, -1], psi.mu_sigma, psi.sd_sigma, 0.0, psi.sigma_trunc
+def _stage2_target_batch(stage1: Sequence, bounds, correlated, sigma_trunc):
+    """Log-likelihood of hyper vectors given stacked stage-1 samples.
+
+    Maps hyper vectors ``[p, d]`` to log-likelihoods ``[p]``. ``stage1``
+    holds sample sets or plain ``[n, k + 1]`` matrices. All datasets' rows
+    are stacked into one matrix; blocks of hyper vectors are evaluated
+    against all of it at once, at most ``STAGE2_CHUNK_ROWS`` stacked rows x
+    vectors per block. Stage-1 sigma draws outside the truncation range
+    contribute -inf rows regardless of the hyper vector, so that mask is
+    precomputed once.
+    """
+    mats = [np.asarray(getattr(ss, "samples", ss), dtype=float) for ss in stage1]
+    dims = {m.shape[1] for m in mats}
+    if len(dims) != 1:
+        raise ValueError("stage-1 sample sets have mismatched dimensions")
+    n_theta = dims.pop() - 1
+    if bounds.n_theta != n_theta:
+        raise ValueError("hyper-prior bounds do not match the stage-1 parameter dimension")
+    if correlated and n_theta != 2:
+        raise ValueError("the correlated case is only defined for 2-parameter families")
+    stacked = np.vstack(mats)
+    counts = np.array([m.shape[0] for m in mats])
+    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    log_counts = np.log(counts.astype(float))
+    sigma_col = stacked[:, -1]
+    sigma_ok = (sigma_col > 0.0) & (sigma_col < sigma_trunc)
+    # added to every row: -inf on draws outside the truncation range
+    sigma_mask = None if sigma_ok.all() else np.where(sigma_ok, 0.0, -np.inf)
+    base_const = -0.5 * (n_theta + 1) * math.log(2.0 * math.pi)
+    block = max(1, STAGE2_CHUNK_ROWS // stacked.shape[0])
+    # components on the leading axis keep numpy's inner loops over the long
+    # row axis
+    stacked_t = np.ascontiguousarray(stacked.T)
+
+    def loglik(vecs: np.ndarray) -> np.ndarray:
+        vecs = np.asarray(vecs, dtype=float)
+        mu = vecs[:, : n_theta + 1]
+        sd = vecs[:, n_theta + 1 : 2 * n_theta + 2]
+        mu_s, sd_s = mu[:, -1], sd[:, -1]
+        out = np.empty(vecs.shape[0])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            z_trunc = ndtr((sigma_trunc - mu_s) / sd_s) - ndtr(-mu_s / sd_s)
+            # vectors with sd <= 0, |rho| >= 1 or no truncation mass get
+            # -inf. A call with no valid vector stops here; otherwise all
+            # are evaluated, so no vector's value depends on which others
+            # share its call
+            ok = (sd > 0).all(axis=1) & (z_trunc > 0)
+            if correlated:
+                rho = vecs[:, -1]
+                ok &= np.abs(rho) < 1
+            n_ok = np.count_nonzero(ok)  # cheaper than ok.any() on a few vectors
+            if not n_ok:
+                out.fill(-np.inf)
+                return out
+            offset = base_const - np.log(sd).sum(axis=1) - np.log(z_trunc)
+            if correlated:
+                one_m_rho2 = 1.0 - rho**2
+                offset -= 0.5 * np.log(one_m_rho2)
+            for lo in range(0, vecs.shape[0], block):
+                b = slice(lo, lo + block)
+                # in-place steps keep the block's scratch at one [block, d, rows] array
+                z = stacked_t - mu[b, :, None]
+                z /= sd[b, :, None]
+                if correlated:
+                    r = rho[b, None]
+                    quad = (
+                        z[:, 0] ** 2 - 2.0 * r * z[:, 0] * z[:, 1] + z[:, 1] ** 2
+                    ) / one_m_rho2[b, None] + z[:, 2] ** 2
+                else:
+                    quad = np.square(z, out=z).sum(axis=1)
+                del z  # release the scratch before the segment sums allocate theirs
+                rows = offset[b, None] - 0.5 * quad
+                if sigma_mask is not None:
+                    rows += sigma_mask
+                out[b] = (segment_logsumexp(rows, starts, counts) - log_counts).sum(axis=1)
+        if n_ok < ok.size:
+            out[~ok] = -np.inf
+        return out
+
+    return loglik, n_theta
+
+
+def _stage2_target(stage1: Sequence, bounds, correlated, sigma_trunc):
+    """:func:`_stage2_target_batch` for one hyper vector ``[d] -> float``,
+    the form the slice sampler calls."""
+    batch, n_theta = _stage2_target_batch(stage1, bounds, correlated, sigma_trunc)
+    return (lambda vec: float(batch(vec[None])[0])), n_theta
+
+
+class HyperRowError(ValueError):
+    """A hyper sample outside the population family: an sd not > 0, no sigma
+    mass in (0, sigma_trunc) or |rho| >= 1. Stage 2 never draws one."""
+
+
+def _mixture_kernel(hyper_mat: np.ndarray, n_theta: int, correlated: bool, sigma_trunc: float):
+    """Precompiled mixture-prior log-density over fixed hyper samples.
+
+    Everything that does not depend on the evaluated parameter vector (sd
+    logs, truncation constants, reciprocal scales) is computed once, at
+    build time, which also raises :class:`HyperRowError` for the first bad
+    row. The returned closure maps a ``(theta..., sigma)`` row, sigma
+    unchecked, to ``logsumexp_s hier(row | psi_s) - log N_s`` in a few
+    array passes.
+    """
+    mu = hyper_mat[:, :n_theta]
+    sd = hyper_mat[:, n_theta + 1 : 2 * n_theta + 1]
+    mu_s = hyper_mat[:, n_theta]
+    sd_s = hyper_mat[:, 2 * n_theta + 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv_sd = 1.0 / sd
+        inv_sd_s = 1.0 / sd_s
+        zden = ndtr((sigma_trunc - mu_s) * inv_sd_s) - ndtr(-mu_s * inv_sd_s)
+    ok = (sd > 0).all(axis=1) & (sd_s > 0) & (zden > 0)
+    if correlated:
+        rho = hyper_mat[:, -1]
+        ok &= np.abs(rho) < 1
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise HyperRowError(
+            f"hyper sample {i} (0-based) {hyper_mat[i].tolist()} needs every sd > 0, "
+            f"sigma mass in (0, {sigma_trunc:g}) and |rho| < 1"
+        )
+    const = (
+        -0.5 * (n_theta + 1) * math.log(2.0 * math.pi)
+        - np.log(sd).sum(axis=1)
+        - np.log(sd_s)
+        - np.log(zden)
     )
-    return theta_part + sigma_part
+    if correlated:
+        const = const - 0.5 * np.log1p(-(rho**2))
+        inv_one_m_rho2 = 1.0 / (1.0 - rho**2)
+    log_ns = math.log(hyper_mat.shape[0])
+
+    def logpdf(x: np.ndarray) -> float:
+        z = (x[:n_theta] - mu) * inv_sd
+        if correlated:
+            quad = (z[:, 0] ** 2 - 2.0 * rho * z[:, 0] * z[:, 1] + z[:, 1] ** 2) * inv_one_m_rho2
+        else:
+            quad = (z * z).sum(axis=1)
+        zs = (x[n_theta] - mu_s) * inv_sd_s
+        rows = const - 0.5 * (quad + zs * zs)
+        return logsumexp(rows) - log_ns
+
+    return logpdf
+
+
+def _mixture_view(pv: ParameterVector, hyper_mat, n_theta, correlated, sigma_trunc) -> float:
+    """:func:`_mixture_kernel` at one parameter vector: -inf for sigma
+    outside (0, sigma_trunc), and for a point where the density is NaN."""
+    mixture = _mixture_kernel(hyper_mat, n_theta, correlated, sigma_trunc)
+    if not 0.0 < pv.sigma < sigma_trunc:
+        return -math.inf
+    value = mixture(pv.as_row())
+    return -math.inf if math.isnan(value) else value
 
 
 def hier_prior_logpdf(pv: ParameterVector, psi: HyperParameters) -> float:
     """Log-density of one unit's parameters under the population
     distribution: Gaussian over the dimensionless parameters plus the
     truncated-Gaussian error-scale block. Returns -inf when sigma falls
-    outside (0, sigma_trunc)."""
+    outside (0, sigma_trunc); a psi with no sigma mass there raises
+    :class:`HyperRowError`."""
     if pv.theta.size != psi.n_theta:
         raise ValueError("parameter/hyperparameter dimension mismatch")
-    return float(_hier_logpdf_rows(pv.as_row()[None, :], psi)[0])
+    return _mixture_view(pv, psi.to_vector()[None], psi.n_theta, psi.correlated, psi.sigma_trunc)
 
 
 def hyper_posterior_logtarget(psi: HyperParameters, stage1, bounds: HyperPriorBounds) -> float:
@@ -339,24 +483,19 @@ def hyper_posterior_logtarget(psi: HyperParameters, stage1, bounds: HyperPriorBo
     Equals ``log p(psi) + sum_i [logsumexp_k hier(row_ik | psi) - log n_i]``
     with the uniform hyper-prior box ``bounds``; -inf outside the box.
     """
-    sets = list(stage1)
-    if not sets:
+    mats = [np.asarray(getattr(ss, "samples", ss), dtype=float) for ss in stage1]
+    if not mats:
         raise ValueError("at least one stage-1 sample set is required")
-    mats = []
-    for ss in sets:
-        mat = np.asarray(getattr(ss, "samples", ss), dtype=float)
+    for mat in mats:
         if mat.ndim != 2 or mat.shape[0] == 0:
             raise ValueError("each stage-1 sample set must be a nonempty matrix")
         if mat.shape[1] != psi.n_theta + 1:
             raise ValueError("stage-1 sample dimension does not match hyperparameters")
-        mats.append(mat)
     vec = psi.to_vector()
     if not bounds.contains(vec, psi.correlated):
         return -math.inf
-    total = bounds.log_prior_const(psi.correlated)
-    for mat in mats:
-        total += float(logsumexp(_hier_logpdf_rows(mat, psi))) - math.log(mat.shape[0])
-    return total
+    loglik, _ = _stage2_target(mats, bounds, psi.correlated, psi.sigma_trunc)
+    return bounds.log_prior_const(psi.correlated) + loglik(vec)
 
 
 def _decode_hyper_meta(hyper_samples) -> tuple[int, bool, float]:
@@ -364,70 +503,21 @@ def _decode_hyper_meta(hyper_samples) -> tuple[int, bool, float]:
     try:
         return int(prov["n_theta"]), bool(prov["correlated"]), float(prov["sigma_trunc"])
     except KeyError as exc:
-        raise ValueError(
-            "hyper sample set is missing population metadata "
-            "(n_theta/correlated/sigma_trunc in provenance)"
-        ) from exc
+        raise ValueError(f"hyper sample set lacks population metadata {exc} in its provenance") from exc
 
 
 def mixture_prior_logpdf(pv: ParameterVector, hyper_samples) -> float:
     """Log-density of the hyper-averaged prior for a new unit: an
     equal-weight mixture of population Gaussians over the hyper samples,
-    ``logsumexp_s hier(pv | psi_s) - log N_s``."""
+    ``logsumexp_s hier(pv | psi_s) - log N_s``. A hyper sample the density
+    is not defined for raises :class:`HyperRowError`."""
     mat = np.asarray(hyper_samples.samples, dtype=float)
     if mat.shape[0] == 0:
         raise ValueError("hyper sample set must be nonempty")
     n_theta, correlated, sigma_trunc = _decode_hyper_meta(hyper_samples)
     if pv.theta.size != n_theta:
         raise ValueError("parameter/hyper-sample dimension mismatch")
-    comps = _mixture_component_logpdfs(pv.as_row(), mat, n_theta, correlated, sigma_trunc)
-    return float(logsumexp(comps) - math.log(mat.shape[0]))
-
-
-def _mixture_component_logpdfs(
-    row: np.ndarray, hyper_mat: np.ndarray, n_theta: int, correlated: bool, sigma_trunc: float
-) -> np.ndarray:
-    """Population log-density of one (theta..., sigma) row under every hyper
-    sample at once."""
-    theta = row[:n_theta]
-    sigma = row[-1]
-    mu = hyper_mat[:, :n_theta]
-    sd = hyper_mat[:, n_theta + 1 : 2 * n_theta + 1]
-    mu_s = hyper_mat[:, n_theta]
-    sd_s = hyper_mat[:, 2 * n_theta + 1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = (theta - mu) / sd
-        if correlated:
-            rho = hyper_mat[:, -1]
-            quad = (z[:, 0] ** 2 - 2.0 * rho * z[:, 0] * z[:, 1] + z[:, 1] ** 2) / (
-                1.0 - rho**2
-            )
-            theta_part = (
-                -LOG_TWO_PI
-                - np.sum(np.log(sd), axis=1)
-                - 0.5 * np.log(1.0 - rho**2)
-                - 0.5 * quad
-            )
-        else:
-            theta_part = (
-                -0.5 * n_theta * LOG_TWO_PI
-                - np.sum(np.log(sd), axis=1)
-                - 0.5 * np.sum(z**2, axis=1)
-            )
-        if 0.0 < sigma < sigma_trunc:
-            zden = ndtr((sigma_trunc - mu_s) / sd_s) - ndtr((0.0 - mu_s) / sd_s)
-            sigma_part = np.where(
-                zden > 0,
-                -0.5 * LOG_TWO_PI
-                - np.log(sd_s)
-                - (sigma - mu_s) ** 2 / (2.0 * sd_s**2)
-                - np.log(zden),
-                -np.inf,
-            )
-        else:
-            sigma_part = np.full(hyper_mat.shape[0], -np.inf)
-    out = theta_part + sigma_part
-    return np.where(np.isnan(out), -np.inf, out)
+    return _mixture_view(pv, mat, n_theta, correlated, sigma_trunc)
 
 
 def dataset_loglik(model, dataset, theta: np.ndarray, sigma: float) -> float:

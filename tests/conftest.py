@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from scipy.special import logsumexp
+from scipy.stats import norm, truncnorm
 
 from hbprog.hierarchy import Dataset
 from hbprog.models import CrackGeometry, DegradationModel, LoadingSpec
@@ -79,4 +81,42 @@ def make_dataset(cycles, values, family="paris", **kw):
         values=np.asarray(values, dtype=float),
         family=family,
         **defaults,
+    )
+
+
+def population_logpdf_oracle(rows, vec, n_theta, correlated, sigma_trunc):
+    """scipy.stats log-density of ``(theta..., sigma)`` rows under one hyper
+    vector, independent of the package's kernels: the correlated pair as
+    theta1 times theta2 given theta1, sigma by ``truncnorm``. A vector
+    with an sd <= 0, |rho| >= 1 or no sigma mass in (0, sigma_trunc), and
+    a sigma outside that range, give -inf."""
+    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    mu, mu_s = vec[:n_theta], vec[n_theta]
+    sd, sd_s = vec[n_theta + 1 : 2 * n_theta + 1], vec[2 * n_theta + 1]
+    rho = vec[-1] if correlated else 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mass = norm.cdf(sigma_trunc, mu_s, sd_s) - norm.cdf(0.0, mu_s, sd_s)
+    if not (np.all(sd > 0) and sd_s > 0 and abs(rho) < 1 and mass > 0):
+        return np.full(rows.shape[0], -np.inf)
+    theta, sigma = rows[:, :n_theta], rows[:, -1]
+    if correlated:
+        cond_mu = mu[1] + rho * sd[1] * (theta[:, 0] - mu[0]) / sd[0]
+        theta_part = norm.logpdf(theta[:, 0], mu[0], sd[0]) + norm.logpdf(
+            theta[:, 1], cond_mu, sd[1] * np.sqrt(1.0 - rho**2)
+        )
+    else:
+        theta_part = norm.logpdf(theta, mu, sd).sum(axis=1)
+    a, b = -mu_s / sd_s, (sigma_trunc - mu_s) / sd_s
+    inside = (sigma > 0) & (sigma < sigma_trunc)
+    sigma_part = np.where(inside, truncnorm.logpdf(sigma, a, b, loc=mu_s, scale=sd_s), -np.inf)
+    return theta_part + sigma_part
+
+
+def stage2_loglik_oracle(mats, vec, n_theta, correlated, sigma_trunc):
+    """The pooled stage-2 log-likelihood of one hyper vector from
+    :func:`population_logpdf_oracle`: ``sum_i logsumexp_k - log n_i``."""
+    return sum(
+        logsumexp(population_logpdf_oracle(m, vec, n_theta, correlated, sigma_trunc))
+        - np.log(len(m))
+        for m in mats
     )

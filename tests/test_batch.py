@@ -23,14 +23,12 @@ from hbprog.models import (
 )
 from hbprog.samplers import SampleSet, SamplerConfig, SamplerError, TemperedTarget, tmcmc
 from hbprog.targets import (
-    HyperParameters,
     HyperPriorBounds,
     dataset_loglik,
     dataset_loglik_batch,
-    hyper_posterior_logtarget,
 )
 
-from conftest import ConstantCapacity, make_dataset
+from conftest import ConstantCapacity, make_dataset, stage2_loglik_oracle
 
 GEO = CrackGeometry(a0=1.0, n0=0.0, a_f=25.0)
 CONST = LoadingSpec("constant", delta_sigma=60.0)
@@ -236,12 +234,8 @@ class TestStage2Batch:
         vecs[5, n_theta] = 0.08
         vecs[5, n_theta + 1 : 2 * n_theta + 2] = 0.05
         got = batch(vecs)
-        want = np.array([
-            hyper_posterior_logtarget(
-                HyperParameters.from_vector(v, n_theta, correlated, 0.2), sets, bounds
-            )
-            for v in vecs
-        ]) - bounds.log_prior_const(correlated)
+        mats = [ss.samples for ss in sets]
+        want = np.array([stage2_loglik_oracle(mats, v, n_theta, correlated, 0.2) for v in vecs])
         # sums of terms of either sign: near-zero totals need an absolute bound
         assert_matches(got, want, 1e-12, atol=1e-12)
         assert np.isfinite(want[5]) and np.isfinite(want).sum() > 30
@@ -269,14 +263,14 @@ class TestStage2Batch:
         assert np.isneginf(got[:bad]).all() and np.isfinite(got[bad:]).all()
 
     def test_blocks_respect_the_row_cap(self, monkeypatch):
-        import hbprog.hierarchy as hier
+        import hbprog.targets as targets
 
         rng = np.random.default_rng(6)
         sets = _stage1_sets(rng)
         bounds = HyperPriorBounds.crack_default()
         vecs = rng.uniform(bounds.lower(False), bounds.upper(False), (50, 6))
         whole, _ = _stage2_target_batch(sets, bounds, False, 0.2)
-        monkeypatch.setattr(hier, "STAGE2_CHUNK_ROWS", 1)  # one vector per block
+        monkeypatch.setattr(targets, "STAGE2_CHUNK_ROWS", 1)  # one vector per block
         single, _ = _stage2_target_batch(sets, bounds, False, 0.2)
         assert np.array_equal(whole(vecs), single(vecs))
 

@@ -48,6 +48,9 @@ BASE_CONFIG = {
     },
 }
 
+#: a parametrized config value that deletes its key
+MISSING = object()
+
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
@@ -224,6 +227,25 @@ class TestExitCodes:
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert record["error"] == "SamplerError"
 
+    def test_malformed_hyper_file_is_data_error(self, tmp_path, capsys):
+        """A hyper sample the population density is not defined for (here
+        sd_sigma = 0) exits 2, naming the file and the row."""
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(BASE_CONFIG))
+        assert main(["synth", "--config", str(config), "--out", str(tmp_path / "data")]) == 0
+        rows = np.tile([1.0, 1.05, 0.08, 0.08, 0.02, 0.03], (4, 1))
+        rows[2, 5] = 0.0
+        labels = ("mu_theta1", "mu_theta2", "mu_sigma", "sd_theta1", "sd_theta2", "sd_sigma")
+        prov = {"n_theta": 2, "correlated": False, "sigma_trunc": 0.2}
+        save_sample_set(SampleSet(rows, labels, prov), tmp_path / "hyper")
+        capsys.readouterr()
+        assert main(["fit-current", "--config", str(config), "--out", str(tmp_path)]) == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "DataFormatError"
+        assert str(tmp_path / "hyper.csv") in record["message"]
+        assert "hyper sample 2 (0-based)" in record["message"]
+        assert json.loads((tmp_path / "error.json").read_text()) == record
+
     @pytest.mark.parametrize(
         "sampler, field",
         [({"n_samples": "abc"}, "sampler.n_samples"), ({"bogus": 1}, "sampler.bogus")],
@@ -252,16 +274,28 @@ class TestExitCodes:
             ("synth", "synthetic.geometry", "a0", "x"),
             ("rul", "prognosis", "include_observation_noise", "no"),
             ("predict", "prognosis", "include_observation_noise", 1),
+            ("synth", "synthetic.psi", "mu0", "abc"),
+            ("synth", "synthetic", "n_units", "six"),
+            ("synth", "synthetic", "noise_scale", "x"),
+            ("synth", "synthetic", "cycles", [0, 100, "a"]),
+            ("synth", "synthetic.cycles", "num", "x"),
+            ("synth", "synthetic", "psi", MISSING),
+            ("synth", "synthetic.cycles", "stop", MISSING),
         ],
         ids=["horizon-type", "threshold-type", "horizon-before-t_c", "unsorted-quantiles",
-             "delta_sigma-type", "a0-type", "noise-flag-string", "noise-flag-number"],
+             "delta_sigma-type", "a0-type", "noise-flag-string", "noise-flag-number",
+             "psi-mu0-type", "n_units-type", "noise_scale-type", "cycles-entry-type",
+             "cycles-num-type", "psi-missing", "cycles-stop-missing"],
     )
     def test_bad_config_field_is_data_error(self, tmp_path, capsys, command, section, key, value):
         config_dict = json.loads(json.dumps(BASE_CONFIG))
         node = config_dict
         for part in section.split("."):
             node = node[part]
-        node[key] = value
+        if value is MISSING:
+            del node[key]
+        else:
+            node[key] = value
         config = tmp_path / "run.json"
         config.write_text(json.dumps(config_dict))
         ss = SampleSet(np.array([[1.0, 1.05, 0.05]]), ("theta1", "theta2", "sigma"), {"t_c": 10000.0})

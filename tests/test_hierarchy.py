@@ -225,6 +225,30 @@ class TestUpdateCurrent:
         with pytest.raises(ValueError, match="metadata"):
             update_current(unit, bare, build_model(unit), SamplerConfig(seed=0))
 
+    @pytest.mark.parametrize(
+        "correlated, column, value",
+        [(False, 3, -0.01), (False, 5, 0.0), (False, 2, 5.0), (True, 6, 1.0)],
+        ids=["sd_theta-negative", "sd_sigma-zero", "no-truncation-mass", "rho-one"],
+    )
+    @pytest.mark.parametrize("with_data", [True, False], ids=["data", "no-data"])
+    def test_malformed_hyper_sample_rejected(self, current_unit, correlated, column, value, with_data):
+        """A hyper sample the population density is not defined for raises,
+        naming its row, in both branches, even where thinning drops it."""
+        unit, _ = current_unit
+        good = [1.0, 1.05, 0.08, 0.08, 0.02, 0.03] + ([0.3] if correlated else [])
+        rows = np.tile(good, (50, 1))
+        rows[17, column] = value
+        hyper = SampleSet(
+            rows,
+            HyperParameters.labels(2, correlated),
+            {"n_theta": 2, "correlated": correlated, "sigma_trunc": 0.2},
+        )
+        with pytest.raises(ValueError, match=r"hyper sample 17 \(0-based\)"):
+            update_current(
+                unit if with_data else None, hyper, build_model(unit), SamplerConfig(seed=0),
+                hyper_subsample=10,
+            )
+
 
 class TestClassical:
     def _short_unit(self):

@@ -339,6 +339,7 @@ EDGE_ROWS = {
         [-1.0, -1.0, -1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0], [0.0, 1.0, 1.0],
         [math.nan, 1.0, 1.0], [1.0, math.inf, 1.0], [1.0, 1.0, -math.inf],
         [1.0, 1e-16, 1.0], [1.0, 1.0, 1e-14], [0.75, 1e-3, -1e-15], [1.0, 0.3, -0.2],
+        [0.0, 4.0, -7.0],  # e^700 at k = 1: the slope bound times the width overflows
     ],
     "batt-double": [
         DIP, [1.0, -1.0, 1.0, 1.0], [-1.0, 1.0, -1.0, 1.0], [1.0, 1.0, 1.0, -1.0],
@@ -388,8 +389,6 @@ def assert_matches_full_scan(theta, model, cfg):
     assert 0 <= n_evaluated <= n_points
 
 
-# predict_batch's admissibility test warns on +-inf parameters (inf - inf)
-@pytest.mark.filterwarnings("ignore:invalid value encountered in add:RuntimeWarning")
 class TestCertifiedScan:
     """The scan skips chunks the family bound certifies above the floor;
     its results must be those of the full scan, bit for bit."""

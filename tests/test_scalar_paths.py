@@ -18,7 +18,7 @@ import pytest
 from scipy.special import ndtr
 
 import hbprog.hierarchy as hierarchy
-from hbprog.hierarchy import Dataset, _stage2_target, build_model
+from hbprog.hierarchy import Dataset, _mixture_kernel, _stage2_target, build_model
 from hbprog.models import (
     PARIS_M_TOL,
     BatteryDoubleModel,
@@ -165,6 +165,32 @@ def ref_stage2(stacked, counts, n_theta, correlated, sigma_trunc, vec):
     if correlated:
         ok &= np.abs(rho) < 1
     return float(np.where(ok, out, -np.inf)[0])
+
+
+def ref_mixture(hyper_mat, n_theta, correlated, sigma_trunc, x):
+    """The mixture-prior log-density of one (theta..., sigma) row, every
+    constant recomputed per call."""
+    mu = hyper_mat[:, :n_theta]
+    sd = hyper_mat[:, n_theta + 1 : 2 * n_theta + 1]
+    mu_s = hyper_mat[:, n_theta]
+    sd_s = hyper_mat[:, 2 * n_theta + 1]
+    inv_sd_s = 1.0 / sd_s
+    zden = ndtr((sigma_trunc - mu_s) * inv_sd_s) - ndtr(-mu_s * inv_sd_s)
+    const = (
+        -0.5 * (n_theta + 1) * math.log(2.0 * math.pi)
+        - np.log(sd).sum(axis=1)
+        - np.log(sd_s)
+        - np.log(zden)
+    )
+    z = (x[:n_theta] - mu) * (1.0 / sd)
+    if correlated:
+        rho = hyper_mat[:, -1]
+        const = const - 0.5 * np.log1p(-(rho**2))
+        quad = (z[:, 0] ** 2 - 2.0 * rho * z[:, 0] * z[:, 1] + z[:, 1] ** 2) * (1.0 / (1.0 - rho**2))
+    else:
+        quad = (z * z).sum(axis=1)
+    zs = (x[n_theta] - mu_s) * inv_sd_s
+    return ref_logsumexp(const - 0.5 * (quad + zs * zs)) - math.log(hyper_mat.shape[0])
 
 
 def same(got, want) -> bool:
@@ -368,6 +394,30 @@ def test_stage2_one_vector_matches_reference(correlated):
     for vec in vecs:
         vec = np.array(vec)
         assert same(loglik(vec), ref_stage2(stacked, counts, n_theta, correlated, 0.2, vec)), vec
+
+
+@pytest.mark.parametrize(
+    "n_theta, correlated, n_comp",
+    [(2, False, 1), (2, False, 400), (2, True, 1), (2, True, 400), (3, False, 400),
+     (4, False, 1), (4, False, 400)],
+)
+def test_mixture_kernel_matches_reference(n_theta, correlated, n_comp):
+    rng = np.random.default_rng(100 * n_theta + n_comp + correlated)
+    cols = [rng.normal(1.0, 0.1, (n_comp, n_theta)), rng.uniform(0.0, 0.15, (n_comp, 1)),
+            rng.uniform(0.01, 0.3, (n_comp, n_theta)), rng.uniform(0.005, 0.1, (n_comp, 1))]
+    if correlated:
+        cols.append(rng.uniform(-0.95, 0.95, (n_comp, 1)))
+    hyper_mat = np.hstack(cols)
+    hyper_mat[0, n_theta + 1] = 1e-9  # tiny sd: z reaches ~1e8
+    hyper_mat[-1, 2 * n_theta + 1] = 1e-6  # tiny sd_sigma
+    kern = _mixture_kernel(hyper_mat, n_theta, correlated, 0.2)
+    points = [np.append(rng.normal(1.0, 0.15, n_theta), s) for s in rng.uniform(0.0, 0.2, 40)]
+    for sigma in (5e-324, 1e-12, np.nextafter(0.2, 0.0), 0.2 - 1e-12):
+        points.append(np.append(hyper_mat[-1, :n_theta], sigma))
+    points.append(np.append(np.full(n_theta, 40.0), 0.1))  # far out in every component
+    points.append(np.append(hyper_mat[0, :n_theta], hyper_mat[-1, n_theta]))  # on both tiny sds
+    for x in points:
+        assert same(kern(x), ref_mixture(hyper_mat, n_theta, correlated, 0.2, x)), x
 
 
 def test_whitened_slice_draws_match_reference_target(crack_fleet, monkeypatch):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.special import logsumexp as scipy_logsumexp
 from scipy.stats import norm
 
 from hbprog.hierarchy import _mixture_kernel, _stage2_target
@@ -27,7 +28,13 @@ from hbprog.targets import (
     trunc_normal_logpdf,
 )
 
-from conftest import CONST_LOADING, GEOMETRY, make_dataset
+from conftest import (
+    CONST_LOADING,
+    GEOMETRY,
+    make_dataset,
+    population_logpdf_oracle,
+    stage2_loglik_oracle,
+)
 
 
 def brute_hier_density(theta, sigma, psi):
@@ -166,6 +173,12 @@ class TestHierPrior:
         pv = ParameterVector(np.array([1.0, 1.05]), 0.25)
         assert hier_prior_logpdf(pv, self.PSI) == -math.inf
 
+    def test_psi_without_sigma_mass_rejected(self):
+        psi = HyperParameters(mu0=[1.0, 1.05], sd0=[0.1, 0.03], mu_sigma=5.0, sd_sigma=0.03)
+        pv = ParameterVector(np.array([1.0, 1.05]), 0.1)
+        with pytest.raises(ValueError, match="sigma mass"):
+            hier_prior_logpdf(pv, psi)
+
     def test_invalid_rho_rejected(self):
         with pytest.raises(ValueError):
             HyperParameters(mu0=[1.0, 1.0], sd0=[0.1, 0.1], mu_sigma=0.1, sd_sigma=0.1, rho=1.0)
@@ -255,8 +268,11 @@ class TestHyperPosterior:
         loglik, _ = _stage2_target(sets, self.BOUNDS, False, 0.2)
         vec = self.PSI.to_vector()
         got = self.BOUNDS.log_prior_const(False) + loglik(vec)
-        want = hyper_posterior_logtarget(self.PSI, sets, self.BOUNDS)
+        want = self.BOUNDS.log_prior_const(False) + stage2_loglik_oracle(
+            [ss.samples for ss in sets], vec, 2, False, 0.2
+        )
         assert got == pytest.approx(want, rel=1e-12)
+        assert hyper_posterior_logtarget(self.PSI, sets, self.BOUNDS) == got
 
     def test_stage2_closure_matches_public_op_correlated(self):
         rng = np.random.default_rng(4)
@@ -271,8 +287,11 @@ class TestHyperPosterior:
         sets = [_sample_set(rows, correlated=True)]
         loglik, _ = _stage2_target(sets, bounds, True, 0.2)
         got = bounds.log_prior_const(True) + loglik(psi.to_vector())
-        want = hyper_posterior_logtarget(psi, sets, bounds)
+        want = bounds.log_prior_const(True) + stage2_loglik_oracle(
+            [rows], psi.to_vector(), 2, True, 0.2
+        )
         assert got == pytest.approx(want, rel=1e-12)
+        assert hyper_posterior_logtarget(psi, sets, bounds) == got
 
 
 class TestMixturePrior:
@@ -329,7 +348,10 @@ class TestMixturePrior:
             ParameterVector(np.array([0.95, 1.01]), 0.05),
             ParameterVector(np.array([1.3, 0.8]), 0.19),
         ):
-            assert kern(pv.as_row()) == pytest.approx(mixture_prior_logpdf(pv, hyper), rel=1e-12)
+            comps = [population_logpdf_oracle(pv.as_row(), v, 2, False, 0.2)[0] for v in rows]
+            want = scipy_logsumexp(comps) - math.log(len(rows))
+            assert kern(pv.as_row()) == pytest.approx(want, rel=1e-12)
+            assert mixture_prior_logpdf(pv, hyper) == kern(pv.as_row())
 
     def test_empty_rejected(self):
         hyper = self._hyper_set(np.empty((0, 6)))
