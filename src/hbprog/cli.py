@@ -22,7 +22,6 @@ import numpy as np
 
 from hbprog import __version__
 from hbprog.hierarchy import (
-    ClassicalPrior,
     build_model,
     classical_update,
     fit_historical,
@@ -41,6 +40,7 @@ from hbprog.io import (
     save_sample_set,
     _dump_json,
 )
+from hbprog.models import FAMILIES
 from hbprog.prognosis import predict_trajectory, rul_distribution
 from hbprog.samplers import SamplerError
 from hbprog.targets import HyperRowError
@@ -67,7 +67,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--samples", type=int, default=None, help="override sampler draw count")
         p.add_argument(
             "--model",
-            choices=["paris", "batt-single", "batt-double"],
+            choices=list(FAMILIES),
             default=None,
             help="override the model family",
         )
@@ -95,12 +95,11 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load_current(cfg: RunConfig, args) -> tuple:
+def _load_current(cfg: RunConfig) -> tuple:
     dataset = load_dataset(cfg.current_path())
-    cutoff = args.cutoff if args.cutoff is not None else cfg.cutoff
-    truncated = dataset.truncate(float(cutoff)) if cutoff is not None else dataset
-    t_c = float(cutoff) if cutoff is not None else float(dataset.cycles[-1])
-    return dataset, truncated, t_c
+    if cfg.cutoff is None:
+        return dataset, dataset, float(dataset.cycles[-1])
+    return dataset, dataset.truncate(cfg.cutoff), cfg.cutoff
 
 
 def _stamp(ss, cfg: RunConfig):
@@ -109,9 +108,7 @@ def _stamp(ss, cfg: RunConfig):
 
 
 def cmd_synth(cfg: RunConfig, args, out: Path) -> str:
-    spec = cfg.synthetic_spec()
-    seed = args.seed if args.seed is not None else cfg.seed
-    datasets, truth = generate_synthetic(spec, seed)
+    datasets, truth = generate_synthetic(cfg.synthetic_spec(), cfg.seed)
     paths = [save_dataset(ds, out / f"{ds.unit_id}.csv") for ds in datasets]
     truth["config_fingerprint"] = cfg.fingerprint()
     truth_path = out / "truth.json"
@@ -122,17 +119,15 @@ def cmd_synth(cfg: RunConfig, args, out: Path) -> str:
 def cmd_fit_historical(cfg: RunConfig, args, out: Path) -> str:
     stage1_bounds, hyper_bounds = cfg.stage1_bounds(), cfg.hyper_bounds()
     datasets = [load_dataset(p) for p in cfg.historical_paths()]
-    sampler = args.sampler or cfg.sampler_kind
-    family = args.model or cfg.raw.get("family")
     result = fit_historical(
         datasets,
         stage1_bounds,
         hyper_bounds,
-        case=args.case or cfg.case,
-        config=cfg.sampler_config(seed=args.seed, n_samples=args.samples),
-        sampler=sampler,
+        case=cfg.case,
+        config=cfg.sampler_config(),
+        sampler=cfg.sampler_kind,
         sigma_trunc=cfg.sigma_trunc,
-        family=family,
+        family=cfg.family,
         nominals=cfg.nominals,
         stage1_thin=cfg.stage1_thin,
     )
@@ -149,13 +144,11 @@ def cmd_fit_historical(cfg: RunConfig, args, out: Path) -> str:
 def cmd_fit_current(cfg: RunConfig, args, out: Path) -> str:
     hyper_stem = Path(args.hyper) if args.hyper else out / "hyper"
     hyper = load_sample_set(hyper_stem)
-    dataset, truncated, t_c = _load_current(cfg, args)
-    family = args.model or cfg.raw.get("family")
-    model = build_model(dataset, family, cfg.nominals)
-    sampler_config = cfg.sampler_config(seed=args.seed, n_samples=args.samples)
+    dataset, truncated, t_c = _load_current(cfg)
+    model = build_model(dataset, cfg.family, cfg.nominals)
     try:
         posterior = update_current(
-            truncated, hyper, model, sampler_config, hyper_subsample=cfg.hyper_subsample
+            truncated, hyper, model, cfg.sampler_config(), hyper_subsample=cfg.hyper_subsample
         )
     except HyperRowError as exc:
         raise DataFormatError(f"{hyper_stem.with_suffix('.csv')}: {exc}") from None
@@ -170,21 +163,17 @@ def cmd_fit_current(cfg: RunConfig, args, out: Path) -> str:
 def _posterior_and_model(cfg: RunConfig, args, out: Path):
     stem = Path(args.posterior) if args.posterior else out / "current_posterior"
     samples = load_sample_set(stem)
-    dataset, _, t_c = _load_current(cfg, args)
+    dataset, _, t_c = _load_current(cfg)
     if "t_c" in samples.provenance:
         t_c = float(samples.provenance["t_c"])
-    family = args.model or cfg.raw.get("family")
-    model = build_model(dataset, family, cfg.nominals)
-    return samples, model, dataset, t_c
+    return samples, build_model(dataset, cfg.family, cfg.nominals), t_c
 
 
 def cmd_predict(cfg: RunConfig, args, out: Path) -> str:
-    samples, model, dataset, t_c = _posterior_and_model(cfg, args, out)
+    grid = cfg.prognosis_grid()
+    samples, model, t_c = _posterior_and_model(cfg, args, out)
     pcfg = cfg.prognosis_config(t_c)
-    grid_sec = cfg.raw.get("prognosis", {}).get("grid")
-    if grid_sec is not None:
-        grid = np.linspace(grid_sec["start"], grid_sec["stop"], grid_sec["num"])
-    else:
+    if grid is None:
         grid = np.unique(np.linspace(t_c, pcfg.horizon, 101).round())
     result = predict_trajectory(samples, model, grid, pcfg, seed=cfg.seed)
     result.provenance.update(run_fingerprint=cfg.fingerprint(), seed=cfg.seed)
@@ -193,7 +182,7 @@ def cmd_predict(cfg: RunConfig, args, out: Path) -> str:
 
 
 def cmd_rul(cfg: RunConfig, args, out: Path) -> str:
-    samples, model, dataset, t_c = _posterior_and_model(cfg, args, out)
+    samples, model, t_c = _posterior_and_model(cfg, args, out)
     pcfg = cfg.prognosis_config(t_c)
     result = rul_distribution(samples, model, pcfg)
     result.provenance.update(run_fingerprint=cfg.fingerprint(), seed=cfg.seed)
@@ -211,11 +200,7 @@ def cmd_model_select(cfg: RunConfig, args, out: Path) -> str:
     candidates = cfg.candidates()
     datasets = [load_dataset(p) for p in cfg.historical_paths()]
     records = model_select(
-        datasets,
-        candidates,
-        cfg.sampler_config(seed=args.seed, n_samples=args.samples),
-        case=args.case or cfg.case,
-        stage1_thin=cfg.stage1_thin,
+        datasets, candidates, cfg.sampler_config(), case=cfg.case, stage1_thin=cfg.stage1_thin
     )
     cols = (
         "name",
@@ -238,22 +223,10 @@ def cmd_model_select(cfg: RunConfig, args, out: Path) -> str:
 
 
 def cmd_compare_prior(cfg: RunConfig, args, out: Path) -> str:
-    sec = cfg.raw.get("literature_prior")
-    if sec is None:
-        raise DataFormatError("config: missing field 'literature_prior'")
-    prior = ClassicalPrior(
-        means=tuple(sec["means"]),
-        sds=tuple(sec["sds"]),
-        sigma_bounds=tuple(sec.get("sigma_bounds", (0.0, 0.2))),
-        sigma_mu=sec.get("sigma_mu"),
-        sigma_sd=sec.get("sigma_sd"),
-    )
-    dataset, truncated, t_c = _load_current(cfg, args)
-    family = args.model or cfg.raw.get("family")
-    model = build_model(dataset, family, cfg.nominals)
-    posterior = classical_update(
-        truncated, prior, model, cfg.sampler_config(seed=args.seed, n_samples=args.samples)
-    )
+    prior = cfg.literature_prior()
+    dataset, truncated, t_c = _load_current(cfg)
+    model = build_model(dataset, cfg.family, cfg.nominals)
+    posterior = classical_update(truncated, prior, model, cfg.sampler_config())
     posterior.provenance.update(t_c=t_c, n_data=len(truncated), prior="literature")
     path = save_sample_set(_stamp(posterior, cfg), out / "classical_posterior")
     return f"compare-prior: unit {dataset.unit_id} ({len(truncated)} points) -> {path}"
@@ -284,7 +257,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        cfg = RunConfig.from_file(args.config, seed=args.seed, family=args.model)
+        cfg = RunConfig.from_file(
+            args.config, seed=args.seed, family=args.model, case=args.case, cutoff=args.cutoff,
+            sampler=args.sampler, samples=args.samples,
+        )
         print(_COMMANDS[args.command](cfg, args, out))
         return 0
     except UsageError as exc:

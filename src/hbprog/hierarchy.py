@@ -20,8 +20,7 @@ import numpy as np
 from scipy.optimize import differential_evolution, minimize
 
 from hbprog.models import (
-    BatteryDoubleModel,
-    BatterySingleModel,
+    FAMILIES,
     CrackGeometry,
     DegradationModel,
     LoadingSpec,
@@ -54,6 +53,9 @@ from hbprog.targets import (
 
 # seed-derivation tags for the pipeline's independent RNG streams
 _TAG_STAGE1, _TAG_STAGE2, _TAG_CURRENT, _TAG_SELECT, _TAG_CLASSICAL = 1, 2, 3, 4, 5
+
+# length of the whitening pilot run, as a fraction of the final run (at least 100 draws)
+_PILOT_FRACTION = 0.25
 
 
 @dataclass(frozen=True)
@@ -145,6 +147,8 @@ def build_model(dataset: Dataset, family: str | None = None, nominals=None) -> D
     candidate family to data generated under another).
     """
     family = family or dataset.family
+    if family not in FAMILIES:
+        raise ValueError(f"unknown model family {family!r}")
     nominals = nominals if nominals is not None else dataset.nominals
     if family == "paris":
         if dataset.geometry is None or dataset.loading is None:
@@ -152,11 +156,8 @@ def build_model(dataset: Dataset, family: str | None = None, nominals=None) -> D
         if nominals is None:
             return ParisCrackModel(dataset.geometry, dataset.loading)
         return ParisCrackModel(dataset.geometry, dataset.loading, tuple(nominals))
-    if family == "batt-single":
-        return BatterySingleModel(tuple(nominals)) if nominals else BatterySingleModel()
-    if family == "batt-double":
-        return BatteryDoubleModel(tuple(nominals)) if nominals else BatteryDoubleModel()
-    raise ValueError(f"unknown model family {family!r}")
+    cls = FAMILIES[family]
+    return cls(tuple(nominals)) if nominals else cls()
 
 
 def _polish_inits(target: TargetSpec, starts: list[np.ndarray], best_pair):
@@ -229,9 +230,7 @@ def _find_init(target: TargetSpec, rng: np.random.Generator, first_guess: np.nda
     return best_x
 
 
-def _slice_whitened(
-    target: TargetSpec, init: np.ndarray, config: SamplerConfig, pilot_fraction: float = 0.25
-) -> SampleSet:
+def _slice_whitened(target: TargetSpec, init: np.ndarray, config: SamplerConfig) -> SampleSet:
     """Slice sampling with a pilot-estimated affine whitening.
 
     Degradation likelihoods concentrate on thin, strongly correlated ridges
@@ -242,7 +241,7 @@ def _slice_whitened(
     support box is enforced inside the transformed target, and everything
     stays deterministic in the configured seed.
     """
-    n_pilot = max(100, int(pilot_fraction * config.n_samples))
+    n_pilot = max(100, int(_PILOT_FRACTION * config.n_samples))
     pilot = slice_sample(target, init, config.replace(n_samples=n_pilot, seed=subseed(config.seed, 0x9107)))
     cov = np.cov(pilot.samples, rowvar=False)
     cov = np.atleast_2d(cov)
@@ -516,8 +515,8 @@ class ClassicalPrior:
             raise ValueError("means and sds must have equal length")
         if any(not s > 0 for s in self.sds):
             raise ValueError("prior standard deviations must be > 0")
-        if not self.sigma_bounds[0] < self.sigma_bounds[1]:
-            raise ValueError("sigma_bounds must be an increasing pair")
+        if not 0 <= self.sigma_bounds[0] < self.sigma_bounds[1]:
+            raise ValueError("sigma_bounds must be an increasing pair with lower >= 0")
         if (self.sigma_mu is None) != (self.sigma_sd is None):
             raise ValueError("sigma_mu and sigma_sd must be given together")
 
@@ -758,15 +757,14 @@ def model_select(
     config: SamplerConfig | None = None,
     case: str = "diag",
     stage1_thin: int | None = None,
-    rank_by: str = "total",
 ) -> list[dict]:
     """Rank candidate families by model evidence.
 
     Each candidate runs the full pipeline under its own derived seed:
     stage 1 per dataset via TMCMC (yielding the per-dataset marginal
     likelihood of the uniform-prior update) and stage 2 via TMCMC (yielding
-    the hyper-level evidence of the pooled target). The default ranking key
-    is the full hierarchical evidence
+    the hyper-level evidence of the pooled target). The ranking key is the
+    full hierarchical evidence
 
         log p(data | family) = sum_i [log Z_i + log V_i] + log Z_hyper,
 
@@ -775,9 +773,8 @@ def model_select(
     and Z_hyper the evidence of the pooled hyper target. The pooled target
     drops the Z_i * V_i factors as constants in the hyperparameters, but
     they differ across candidate families, and ranking on Z_hyper alone
-    systematically favors lower-dimensional families regardless of fit;
-    ``rank_by="hyper"`` switches to that pooled-target-only ranking when
-    wanted.
+    systematically favors lower-dimensional families regardless of fit.
+    Both are reported per candidate.
 
     A failing candidate is marked failed and ranked last; the ranking
     proceeds over the rest. The candidates run in worker processes (see
@@ -785,8 +782,6 @@ def model_select(
     """
     if len(candidates) < 2:
         raise ValueError("model selection requires at least two candidates")
-    if rank_by not in ("total", "hyper"):
-        raise ValueError("rank_by must be 'total' or 'hyper'")
     config = config or SamplerConfig()
 
     def candidate_job(job: tuple[int, Candidate]) -> dict:
@@ -825,7 +820,7 @@ def model_select(
                 cand.hyper_bounds, case, cand_cfg, "tmcmc", cand.sigma_trunc,
             )
             total = data_log_ev + hyper.log_evidence
-            record["log_evidence"] = total if rank_by == "total" else hyper.log_evidence
+            record["log_evidence"] = total
             record["log_evidence_se"] = float(
                 math.sqrt(data_var + hyper.log_evidence_se**2)
             )

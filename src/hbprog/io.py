@@ -24,20 +24,14 @@ import os
 import tempfile
 import types
 import typing
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from hbprog import __version__
-from hbprog.hierarchy import Candidate, Dataset, build_model
-from hbprog.models import (
-    BatteryDoubleModel,
-    BatterySingleModel,
-    CrackGeometry,
-    LoadingSpec,
-    ParisCrackModel,
-)
+from hbprog.hierarchy import Candidate, ClassicalPrior, Dataset, build_model
+from hbprog.models import FAMILIES, CrackGeometry, LoadingSpec
 from hbprog.prognosis import PrognosisConfig, PrognosisResult, end_of_life, quantile_levels
 from hbprog.samplers import SampleSet, SamplerConfig, config_fingerprint, subseed
 from hbprog.targets import HyperParameters, HyperPriorBounds, trunc_normal_ppf
@@ -68,34 +62,54 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _read_json(path: Path):
+    """The JSON document at ``path``; an unreadable file or invalid JSON is a
+    :class:`DataFormatError` naming the file."""
+    try:
+        return json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise DataFormatError(f"{path}: cannot read ({exc.strerror})") from None
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: invalid JSON ({exc})") from None
+
+
+def _as_dict(obj) -> dict:
+    """The JSON form of a dataclass: its fields, without those set to None."""
+    return _jsonable({k: v for k, v in asdict(obj).items() if v is not None})
+
+
 def _meta_path(csv_path: Path) -> Path:
     return csv_path.with_name(csv_path.stem + ".meta.json")
 
 
-_REQUIRED = object()
+_REQUIRED, _MISSING = object(), object()
 
 
 def _field(doc: dict, key: str, where: str, convert=None, default=_REQUIRED):
     """The value at the dotted ``key`` of a JSON document ``where``, passed
     through ``convert``. A part of the key may index a list, as in
-    ``candidates[0].family``. A missing field without a default, or a value
-    that ``convert`` rejects with TypeError or ValueError, is a
+    ``candidates[0].family``. A missing field without a default, a part
+    that is not an object (or, indexed, not a list), or a value that
+    ``convert`` rejects with TypeError or ValueError, is a
     :class:`DataFormatError` naming the field (or its first missing part)."""
-    cur = doc
-    parts = key.split(".")
-    for depth, part in enumerate(parts, 1):
+    cur, path = doc, ""
+    for part in key.split("."):
         name, bracket, index = part.partition("[")
-        found = isinstance(cur, dict) and name in cur
-        if found:
-            cur = cur[name]
-            if bracket:
-                i = int(index.rstrip("]"))
-                found = isinstance(cur, list) and 0 <= i < len(cur)
-                cur = cur[i] if found else None
-        if not found:
+        if not isinstance(cur, dict):
+            what = f"field {path!r}" if path else "document"
+            raise DataFormatError(f"{where}: {what} must be an object")
+        path += f".{name}" if path else name
+        cur = cur.get(name, _MISSING)
+        if bracket and cur is not _MISSING:
+            if not isinstance(cur, list):
+                raise DataFormatError(f"{where}: field {path!r} must be a list")
+            i = int(index.rstrip("]"))
+            path += f"[{i}]"
+            cur = cur[i] if i < len(cur) else _MISSING
+        if cur is _MISSING:
             if default is not _REQUIRED:
                 return default
-            raise DataFormatError(f"{where}: missing field {'.'.join(parts[:depth])!r}")
+            raise DataFormatError(f"{where}: missing field {path!r}")
     if convert is None:
         return cur
     try:
@@ -151,6 +165,45 @@ def _text(value) -> str:
     return value
 
 
+def _path(value) -> str:
+    if not isinstance(value, str) or not value:
+        raise TypeError(f"must be a nonempty path string, got {value!r}")
+    return value
+
+
+def _list(value, low: int) -> list:
+    """A JSON list of at least ``low`` entries."""
+    if not isinstance(value, list):
+        raise TypeError(f"must be a list, got {value!r}")
+    if len(value) < low:
+        raise ValueError(f"must hold at least {low} entries, got {len(value)}")
+    return value
+
+
+def _paths(value) -> list[str]:
+    return [_path(v) for v in _list(value, 1)]
+
+
+def _object(value) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError(f"must be an object, got {value!r}")
+    return value
+
+
+def _choice(*options: str):
+    """A converter accepting exactly one of the strings ``options``."""
+
+    def convert(value) -> str:
+        if not (isinstance(value, str) and value in options):
+            raise ValueError(f"must be one of {', '.join(map(repr, options))}, got {value!r}")
+        return value
+
+    return convert
+
+
+_family = _choice(*FAMILIES)
+
+
 def _seed(value) -> int:
     return _integer(value, 0)
 
@@ -179,16 +232,6 @@ def _pairs(value) -> tuple[tuple[float, float], ...]:
     return tuple(_pair(v) for v in value)
 
 
-def _optional_pair(value) -> tuple[float, float] | None:
-    return None if value is None else _pair(value)
-
-
-#: parameters per model family, for checking bound lengths in the config
-_N_THETA = {
-    cls.family: cls.n_theta for cls in (ParisCrackModel, BatterySingleModel, BatteryDoubleModel)
-}
-
-
 def _loading(doc: dict, key: str, where: str) -> LoadingSpec:
     """The :class:`LoadingSpec` at ``key`` of a dataset sidecar or config."""
     mode = _field(doc, f"{key}.mode", where)
@@ -212,10 +255,10 @@ def _geometry(doc: dict, key: str, where: str) -> CrackGeometry:
 def load_dataset(path: Path | str) -> Dataset:
     """Read a ``cycle,value`` CSV and its ``<stem>.meta.json`` sidecar."""
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise DataFormatError(f"{path}: no such dataset file")
     meta_path = _meta_path(path)
-    if not meta_path.exists():
+    if not meta_path.is_file():
         raise DataFormatError(f"{meta_path}: missing metadata sidecar")
     lines = path.read_text().splitlines()
     if not lines or lines[0].strip() != "cycle,value":
@@ -240,27 +283,25 @@ def load_dataset(path: Path | str) -> Dataset:
         cycles.append(c)
         values.append(v)
 
-    meta = json.loads(meta_path.read_text())
+    meta = _read_json(meta_path)
     where = str(meta_path)
-    family = _field(meta, "family", where)
-    unit_id = _field(meta, "unit_id", where)
-    units = _field(meta, "units", where)
+    family = _field(meta, "family", where, _family)
     loading = geometry = None
     if family == "paris":
         geometry = _geometry(meta, "geometry", where)
         loading = _loading(meta, "loading", where)
     try:
         return Dataset(
-            unit_id=str(unit_id),
+            unit_id=str(_field(meta, "unit_id", where)),
             cycles=np.array(cycles, dtype=np.int64),
             values=np.array(values, dtype=float),
-            family=str(family),
-            units=str(units),
+            family=family,
+            units=str(_field(meta, "units", where)),
             loading=loading,
             geometry=geometry,
-            threshold=float(meta["threshold"]) if meta.get("threshold") is not None else None,
-            nominals=tuple(meta["nominals"]) if meta.get("nominals") is not None else None,
-            note=meta.get("note"),
+            threshold=_field(meta, "threshold", where, _optional(_number), None),
+            nominals=_field(meta, "nominals", where, _optional(_numbers), None),
+            note=_field(meta, "note", where, _optional(_text), None),
         )
     except ValueError as exc:
         raise DataFormatError(f"{path}: {exc}") from None
@@ -279,24 +320,9 @@ def save_dataset(dataset: Dataset, path: Path | str) -> Path:
         "nominals": list(dataset.nominals) if dataset.nominals is not None else None,
         "note": dataset.note,
     }
-    if dataset.geometry is not None:
-        meta["geometry"] = {
-            "a0": dataset.geometry.a0,
-            "n0": dataset.geometry.n0,
-            "a_f": dataset.geometry.a_f,
-        }
-    if dataset.loading is not None:
-        ld = {"mode": dataset.loading.mode}
-        if dataset.loading.mode == "constant":
-            ld["delta_sigma"] = dataset.loading.delta_sigma
-        else:
-            ld.update(
-                delta_sigma1=dataset.loading.delta_sigma1,
-                n1=dataset.loading.n1,
-                delta_sigma2=dataset.loading.delta_sigma2,
-                n2=dataset.loading.n2,
-            )
-        meta["loading"] = ld
+    for key in ("geometry", "loading"):
+        if getattr(dataset, key) is not None:
+            meta[key] = _as_dict(getattr(dataset, key))
     atomic_write(_meta_path(path), _dump_json(meta))
     return path
 
@@ -319,26 +345,54 @@ def save_sample_set(ss: SampleSet, stem: Path | str) -> Path:
     return stem.with_suffix(".csv")
 
 
+def _read_table(path: Path, finite: bool) -> tuple[list[str], np.ndarray]:
+    """The header and the numeric rows of a comma-separated table. An empty
+    file, or a row that is ragged, not numeric or (with ``finite``) not
+    finite, is a :class:`DataFormatError` naming the file and 1-based line."""
+    lines = path.read_text().splitlines()
+    if not lines:
+        raise DataFormatError(f"{path}:1: missing header")
+    header = lines[0].split(",")
+    rows, numbers = [], []
+    for ln, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        try:
+            row = [float(v) for v in line.split(",")]
+        except ValueError as exc:
+            raise DataFormatError(f"{path}:{ln}: {exc}") from None
+        if len(row) != len(header):
+            raise DataFormatError(f"{path}:{ln}: expected {len(header)} values, got {len(row)}")
+        rows.append(row)
+        numbers.append(ln)
+    table = np.array(rows, dtype=float).reshape(-1, len(header))
+    bad = np.flatnonzero(~np.isfinite(table).all(axis=1)) if finite else []
+    if len(bad):
+        raise DataFormatError(f"{path}:{numbers[bad[0]]}: values must be finite")
+    return header, table
+
+
 def load_sample_set(stem: Path | str) -> SampleSet:
+    """Read ``<stem>.csv`` and its ``<stem>.json`` manifest; a malformed
+    row or manifest is a :class:`DataFormatError` naming the file."""
     stem = Path(stem)
     csv_path = stem.with_suffix(".csv")
     json_path = stem.with_suffix(".json")
-    if not csv_path.exists() or not json_path.exists():
+    if not csv_path.is_file() or not json_path.is_file():
         raise DataFormatError(f"{stem}: missing sample-set artifact pair")
-    lines = csv_path.read_text().splitlines()
-    labels = tuple(lines[0].split(","))
-    data = np.array(
-        [[float(v) for v in line.split(",")] for line in lines[1:] if line.strip()],
-        dtype=float,
-    ).reshape(-1, len(labels))
-    manifest = json.loads(json_path.read_text())
-    return SampleSet(
-        data,
-        labels,
-        dict(manifest.get("provenance", {})),
-        manifest.get("log_evidence"),
-        manifest.get("log_evidence_se"),
-    )
+    manifest = _read_json(json_path)
+    provenance = _field(manifest, "provenance", str(json_path), _object, {})
+    labels, data = _read_table(csv_path, finite=True)
+    try:
+        return SampleSet(
+            data,
+            tuple(labels),
+            dict(provenance),
+            manifest.get("log_evidence"),
+            manifest.get("log_evidence_se"),
+        )
+    except ValueError as exc:
+        raise DataFormatError(f"{csv_path}: {exc}") from None
 
 
 def save_prognosis(res: PrognosisResult, stem: Path | str) -> list[Path]:
@@ -364,13 +418,7 @@ def save_prognosis(res: PrognosisResult, stem: Path | str) -> list[Path]:
         atomic_write(p, "\n".join(["t_eol,rul,censored", *rows]) + "\n")
         written.append(p)
     manifest = {
-        "config": {
-            "threshold": res.config.threshold,
-            "t_c": res.config.t_c,
-            "horizon": res.config.horizon,
-            "quantiles": list(res.config.quantiles),
-            "include_observation_noise": res.config.include_observation_noise,
-        },
+        "config": _as_dict(res.config),
         "summary": _jsonable(res.summary),
         "provenance": _jsonable(res.provenance),
         "version": __version__,
@@ -383,26 +431,18 @@ def save_prognosis(res: PrognosisResult, stem: Path | str) -> list[Path]:
 
 def load_prognosis(stem: Path | str) -> PrognosisResult:
     stem = Path(stem)
-    manifest = json.loads((stem.parent / (stem.name + ".json")).read_text())
-    cfgd = manifest["config"]
-    cfg = PrognosisConfig(
-        threshold=cfgd["threshold"],
-        t_c=cfgd["t_c"],
-        horizon=cfgd["horizon"],
-        quantiles=tuple(cfgd["quantiles"]),
-        include_observation_noise=cfgd["include_observation_noise"],
-    )
+    path = stem.parent / (stem.name + ".json")
+    manifest = _read_json(path)
+    cfg = _field(manifest, "config", str(path), lambda d: PrognosisConfig(**d))
     grid = bands = t_eol = rul = censored = None
     bands_path = stem.parent / (stem.name + ".bands.csv")
     if bands_path.exists():
-        lines = bands_path.read_text().splitlines()
-        table = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        _, table = _read_table(bands_path, finite=False)
         grid = table[:, 0]
         bands = table[:, 1:].T
     rul_path = stem.parent / (stem.name + ".rul.csv")
     if rul_path.exists():
-        lines = rul_path.read_text().splitlines()
-        table = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        _, table = _read_table(rul_path, finite=False)
         t_eol = table[:, 0]
         rul = table[:, 1]
         censored = table[:, 2].astype(bool)
@@ -457,6 +497,8 @@ class SyntheticSpec:
         cycles = np.asarray(self.cycles, dtype=np.int64)
         cycles.setflags(write=False)
         object.__setattr__(self, "cycles", cycles)
+        if not cycles.size or cycles[0] < 0 or np.any(np.diff(cycles) <= 0):
+            raise ValueError("cycles must be >= 0 and strictly increasing")
         if self.n_units < 1:
             raise ValueError("n_units must be >= 1")
         if self.noise_scale < 0:
@@ -532,14 +574,8 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> tuple[list[Dataset], d
     truth = {
         "seed": seed,
         "family": spec.family,
-        "psi": {
-            "mu0": [float(v) for v in psi.mu0],
-            "sd0": [float(v) for v in psi.sd0],
-            "mu_sigma": psi.mu_sigma,
-            "sd_sigma": psi.sd_sigma,
-            "rho": psi.rho,
-            "sigma_trunc": psi.sigma_trunc,
-        },
+        # truth files name rho also for an uncorrelated population (as null)
+        "psi": {**_as_dict(psi), "rho": psi.rho},
         "noise_scale": spec.noise_scale,
         "units": truth_units,
     }
@@ -592,45 +628,73 @@ def _json_fits(value, hint) -> bool:
 
 
 class RunConfig:
-    """Parsed run configuration for the command-line pipeline.
+    """Parsed run configuration for the command-line pipeline; the one
+    reader of the config document.
 
-    Wraps the JSON document; dataset paths resolve relative to the config
-    file location. The fingerprint covers the whole document plus any CLI
-    overrides, and is embedded in every artifact the run writes.
+    The top-level fields and the ``sampler`` and ``datasets`` sections are
+    typed and range-checked when the config is built. A section that only
+    some commands need (bounds, candidates, prognosis, synthetic fleet,
+    literature prior) is checked when a command asks for it, before any data
+    is read or sampled. Every violation is a :class:`DataFormatError` naming
+    the dotted field. Dataset paths resolve relative to the config file. The
+    fingerprint covers the whole document with the command-line flags
+    applied, and is embedded in every artifact the run writes.
     """
 
     def __init__(self, raw: dict, base_dir: Path | None = None):
         self.raw = raw
         self.base_dir = Path(base_dir) if base_dir is not None else Path.cwd()
-        fam = raw.get("family")
-        lik = raw.get("likelihood")
-        if fam and lik:
-            expected = "lognormal" if fam == "paris" else "gaussian"
-            if lik != expected:
+        field = self._get
+        self.family = field("family", _optional(_family), None)
+        likelihood = field("likelihood", _optional(_text), None)
+        if self.family and likelihood:
+            expected = FAMILIES[self.family].likelihood
+            if likelihood != expected:
                 raise DataFormatError(
-                    f"family {fam!r} pairs with the {expected} likelihood, not {lik!r}"
+                    f"family {self.family!r} pairs with the {expected} likelihood, not {likelihood!r}"
                 )
-        self._sampler_section()
-        # type- and range-check the top-level run fields before any sampling
-        for name in ("seed", "sigma_trunc", "cutoff", "nominals", "stage1_thin", "hyper_subsample"):
-            getattr(self, name)
+        self.seed = field("seed", _seed, 0)
+        self.case = field("case", _choice("diag", "corr"), "diag")
+        self.sigma_trunc = field("sigma_trunc", _positive, 0.2 if self.family == "paris" else 0.4)
+        self.cutoff = field("cutoff", _optional(_number), None)
+        self.nominals = self._nominals("nominals", self.family)
+        self.stage1_thin = field("stage1_thin", _optional(_count), None)
+        self.hyper_subsample = field("hyper_subsample", _optional(_count), None)
+        self.sampler_kind = field("sampler.kind", _choice("slice", "tmcmc"), "slice")
+        self._sampler = self._sampler_config(field("sampler", _object, {}))
+        self._historical = field("datasets.historical", _paths, None)
+        self._current = field("datasets.current", _path, None)
 
     @classmethod
-    def from_file(cls, path: Path | str, **overrides) -> "RunConfig":
-        """The config at ``path``, with the top-level fields in
-        ``overrides`` (command-line flags; None leaves a field alone)
-        replaced before it is checked."""
+    def from_file(
+        cls, path: Path | str, *, seed=None, family=None, case=None, cutoff=None, sampler=None,
+        samples=None,
+    ) -> "RunConfig":
+        """The config at ``path`` with the command-line flags applied before
+        it is checked. Each flag given (not None) replaces the field it
+        overrides: ``seed``, ``family``, ``case``, ``cutoff``,
+        ``sampler.kind`` and ``sampler.n_samples``; ``seed`` also replaces a
+        ``sampler.seed``."""
         path = Path(path)
-        try:
-            raw = json.loads(path.read_text())
-        except FileNotFoundError:
-            raise DataFormatError(f"{path}: no such config file") from None
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"{path}: invalid JSON ({exc})") from None
+        raw = _read_json(path)
         if not isinstance(raw, dict):
             raise DataFormatError(f"{path}: the config must be a JSON object")
-        raw.update({k: v for k, v in overrides.items() if v is not None})
+        top = {"seed": seed, "family": family, "case": case, "cutoff": cutoff}
+        raw.update({k: v for k, v in top.items() if v is not None})
+        section = raw.get("sampler", {})
+        if isinstance(section, dict):
+            flags = {"kind": sampler, "n_samples": samples, "seed": seed if "seed" in section else None}
+            section.update({k: v for k, v in flags.items() if v is not None})
+            if section:
+                raw["sampler"] = section
         return cls(raw, path.parent)
+
+    def _get(self, key: str, convert=None, default=_REQUIRED):
+        return _field(self.raw, key, "config", convert, default)
+
+    def _section(self, name: str):
+        """:meth:`_get` for the fields under the section ``name``."""
+        return lambda key, convert=None, default=_REQUIRED: self._get(f"{name}.{key}", convert, default)
 
     def fingerprint(self) -> str:
         return config_fingerprint(self.raw)
@@ -639,97 +703,59 @@ class RunConfig:
         p = Path(rel)
         return p if p.is_absolute() else self.base_dir / p
 
-    @property
-    def seed(self) -> int:
-        return _field(self.raw, "seed", "config", _seed, 0)
-
-    @property
-    def family(self) -> str:
-        fam = self.raw.get("family")
-        if fam is None:
-            raise DataFormatError("config: missing field 'family'")
-        return fam
-
-    @property
-    def sigma_trunc(self) -> float:
-        default = 0.2 if self.raw.get("family") == "paris" else 0.4
-        return _field(self.raw, "sigma_trunc", "config", _positive, default)
-
-    @property
-    def cutoff(self) -> float | None:
-        """The current-data cutoff cycle t_c, or None for all the data."""
-        return _field(self.raw, "cutoff", "config", _optional(_number), None)
-
-    @property
-    def nominals(self) -> list[float] | None:
-        """Nominal-value overrides, one per parameter of the config's
-        family, or None for the dataset's own."""
-        nominals = _field(self.raw, "nominals", "config", _optional(_numbers), None)
-        family = self.raw.get("family")
-        n_theta = _N_THETA.get(family) if isinstance(family, str) else None
-        if nominals is not None and n_theta is not None and len(nominals) != n_theta:
+    def _nominals(self, key: str, family: str | None) -> tuple[float, ...] | None:
+        """Nominal-value overrides at ``key``, one per parameter of
+        ``family`` when it is known, or None for the dataset's own."""
+        nominals = self._get(key, _optional(_numbers), None)
+        if nominals is not None and family and len(nominals) != FAMILIES[family].n_theta:
             raise DataFormatError(
-                f"config: field 'nominals' must have {n_theta} entries, got {len(nominals)}"
+                f"config: field {key!r} must have {FAMILIES[family].n_theta} entries, "
+                f"got {len(nominals)}"
             )
-        return nominals
+        return None if nominals is None else tuple(nominals)
 
-    @property
-    def stage1_thin(self) -> int | None:
-        return _field(self.raw, "stage1_thin", "config", _optional(_count), None)
-
-    @property
-    def hyper_subsample(self) -> int | None:
-        return _field(self.raw, "hyper_subsample", "config", _optional(_count), None)
-
-    @property
-    def case(self) -> str:
-        return self.raw.get("case", "diag")
-
-    def _sampler_section(self) -> dict:
-        """The ``sampler`` section, with every key and value type checked."""
-        section = self.raw.get("sampler", {})
-        if not isinstance(section, dict):
-            raise DataFormatError("config: field 'sampler' must be an object")
+    def _sampler_config(self, section: dict) -> SamplerConfig:
+        """The :class:`SamplerConfig` of the ``sampler`` section, with every
+        key and value type checked; its seed defaults to the run seed."""
         hints = typing.get_type_hints(SamplerConfig)
         declared = {f.name: f.type for f in fields(SamplerConfig)}
+        settings = {"seed": self.seed}
         for key, value in section.items():
             if key == "kind":
-                if value not in ("slice", "tmcmc"):
-                    raise DataFormatError(
-                        f"config: field 'sampler.kind' must be 'slice' or 'tmcmc', got {value!r}"
-                    )
-            elif key not in declared:
+                continue
+            if key not in declared:
                 raise DataFormatError(f"config: unknown field 'sampler.{key}'")
-            elif not _json_fits(value, hints[key]):
+            if not _json_fits(value, hints[key]):
                 raise DataFormatError(
                     f"config: field 'sampler.{key}' must be of type {declared[key]}, got {value!r}"
                 )
-        return dict(section)
-
-    def sampler_config(self, **overrides) -> SamplerConfig:
-        section = self._sampler_section()
-        section.pop("kind", None)
-        section.update({k: v for k, v in overrides.items() if v is not None})
-        section.setdefault("seed", self.seed)
+            settings[key] = value
         try:
-            return SamplerConfig(**section)
+            return SamplerConfig(**settings)
         except ValueError as exc:
-            raise DataFormatError(f"config: sampler: {exc}") from None
+            raise DataFormatError(f"config: field 'sampler': {exc}") from None
 
-    @property
-    def sampler_kind(self) -> str:
-        return self._sampler_section().get("kind", "slice")
+    def sampler_config(self) -> SamplerConfig:
+        return self._sampler
+
+    def _required(self, value, key: str):
+        if value is None:
+            raise DataFormatError(f"config: missing field {key!r}")
+        return value
+
+    def historical_paths(self) -> list[Path]:
+        return [self.resolve(p) for p in self._required(self._historical, "datasets.historical")]
+
+    def current_path(self) -> Path:
+        return self.resolve(self._required(self._current, "datasets.current"))
 
     def stage1_bounds(self, key: str = "stage1_bounds", family: str | None = None):
         """The ``(lower, upper)`` arrays of the stage-1 prior box at ``key``.
         With a known ``family`` (the config's own by default) each must hold
         one entry per model parameter plus one for sigma."""
-        lower, upper = (
-            np.asarray(_field(self.raw, f"{key}.{side}", "config", _numbers))
-            for side in ("lower", "upper")
-        )
-        n_theta = _N_THETA.get(family or self.raw.get("family"))
-        dim = lower.size if n_theta is None else n_theta + 1
+        lower, upper = (np.asarray(self._get(f"{key}.{side}", _numbers)) for side in ("lower", "upper"))
+        family = family or self.family
+        dim = FAMILIES[family].n_theta + 1 if family else lower.size
         for side, arr in (("lower", lower), ("upper", upper)):
             if arr.size != dim:
                 raise DataFormatError(
@@ -745,88 +771,101 @@ class RunConfig:
     ) -> HyperPriorBounds:
         """The uniform hyper-prior box at ``key``; with a known ``family`` it
         must bound one mean and one spread per model parameter."""
-        mu_theta, sd_theta = (
-            _field(self.raw, f"{key}.{name}", "config", _pairs) for name in ("mu_theta", "sd_theta")
-        )
-        n_theta = _N_THETA.get(family or self.raw.get("family"))
-        if n_theta is not None and len(mu_theta) != n_theta:
+        mu_theta, sd_theta = (self._get(f"{key}.{k}", _pairs) for k in ("mu_theta", "sd_theta"))
+        family = family or self.family
+        if family and len(mu_theta) != FAMILIES[family].n_theta:
             raise DataFormatError(
-                f"config: field '{key}.mu_theta' must have {n_theta} pairs, got {len(mu_theta)}"
+                f"config: field '{key}.mu_theta' must have {FAMILIES[family].n_theta} pairs, "
+                f"got {len(mu_theta)}"
             )
         try:
             return HyperPriorBounds(
                 mu_theta=mu_theta,
                 sd_theta=sd_theta,
-                mu_sigma=_field(self.raw, f"{key}.mu_sigma", "config", _pair),
-                sd_sigma=_field(self.raw, f"{key}.sd_sigma", "config", _pair),
-                rho=_field(self.raw, f"{key}.rho", "config", _optional_pair, None),
+                mu_sigma=self._get(f"{key}.mu_sigma", _pair),
+                sd_sigma=self._get(f"{key}.sd_sigma", _pair),
+                # the correlated case samples rho, so its box must bound it
+                rho=self._get(f"{key}.rho", _pair)
+                if self.case == "corr"
+                else self._get(f"{key}.rho", _optional(_pair), None),
             )
         except ValueError as exc:
             raise DataFormatError(f"config: field {key!r}: {exc}") from None
 
     def candidates(self) -> list[Candidate]:
         """The ``candidates`` section for model selection, one
-        :class:`~hbprog.hierarchy.Candidate` per entry."""
-        sections = self.raw.get("candidates")
-        if not sections:
-            raise DataFormatError("config: missing field 'candidates'")
+        :class:`~hbprog.hierarchy.Candidate` per entry (at least two)."""
         out = []
-        for i, sec in enumerate(sections):
+        # model selection ranks at least two candidates
+        for i in range(len(self._get("candidates", lambda v: _list(v, 2)))):
             key = f"candidates[{i}]"
-            family = _field(self.raw, f"{key}.family", "config")
+            field = self._section(key)
+            family = field("family", _family)
             out.append(
                 Candidate(
                     family=family,
                     stage1_bounds=self.stage1_bounds(f"{key}.stage1_bounds", family),
                     hyper_bounds=self.hyper_bounds(f"{key}.hyper_bounds", family),
-                    nominals=tuple(sec["nominals"]) if sec.get("nominals") else None,
-                    sigma_trunc=float(sec.get("sigma_trunc", self.sigma_trunc)),
-                    name=sec.get("name"),
+                    nominals=self._nominals(f"{key}.nominals", family),
+                    sigma_trunc=field("sigma_trunc", _positive, self.sigma_trunc),
+                    name=field("name", _optional(_text), None),
                 )
             )
         return out
 
-    def historical_paths(self) -> list[Path]:
-        ds = self.raw.get("datasets", {})
-        hist = ds.get("historical")
-        if not hist:
-            raise DataFormatError("config: missing field 'datasets.historical'")
-        return [self.resolve(p) for p in hist]
+    def literature_prior(self) -> ClassicalPrior:
+        """The ``literature_prior`` section: Gaussian means and sds of the
+        physical parameters (one per parameter of ``family`` when it is set)
+        and the error-scale prior."""
+        field = self._section("literature_prior")
+        means, sds = field("means", _numbers), field("sds", _numbers)
+        n_theta = FAMILIES[self.family].n_theta if self.family else len(means)
+        for name, values in (("means", means), ("sds", sds)):
+            if len(values) != n_theta:
+                raise DataFormatError(
+                    f"config: field 'literature_prior.{name}' must have {n_theta} entries, "
+                    f"got {len(values)}"
+                )
+        try:
+            return ClassicalPrior(
+                means=tuple(means),
+                sds=tuple(sds),
+                sigma_bounds=field("sigma_bounds", _pair, (0.0, 0.2)),
+                sigma_mu=field("sigma_mu", _optional(_number), None),
+                sigma_sd=field("sigma_sd", _optional(_number), None),
+            )
+        except ValueError as exc:
+            raise DataFormatError(f"config: field 'literature_prior': {exc}") from None
 
-    def current_path(self) -> Path:
-        ds = self.raw.get("datasets", {})
-        cur = ds.get("current")
-        if not cur:
-            raise DataFormatError("config: missing field 'datasets.current'")
-        return self.resolve(cur)
+    def _linspace(self, key: str) -> np.ndarray:
+        """The evenly spaced cycles of a ``{start, stop, num}`` section."""
+        start, stop = (self._get(f"{key}.{k}", _number) for k in ("start", "stop"))
+        return np.linspace(start, stop, self._get(f"{key}.num", _count))
+
+    def prognosis_grid(self) -> np.ndarray | None:
+        """The band grid ``prognosis.grid`` ({start, stop, num}), or None
+        when the config does not set one."""
+        if self._get("prognosis.grid", default=None) is None:
+            return None
+        return self._linspace("prognosis.grid")
 
     def prognosis_config(self, t_c: float) -> PrognosisConfig:
-        t_c = float(t_c)
-        horizon = _field(self.raw, "prognosis.horizon", "config", float)
+        field = self._section("prognosis")
+        t_c, horizon = float(t_c), field("horizon", float)
         if not horizon > t_c:
             raise DataFormatError(
                 f"config: field 'prognosis.horizon': {horizon:g} must exceed the current cycle {t_c:g}"
             )
         return PrognosisConfig(
-            threshold=_field(self.raw, "prognosis.threshold", "config", float),
+            threshold=field("threshold", float),
             t_c=t_c,
             horizon=horizon,
-            quantiles=_field(
-                self.raw, "prognosis.quantiles", "config", quantile_levels, (0.025, 0.5, 0.975)
-            ),
-            include_observation_noise=_field(
-                self.raw, "prognosis.include_observation_noise", "config", _json_bool, False
-            ),
+            quantiles=field("quantiles", quantile_levels, (0.025, 0.5, 0.975)),
+            include_observation_noise=field("include_observation_noise", _json_bool, False),
         )
 
     def synthetic_spec(self) -> SyntheticSpec:
-        sec = self.raw.get("synthetic")
-        if sec is None:
-            raise DataFormatError("config: missing field 'synthetic'")
-
-        def field(key, convert, default=_REQUIRED):
-            return _field(self.raw, f"synthetic.{key}", "config", convert, default)
-
+        field = self._section("synthetic")
         mu0, sd0 = (np.asarray(field(f"psi.{k}", _numbers)) for k in ("mu0", "sd0"))
         mu_sigma, sd_sigma = (field(f"psi.{k}", _number) for k in ("mu_sigma", "sd_sigma"))
         rho = field("psi.rho", _optional(_number), None)
@@ -835,20 +874,18 @@ class RunConfig:
             psi = HyperParameters(mu0, sd0, mu_sigma, sd_sigma, rho, sigma_trunc)
         except ValueError as exc:
             raise DataFormatError(f"config: field 'synthetic.psi': {exc}") from None
-        family = sec.get("family", self.raw.get("family"))
         loading = geometry = None
-        if sec.get("loading") is not None:
+        if field("loading", None, None) is not None:
             loading = _loading(self.raw, "synthetic.loading", "config")
-        if sec.get("geometry") is not None:
+        if field("geometry", None, None) is not None:
             geometry = _geometry(self.raw, "synthetic.geometry", "config")
         if isinstance(field("cycles", None), dict):
-            start, stop = (field(f"cycles.{k}", _number) for k in ("start", "stop"))
-            cycles = np.linspace(start, stop, field("cycles.num", _count)).astype(np.int64)
+            cycles = self._linspace("synthetic.cycles").astype(np.int64)
         else:
             cycles = np.asarray(field("cycles", _numbers), dtype=np.int64)
         nominals = field("nominals", _optional(_numbers), None)
         spec = dict(
-            family=family,
+            family=field("family", _family, self.family or _REQUIRED),
             psi=psi,
             n_units=field("n_units", _count),
             cycles=cycles,

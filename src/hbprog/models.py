@@ -668,3 +668,7 @@ class BatteryDoubleModel(DegradationModel):
             slope = abs_a * np.abs(b) * eb + abs_c * np.abs(d) * ed
             magnitude = abs_a * eb + abs_c * ed
         return value, slope, magnitude
+
+
+#: the built-in model families by name
+FAMILIES = {cls.family: cls for cls in (ParisCrackModel, BatterySingleModel, BatteryDoubleModel)}

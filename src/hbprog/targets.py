@@ -215,23 +215,6 @@ class HyperParameters:
             names.append("rho")
         return tuple(names)
 
-    @classmethod
-    def from_vector(
-        cls, vec, n_theta: int, correlated: bool, sigma_trunc: float
-    ) -> "HyperParameters":
-        vec = np.asarray(vec, dtype=float)
-        expected = 2 * n_theta + 2 + (1 if correlated else 0)
-        if vec.size != expected:
-            raise ValueError(f"hyper vector must have length {expected}, got {vec.size}")
-        return cls(
-            mu0=vec[:n_theta],
-            sd0=vec[n_theta + 1 : 2 * n_theta + 1],
-            mu_sigma=float(vec[n_theta]),
-            sd_sigma=float(vec[2 * n_theta + 1]),
-            rho=float(vec[-1]) if correlated else None,
-            sigma_trunc=sigma_trunc,
-        )
-
 
 @dataclass(frozen=True)
 class HyperPriorBounds:

@@ -1,9 +1,15 @@
 """Command-line surface: artifact flow, exit codes, reproducibility."""
 
+import contextlib
+import copy
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hbprog.cli import main
 from hbprog.io import load_sample_set, save_sample_set
@@ -46,6 +52,13 @@ BASE_CONFIG = {
         "sds": [0.29, 0.17],
         "sigma_bounds": [0.001, 0.2],
     },
+}
+
+#: a model-selection candidate with the base config's prior boxes
+BASE_CANDIDATE = {
+    "family": "paris",
+    "stage1_bounds": BASE_CONFIG["stage1_bounds"],
+    "hyper_bounds": BASE_CONFIG["hyper_bounds"],
 }
 
 #: a parametrized config value that deletes its key
@@ -368,9 +381,13 @@ class TestExitCodes:
             ("fit-historical", "seed", "x"),
             ("fit-historical", "sigma_trunc", "x"),
             ("fit-current", "cutoff", "x"),
+            ("fit-historical", "case", "foo"),
+            ("fit-historical", "family", "foo"),
+            ("fit-current", "datasets", ["data/S1.csv"]),
         ],
         ids=["hyper_subsample-string", "stage1_thin-string", "stage1_thin-zero",
-             "nominals-short", "seed-string", "sigma_trunc-string", "cutoff-string"],
+             "nominals-short", "seed-string", "sigma_trunc-string", "cutoff-string",
+             "case-unknown", "family-unknown", "datasets-list"],
     )
     def test_bad_run_field_is_data_error(self, tmp_path, capsys, command, key, value):
         """Malformed top-level run fields exit 2 when the config loads,
@@ -387,8 +404,203 @@ class TestExitCodes:
         assert json.loads((out / "error.json").read_text()) == record
         assert [p.name for p in out.iterdir()] == ["error.json"]
 
+    @pytest.mark.parametrize(
+        "command, path, value, field",
+        [
+            ("compare-prior", ["literature_prior", "sigma_bounds"], "x",
+             "literature_prior.sigma_bounds"),
+            ("compare-prior", ["literature_prior", "sigma_bounds"], [-1.0, 0.2],
+             "literature_prior"),
+            ("compare-prior", ["literature_prior", "means"], "abc", "literature_prior.means"),
+            ("compare-prior", ["literature_prior", "sds"], [0.29], "literature_prior.sds"),
+            ("predict", ["prognosis", "grid"], {"start": 0, "stop": 9e4, "num": "x"},
+             "prognosis.grid.num"),
+            ("predict", ["prognosis", "grid"], {"start": 0, "stop": 9e4, "num": 0},
+             "prognosis.grid.num"),
+            ("predict", ["prognosis", "grid"], {"start": 0, "num": 5}, "prognosis.grid.stop"),
+            ("fit-historical", ["case"], "corr", "hyper_bounds.rho"),
+            ("model-select", ["candidates", 0, "sigma_trunc"], "x", "candidates[0].sigma_trunc"),
+            ("model-select", ["candidates"], [BASE_CANDIDATE], "candidates"),
+            ("fit-historical", ["datasets", "historical"], "data/S1.csv", "datasets.historical"),
+        ],
+        ids=["sigma_bounds-string", "sigma_bounds-negative", "means-string", "sds-short",
+             "grid-num-string", "grid-num-zero", "grid-stop-missing", "corr-without-rho",
+             "candidate-sigma_trunc-string", "one-candidate", "historical-string"],
+    )
+    def test_config_error_names_the_field(self, tmp_path, capsys, command, path, value, field):
+        """Each malformed field exits 2 naming its dotted path, without a
+        traceback and before any dataset is read (there is none here)."""
+        config_dict = json.loads(json.dumps({**BASE_CONFIG, "candidates": [BASE_CANDIDATE] * 2}))
+        node = config_dict
+        for part in path[:-1]:
+            node = node[part]
+        node[path[-1]] = value
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(config_dict))
+        assert main([command, "--config", str(config), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        record = json.loads(err.strip().splitlines()[-1])
+        assert record["error"] == "DataFormatError"
+        assert f"'{field}'" in record["message"]
+        assert json.loads((tmp_path / "error.json").read_text()) == record
+
+    @pytest.mark.parametrize(
+        "command, stem, row, line",
+        [
+            ("fit-current", "hyper", "nan,1.05,0.08,0.08,0.02,0.03", 3),
+            ("fit-current", "hyper", "abc,1.05,0.08,0.08,0.02,0.03", 3),
+            ("rul", "current_posterior", "1.0,nan,0.05", 2),
+            ("predict", "current_posterior", "1.0,abc,0.05", 2),
+            ("rul", "current_posterior", "1.0,1.05", 2),
+        ],
+        ids=["hyper-nan", "hyper-abc", "posterior-nan", "posterior-abc", "posterior-ragged"],
+    )
+    def test_malformed_sample_set_is_data_error(self, workspace, tmp_path, capsys, command, stem,
+                                                row, line):
+        """A non-finite, non-numeric or ragged sample row exits 2 naming the
+        file and its 1-based line."""
+        _, config = workspace
+        rows = [[1.0, 1.05, 0.08, 0.08, 0.02, 0.03]] * 2 if stem == "hyper" else [[1.0, 1.05, 0.05]]
+        labels = (
+            ("mu_theta1", "mu_theta2", "mu_sigma", "sd_theta1", "sd_theta2", "sd_sigma")
+            if stem == "hyper" else ("theta1", "theta2", "sigma")
+        )
+        prov = {"n_theta": 2, "correlated": False, "sigma_trunc": 0.2, "t_c": 10000.0}
+        save_sample_set(SampleSet(np.array(rows), labels, prov), tmp_path / stem)
+        csv = tmp_path / f"{stem}.csv"
+        lines = csv.read_text().splitlines()
+        lines[line - 1] = row
+        csv.write_text("\n".join(lines) + "\n")
+        assert main([command, "--config", str(config), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        record = json.loads(err.strip().splitlines()[-1])
+        assert record["error"] == "DataFormatError"
+        assert f"{csv}:{line}:" in record["message"]
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
         assert "hbprog" in capsys.readouterr().out
+
+
+class TestFlags:
+    def test_flags_enter_the_fingerprint(self, workspace, tmp_path, capsys):
+        """Each override flag changes the run fingerprint, and repeating an
+        argv writes the same bytes."""
+        _, config = workspace
+        ss = SampleSet(np.array([[1.0, 1.05, 0.05]]), ("theta1", "theta2", "sigma"), {"t_c": 10000.0})
+        flags = [[], ["--cutoff", "12000"], ["--case", "corr"], ["--sampler", "tmcmc"],
+                 ["--samples", "7"], ["--cutoff", "12000"]]
+        outs = [tmp_path / str(i) for i in range(len(flags))]
+        for out, extra in zip(outs, flags):
+            out.mkdir()
+            save_sample_set(ss, out / "current_posterior")
+            assert main(["rul", "--config", str(config), "--out", str(out), *extra]) == 0
+        capsys.readouterr()
+        prints = [json.loads((o / "rul.json").read_text())["provenance"]["run_fingerprint"]
+                  for o in outs]
+        assert len(set(prints[:5])) == 5
+        for name in ("rul.json", "rul.rul.csv"):
+            assert (outs[1] / name).read_bytes() == (outs[5] / name).read_bytes()
+
+
+#: the fuzzed config: the base config with tiny sampler settings and two
+#: model-selection candidates
+FUZZ_CONFIG = {
+    **BASE_CONFIG,
+    "sampler": {"n_samples": 20, "kind": "slice"},
+    "candidates": [BASE_CANDIDATE, BASE_CANDIDATE],
+}
+
+#: the command run for a mutation under each top-level field; the fields
+#: checked when any config loads go through `rul`, the cheapest command
+FUZZ_COMMANDS = {
+    "synthetic": "synth",
+    "literature_prior": "compare-prior",
+    "prognosis": "predict",
+    "candidates": "model-select",
+    "stage1_bounds": "fit-historical",
+    "hyper_bounds": "fit-historical",
+    "stage1_thin": "fit-historical",
+    "hyper_subsample": "fit-current",
+    "datasets": "fit-current",
+}
+
+
+def _config_paths(node, prefix=()):
+    """The path of every field of a JSON document: object keys and list
+    entries, at every depth."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, value in items:
+        yield (*prefix, key)
+        yield from _config_paths(value, (*prefix, key))
+
+
+def _wrong_type(value):
+    """A JSON value of another type than ``value``."""
+    if isinstance(value, str):
+        return 7
+    if isinstance(value, dict):
+        return ["x"]
+    return "x"
+
+
+@pytest.fixture(scope="module")
+def fuzz_workspace(tmp_path_factory):
+    """A synthetic fleet, a hyper sample set and a current posterior that
+    every fuzzed command can run on."""
+    root = tmp_path_factory.mktemp("fuzz")
+    config = root / "run.json"
+    config.write_text(json.dumps(FUZZ_CONFIG))
+    assert main(["synth", "--config", str(config), "--out", str(root / "data")]) == 0
+    labels = ("mu_theta1", "mu_theta2", "mu_sigma", "sd_theta1", "sd_theta2", "sd_sigma")
+    prov = {"n_theta": 2, "correlated": False, "sigma_trunc": 0.2}
+    hyper = np.tile([1.0, 1.05, 0.08, 0.08, 0.02, 0.03], (4, 1))
+    save_sample_set(SampleSet(hyper, labels, prov), root / "hyper")
+    posterior = np.array([[1.0, 1.05, 0.05]])
+    save_sample_set(SampleSet(posterior, labels[:2] + ("sigma",), {"t_c": 10000.0}),
+                    root / "current_posterior")
+    return root
+
+
+class TestConfigFuzz:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        path=st.sampled_from(list(_config_paths(FUZZ_CONFIG))),
+        mutation=st.sampled_from(["wrong-type", "null", "missing"]),
+    )
+    def test_mutated_field_never_crashes(self, fuzz_workspace, path, mutation):
+        """One field of the config set to a wrong type, null or deleted:
+        the command that reads it exits 0 or 2, never 1 or 3, and prints no
+        traceback."""
+        root = fuzz_workspace
+        config_dict = copy.deepcopy(FUZZ_CONFIG)
+        node = config_dict
+        for part in path[:-1]:
+            node = node[part]
+        if mutation == "missing":
+            del node[path[-1]]
+        else:
+            node[path[-1]] = None if mutation == "null" else _wrong_type(node[path[-1]])
+        out = Path(tempfile.mkdtemp(dir=root))
+        config = out.with_suffix(".json")
+        config.write_text(json.dumps(config_dict))
+        command = FUZZ_COMMANDS.get(path[0], "rul")
+        argv = [command, "--config", str(config), "--out", str(out)]
+        if command == "fit-current":
+            argv += ["--hyper", str(root / "hyper")]
+        if command in ("predict", "rul"):
+            argv += ["--posterior", str(root / "current_posterior")]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2), (path, mutation, err.getvalue())
+        assert "Traceback" not in err.getvalue()

@@ -110,6 +110,25 @@ class TestLoadDataset:
         np.testing.assert_array_equal(back.values, ds.values)
 
 
+    @pytest.mark.parametrize(
+        "loading, keys",
+        [
+            (CONST_LOADING, {"mode", "delta_sigma"}),
+            (LoadingSpec("two-block", delta_sigma1=50.0, n1=60.0, delta_sigma2=90.0, n2=40.0),
+             {"mode", "delta_sigma1", "n1", "delta_sigma2", "n2"}),
+        ],
+        ids=["constant", "two-block"],
+    )
+    def test_crack_sidecar_roundtrip_bit_identical(self, tmp_path, loading, keys):
+        ds = make_dataset([0, 500, 1200], [1.0, 1.05, 1.13], loading=loading, threshold=25.0)
+        save_dataset(ds, tmp_path / "a.csv")
+        save_dataset(load_dataset(tmp_path / "a.csv"), tmp_path / "b.csv")
+        for suffix in (".csv", ".meta.json"):
+            assert (tmp_path / f"a{suffix}").read_bytes() == (tmp_path / f"b{suffix}").read_bytes()
+        # a sidecar names only the fields of its loading mode
+        assert set(json.loads((tmp_path / "a.meta.json").read_text())["loading"]) == keys
+
+
 class TestSampleSetPersistence:
     def test_roundtrip_lossless(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -133,6 +152,29 @@ class TestSampleSetPersistence:
     def test_missing_artifact_pair(self, tmp_path):
         with pytest.raises(DataFormatError):
             load_sample_set(tmp_path / "nope")
+
+    @pytest.mark.parametrize(
+        "csv_row, manifest, match",
+        [
+            ("1.0,inf", None, r"s\.csv:3: values must be finite"),
+            ("1.0,x", None, r"s\.csv:3: could not convert"),
+            ("1.0,2.0,3.0", None, r"s\.csv:3: expected 2 values, got 3"),
+            (None, "{not json", r"s\.json: invalid JSON"),
+            (None, "[1, 2]", r"s\.json: document must be an object"),
+            (None, '{"provenance": 3}', r"s\.json: field 'provenance'"),
+        ],
+        ids=["inf", "text", "ragged", "invalid-json", "manifest-list", "provenance-number"],
+    )
+    def test_malformed_file_is_named(self, tmp_path, csv_row, manifest, match):
+        save_sample_set(SampleSet(np.ones((3, 2)), ("a", "b")), tmp_path / "s")
+        if csv_row is not None:
+            lines = (tmp_path / "s.csv").read_text().splitlines()
+            lines[2] = csv_row
+            (tmp_path / "s.csv").write_text("\n".join(lines) + "\n")
+        if manifest is not None:
+            (tmp_path / "s.json").write_text(manifest)
+        with pytest.raises(DataFormatError, match=match):
+            load_sample_set(tmp_path / "s")
 
     def test_no_stray_temp_files(self, tmp_path):
         ss = SampleSet(np.ones((3, 2)), ("a", "b"))
@@ -161,6 +203,7 @@ class TestPrognosisPersistence:
         assert back.config == res.config
         save_prognosis(back, tmp_path / "rul2")
         assert (tmp_path / "rul.rul.csv").read_bytes() == (tmp_path / "rul2.rul.csv").read_bytes()
+        assert (tmp_path / "rul.json").read_bytes() == (tmp_path / "rul2.json").read_bytes()
 
     def test_bands_roundtrip(self, tmp_path):
         from hbprog.models import ParisCrackModel
@@ -174,6 +217,11 @@ class TestPrognosisPersistence:
         back = load_prognosis(tmp_path / "bands")
         np.testing.assert_array_equal(back.grid, res.grid)
         np.testing.assert_array_equal(back.bands, res.bands)
+        save_prognosis(back, tmp_path / "again")
+        for suffix in (".bands.csv", ".json"):
+            assert (tmp_path / f"bands{suffix}").read_bytes() == (
+                tmp_path / f"again{suffix}"
+            ).read_bytes()
 
 
 class TestGenerateSynthetic:
@@ -187,6 +235,11 @@ class TestGenerateSynthetic:
             loading=CONST_LOADING,
             geometry=GEOMETRY,
         )
+
+    @pytest.mark.parametrize("cycles", [[], [-5, 0, 5], [0, 5, 5]], ids=["empty", "negative", "repeated"])
+    def test_bad_cycle_grid_rejected(self, cycles):
+        with pytest.raises(ValueError, match="cycles"):
+            SyntheticSpec("paris", CRACK_PSI, 3, cycles, loading=CONST_LOADING, geometry=GEOMETRY)
 
     def test_noiseless_matches_curve(self):
         datasets, truth = generate_synthetic(self._spec(noise_scale=0.0), seed=5)
@@ -287,6 +340,21 @@ class TestRunConfig:
         cfg = RunConfig.from_file(path)
         assert cfg.historical_paths()[0] == tmp_path / "a.csv"
         assert cfg.current_path() == tmp_path / "b.csv"
+
+    def test_flags_override_their_fields(self, tmp_path):
+        raw = self._config_dict()
+        raw["sampler"]["seed"] = 5
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(raw))
+        plain = RunConfig.from_file(path)
+        assert plain.sampler_config().seed == 5
+        cfg = RunConfig.from_file(
+            path, seed=9, family="paris", case="corr", cutoff=1200.0, sampler="tmcmc", samples=40
+        )
+        assert (cfg.seed, cfg.case, cfg.cutoff, cfg.sampler_kind) == (9, "corr", 1200.0, "tmcmc")
+        assert cfg.sampler_config().seed == 9
+        assert cfg.sampler_config().n_samples == 40
+        assert cfg.fingerprint() != plain.fingerprint()
 
     def test_missing_fields_reported(self):
         cfg = RunConfig({"family": "paris"})
