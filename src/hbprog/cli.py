@@ -102,6 +102,18 @@ def _load_current(cfg: RunConfig) -> tuple:
     return dataset, dataset.truncate(cfg.cutoff), cfg.cutoff
 
 
+def _check_domain(dataset, path: Path, family: str | None) -> None:
+    """Raise a :class:`DataFormatError` naming the file and the family when
+    the dataset's first cycle lies below the fitted family's domain."""
+    family = family or dataset.family
+    lowest = FAMILIES[family].min_cycle
+    if dataset.cycles[0] < lowest:
+        raise DataFormatError(
+            f"{path}: family {family!r} is defined for cycles >= {lowest:g}, "
+            f"but the data start at cycle {dataset.cycles[0]}"
+        )
+
+
 def _stamp(ss, cfg: RunConfig):
     ss.provenance.update(run_fingerprint=cfg.fingerprint(), version=__version__)
     return ss
@@ -118,7 +130,10 @@ def cmd_synth(cfg: RunConfig, args, out: Path) -> str:
 
 def cmd_fit_historical(cfg: RunConfig, args, out: Path) -> str:
     stage1_bounds, hyper_bounds = cfg.stage1_bounds(), cfg.hyper_bounds()
-    datasets = [load_dataset(p) for p in cfg.historical_paths()]
+    paths = cfg.historical_paths()
+    datasets = [load_dataset(p) for p in paths]
+    for ds, path in zip(datasets, paths):
+        _check_domain(ds, path, cfg.family)
     result = fit_historical(
         datasets,
         stage1_bounds,
@@ -145,6 +160,7 @@ def cmd_fit_current(cfg: RunConfig, args, out: Path) -> str:
     hyper_stem = Path(args.hyper) if args.hyper else out / "hyper"
     hyper = load_sample_set(hyper_stem)
     dataset, truncated, t_c = _load_current(cfg)
+    _check_domain(dataset, cfg.current_path(), cfg.family)
     model = build_model(dataset, cfg.family, cfg.nominals)
     try:
         posterior = update_current(

@@ -239,7 +239,8 @@ def _slice_whitened(target: TargetSpec, init: np.ndarray, config: SamplerConfig)
     covariance; the final run applies coordinate-wise slice sampling in the
     whitened coordinates u = L^-1 (x - center) and maps the draws back. The
     support box is enforced inside the transformed target, and everything
-    stays deterministic in the configured seed.
+    stays deterministic in the configured seed. ``n_evals`` in the
+    provenance counts the log-target calls of both runs.
     """
     n_pilot = max(100, int(_PILOT_FRACTION * config.n_samples))
     pilot = slice_sample(target, init, config.replace(n_samples=n_pilot, seed=subseed(config.seed, 0x9107)))
@@ -269,7 +270,11 @@ def _slice_whitened(target: TargetSpec, init: np.ndarray, config: SamplerConfig)
     )
     samples = center + out_w.samples @ chol.T
     provenance = dict(out_w.provenance)
-    provenance.update(sampler="slice+whitened", pilot_draws=n_pilot)
+    provenance.update(
+        sampler="slice+whitened",
+        pilot_draws=n_pilot,
+        n_evals=pilot.provenance["n_evals"] + out_w.provenance["n_evals"],
+    )
     return SampleSet(samples, target.labels, provenance)
 
 

@@ -627,11 +627,20 @@ def _json_fits(value, hint) -> bool:
     raise TypeError(f"no JSON form for the field type {hint!r}")
 
 
+#: the top-level fields a run config may set
+CONFIG_FIELDS = frozenset({
+    "family", "likelihood", "seed", "case", "sigma_trunc", "cutoff", "nominals",
+    "stage1_thin", "hyper_subsample", "sampler", "datasets", "stage1_bounds",
+    "hyper_bounds", "candidates", "literature_prior", "prognosis", "synthetic",
+})
+
+
 class RunConfig:
     """Parsed run configuration for the command-line pipeline; the one
     reader of the config document.
 
-    The top-level fields and the ``sampler`` and ``datasets`` sections are
+    A top-level key outside :data:`CONFIG_FIELDS` is rejected. The
+    top-level fields and the ``sampler`` and ``datasets`` sections are
     typed and range-checked when the config is built. A section that only
     some commands need (bounds, candidates, prognosis, synthetic fleet,
     literature prior) is checked when a command asks for it, before any data
@@ -644,6 +653,9 @@ class RunConfig:
     def __init__(self, raw: dict, base_dir: Path | None = None):
         self.raw = raw
         self.base_dir = Path(base_dir) if base_dir is not None else Path.cwd()
+        for key in raw:
+            if key not in CONFIG_FIELDS:
+                raise DataFormatError(f"config: unknown field {key!r}")
         field = self._get
         self.family = field("family", _optional(_family), None)
         likelihood = field("likelihood", _optional(_text), None)

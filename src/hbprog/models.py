@@ -62,6 +62,11 @@ class LoadingSpec:
     n2: float | None = None
 
     def __post_init__(self):
+        # stored as floats, so a spec built with ints saves as it loads back
+        for name in ("delta_sigma", "delta_sigma1", "n1", "delta_sigma2", "n2"):
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, float(value))
         if self.mode == "constant":
             if self.delta_sigma is None or not self.delta_sigma > 0:
                 raise ValueError("constant loading requires delta_sigma > 0")
@@ -87,6 +92,9 @@ class CrackGeometry:
     a_f: float
 
     def __post_init__(self):
+        # stored as floats, so a geometry built with ints saves as it loads back
+        for name in ("a0", "n0", "a_f"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         if not (0 < self.a0 <= self.a_f):
             raise ValueError("require 0 < a0 <= a_f")
         if self.n0 < 0:
@@ -426,6 +434,9 @@ class DegradationModel:
     plausible_lo: tuple[float, ...]
     plausible_hi: tuple[float, ...]
 
+    #: the smallest cycle index the curve is defined at
+    min_cycle: float = 0.0
+
     def predict(self, theta: np.ndarray, cycles) -> np.ndarray:
         raise NotImplementedError
 
@@ -560,6 +571,7 @@ class BatterySingleModel(DegradationModel):
     theta_labels = ("theta1", "theta2", "theta3")
     plausible_lo = (0.01, 0.01, 0.01)
     plausible_hi = (3.0, 3.0, 3.0)
+    min_cycle = 1.0
 
     def __init__(self, nominals: tuple[float, float, float] = BATT_SINGLE_NOMINALS):
         self.nominals = tuple(float(v) for v in nominals)
@@ -577,7 +589,7 @@ class BatterySingleModel(DegradationModel):
         k = np.atleast_1d(np.asarray(cycles, dtype=float))
         nom = self.nominals
         ok = np.isfinite(t).all(axis=1) & (t[:, 0] * nom[0] > 0)
-        if ok.any() and np.any(k < 1):
+        if ok.any() and np.any(k < self.min_cycle):
             raise ValueError("cycle index below model domain (k >= 1 required)")
         c0, a, b = (t[:, j, None] * nom[j] for j in range(3))
         # in place, so a batch holds one [n, len] array; same values as

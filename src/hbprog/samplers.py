@@ -214,7 +214,8 @@ def slice_sample(target: TargetSpec, init, config: SamplerConfig) -> SampleSet:
 
     Returns ``config.n_samples`` post-burn-in (and post-thinning) draws.
     The initial point must have finite log-target. Dimensions whose lower
-    and upper bounds coincide are pinned at that value.
+    and upper bounds coincide are pinned at that value. ``n_evals`` in the
+    provenance counts the log-target calls, the initial point's included.
     """
     rng = np.random.default_rng(config.seed)
     x = np.array(init, dtype=float)
@@ -238,9 +239,12 @@ def slice_sample(target: TargetSpec, init, config: SamplerConfig) -> SampleSet:
     out = np.empty((n_keep, target.dim))
     kept = 0
     log_target = target.log_target
+    n_evals = 1
 
     def f(d: int, v: float) -> float:
         """The log-target at x with coordinate d set to v."""
+        nonlocal n_evals
+        n_evals += 1
         xd = x[d]
         x[d] = v
         val = float(log_target(x))
@@ -301,6 +305,7 @@ def slice_sample(target: TargetSpec, init, config: SamplerConfig) -> SampleSet:
         "target": target.name,
         "seed": config.seed,
         "config_hash": config_fingerprint(config),
+        "n_evals": n_evals,
     }
     return SampleSet(out, target.labels, provenance)
 

@@ -292,16 +292,22 @@ class HyperPriorBounds:
 STAGE2_CHUNK_ROWS = 4096
 
 
-def _stage2_target_batch(stage1: Sequence, bounds, correlated, sigma_trunc):
-    """Log-likelihood of hyper vectors given stacked stage-1 samples.
+def _stage2_rows(stage1: Sequence, bounds, correlated, sigma_trunc):
+    """The stage-2 row pass over stacked stage-1 samples, shared by the
+    batch and one-vector forms of the target.
 
-    Maps hyper vectors ``[p, d]`` to log-likelihoods ``[p]``. ``stage1``
-    holds sample sets or plain ``[n, k + 1]`` matrices. All datasets' rows
-    are stacked into one matrix; blocks of hyper vectors are evaluated
-    against all of it at once, at most ``STAGE2_CHUNK_ROWS`` stacked rows x
-    vectors per block. Stage-1 sigma draws outside the truncation range
-    contribute -inf rows regardless of the hyper vector, so that mask is
-    precomputed once.
+    ``stage1`` holds sample sets or plain ``[n, k + 1]`` matrices. All
+    datasets' rows are stacked into one matrix, once. Stage-1 sigma draws
+    outside the truncation range contribute -inf rows regardless of the
+    hyper vector, so that mask is precomputed too.
+
+    Returns ``(row_pass, n_theta, base_const, n_rows)``. ``row_pass(mu, sd,
+    rho, offset)`` maps a block of b hyper vectors to their pooled
+    log-likelihoods ``[b]``: ``mu`` and ``sd`` are ``[b, n_theta + 1]``,
+    ``rho`` is a ``[b, 1]`` column (None in the diagonal case) and
+    ``offset``, the per-vector log normalising constant, is a ``[b, 1]``
+    column or a float. Every vector must be valid (sd > 0, sigma mass
+    > 0, |rho| < 1); the callers screen the others out.
     """
     mats = [np.asarray(getattr(ss, "samples", ss), dtype=float) for ss in stage1]
     dims = {m.shape[1] for m in mats}
@@ -321,10 +327,38 @@ def _stage2_target_batch(stage1: Sequence, bounds, correlated, sigma_trunc):
     # added to every row: -inf on draws outside the truncation range
     sigma_mask = None if sigma_ok.all() else np.where(sigma_ok, 0.0, -np.inf)
     base_const = -0.5 * (n_theta + 1) * math.log(2.0 * math.pi)
-    block = max(1, STAGE2_CHUNK_ROWS // stacked.shape[0])
     # components on the leading axis keep numpy's inner loops over the long
     # row axis
     stacked_t = np.ascontiguousarray(stacked.T)
+
+    def row_pass(mu, sd, rho, offset) -> np.ndarray:
+        # in-place steps keep the block's scratch at one [b, d, rows] array
+        z = stacked_t - mu[:, :, None]
+        z /= sd[:, :, None]
+        if correlated:
+            quad = (
+                z[:, 0] ** 2 - 2.0 * rho * z[:, 0] * z[:, 1] + z[:, 1] ** 2
+            ) / (1.0 - rho**2) + z[:, 2] ** 2
+        else:
+            quad = np.square(z, out=z).sum(axis=1)
+        del z  # release the scratch before the segment sums allocate theirs
+        rows = offset - 0.5 * quad
+        if sigma_mask is not None:
+            rows += sigma_mask
+        return (segment_logsumexp(rows, starts, counts) - log_counts).sum(axis=1)
+
+    return row_pass, n_theta, base_const, stacked.shape[0]
+
+
+def _stage2_target_batch(stage1: Sequence, bounds, correlated, sigma_trunc):
+    """Log-likelihood of hyper vectors given stacked stage-1 samples.
+
+    Maps hyper vectors ``[p, d]`` to log-likelihoods ``[p]``, in blocks of
+    at most ``STAGE2_CHUNK_ROWS`` stacked rows x vectors through the row
+    pass of :func:`_stage2_rows`.
+    """
+    row_pass, n_theta, base_const, n_rows = _stage2_rows(stage1, bounds, correlated, sigma_trunc)
+    block = max(1, STAGE2_CHUNK_ROWS // n_rows)
 
     def loglik(vecs: np.ndarray) -> np.ndarray:
         vecs = np.asarray(vecs, dtype=float)
@@ -348,25 +382,11 @@ def _stage2_target_batch(stage1: Sequence, bounds, correlated, sigma_trunc):
                 return out
             offset = base_const - np.log(sd).sum(axis=1) - np.log(z_trunc)
             if correlated:
-                one_m_rho2 = 1.0 - rho**2
-                offset -= 0.5 * np.log(one_m_rho2)
+                offset -= 0.5 * np.log(1.0 - rho**2)
             for lo in range(0, vecs.shape[0], block):
                 b = slice(lo, lo + block)
-                # in-place steps keep the block's scratch at one [block, d, rows] array
-                z = stacked_t - mu[b, :, None]
-                z /= sd[b, :, None]
-                if correlated:
-                    r = rho[b, None]
-                    quad = (
-                        z[:, 0] ** 2 - 2.0 * r * z[:, 0] * z[:, 1] + z[:, 1] ** 2
-                    ) / one_m_rho2[b, None] + z[:, 2] ** 2
-                else:
-                    quad = np.square(z, out=z).sum(axis=1)
-                del z  # release the scratch before the segment sums allocate theirs
-                rows = offset[b, None] - 0.5 * quad
-                if sigma_mask is not None:
-                    rows += sigma_mask
-                out[b] = (segment_logsumexp(rows, starts, counts) - log_counts).sum(axis=1)
+                r = rho[b, None] if correlated else None
+                out[b] = row_pass(mu[b], sd[b], r, offset[b, None])
         if n_ok < ok.size:
             out[~ok] = -np.inf
         return out
@@ -376,9 +396,54 @@ def _stage2_target_batch(stage1: Sequence, bounds, correlated, sigma_trunc):
 
 def _stage2_target(stage1: Sequence, bounds, correlated, sigma_trunc):
     """:func:`_stage2_target_batch` for one hyper vector ``[d] -> float``,
-    the form the slice sampler calls."""
-    batch, n_theta = _stage2_target_batch(stage1, bounds, correlated, sigma_trunc)
-    return (lambda vec: float(batch(vec[None])[0])), n_theta
+    the form the slice sampler calls, with the same result bytes.
+
+    An invalid vector returns -inf before any array work; a valid one gets
+    its constants in plain floats and one row pass over ``[1, ·]`` views of
+    the vector, with no ``np.errstate``. Three choices keep the batch
+    form's bits: logs go through ``np.log`` (``math.log`` differs in the
+    last bit for some inputs), ``z_trunc`` through scipy's ``ndtr``, and
+    ``1 - rho^2`` is ``1.0 - rho * rho`` (numpy squares an array, where
+    Python's float ``**`` calls libm's ``pow``). A vector whose sd is so
+    small that z overflows warns of it in both forms, and in the
+    correlated case this form also warns of the ``inf - inf`` that follows.
+    """
+    row_pass, n_theta, base_const, _ = _stage2_rows(stage1, bounds, correlated, sigma_trunc)
+    k = n_theta + 1
+    if k >= 8:
+        # numpy sums 8 or more terms pairwise, not left to right as below;
+        # no model family has that many parameters
+        batch, _ = _stage2_target_batch(stage1, bounds, correlated, sigma_trunc)
+        return (lambda vec: float(batch(vec[None])[0])), n_theta
+
+    def loglik(vec: np.ndarray) -> float:
+        v = vec.tolist()
+        sd = v[k : 2 * k]
+        for s in sd:
+            if not s > 0:
+                return -math.inf
+        mu_s, sd_s = v[n_theta], sd[-1]
+        z_trunc = float(ndtr((sigma_trunc - mu_s) / sd_s) - ndtr(-mu_s / sd_s))
+        if not z_trunc > 0:
+            return -math.inf
+        rho = None
+        if correlated:
+            r = v[-1]
+            if not abs(r) < 1:
+                return -math.inf
+            rho = vec[None, -1:]
+        # numpy sums fewer than 8 terms left to right (Python's sum() of
+        # floats is compensated from 3.12 on)
+        log_sd = np.log(vec[k : 2 * k]).tolist()
+        sum_log_sd = log_sd[0]
+        for term in log_sd[1:]:
+            sum_log_sd += term
+        offset = base_const - sum_log_sd - float(np.log(z_trunc))
+        if correlated:
+            offset -= 0.5 * float(np.log(1.0 - r * r))
+        return float(row_pass(vec[None, :k], vec[None, k : 2 * k], rho, offset)[0])
+
+    return loglik, n_theta
 
 
 class HyperRowError(ValueError):

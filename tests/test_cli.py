@@ -226,6 +226,44 @@ class TestExitCodes:
         assert main(["fit-historical", "--config", str(config), "--out", str(tmp_path)]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command", ["fit-historical", "fit-current"])
+    def test_family_outside_the_data_domain_is_data_error(self, tmp_path, capsys, command):
+        """The single-exponential battery family is defined from cycle 1;
+        fitted to a crack fleet whose cycles start at 0 it exits 2 before
+        any sampling, naming the dataset file and the family."""
+        config_dict = json.loads(json.dumps(BASE_CONFIG))
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(config_dict))
+        assert main(["synth", "--config", str(config), "--out", str(tmp_path / "data")]) == 0
+        config_dict.update(
+            family="batt-single",
+            sigma_trunc=0.4,
+            stage1_bounds={"lower": [0.05] * 3 + [1e-4], "upper": [1.8] * 3 + [0.4]},
+            hyper_bounds={"mu_theta": [[0.0, 1.8]] * 3, "sd_theta": [[0.0, 0.4]] * 3,
+                          "mu_sigma": [0.0, 0.4], "sd_sigma": [0.0, 0.2]},
+        )
+        config.write_text(json.dumps(config_dict))
+        labels = ("mu_theta1", "mu_theta2", "mu_theta3", "mu_sigma",
+                  "sd_theta1", "sd_theta2", "sd_theta3", "sd_sigma")
+        prov = {"n_theta": 3, "correlated": False, "sigma_trunc": 0.4}
+        rows = np.tile([1.0, 1.0, 1.0, 0.1, 0.1, 0.1, 0.1, 0.05], (4, 1))
+        save_sample_set(SampleSet(rows, labels, prov), tmp_path / "hyper")
+        capsys.readouterr()
+        assert main([command, "--config", str(config), "--out", str(tmp_path)]) == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "DataFormatError"
+        first = "S1.csv" if command == "fit-historical" else "S4.csv"
+        assert str(tmp_path / "data" / first) in record["message"]
+        assert "'batt-single'" in record["message"]
+
+    def test_unknown_config_field_is_data_error(self, tmp_path, capsys):
+        config_dict = {**BASE_CONFIG, "n_samples": 100}
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(config_dict))
+        assert main(["fit-historical", "--config", str(config), "--out", str(tmp_path)]) == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record == {"error": "DataFormatError", "message": "config: unknown field 'n_samples'"}
+
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         """Bounds that force divergence before every observed cycle leave no
         finite log-target point, a numerical failure."""

@@ -1,11 +1,13 @@
 """Two-stage workflow: per-dataset inference, hyper-posterior pooling,
 current-unit updating, the classical baseline and model selection."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import hbprog.hierarchy as hierarchy
 from hbprog.hierarchy import (
     Candidate,
     ClassicalPrior,
@@ -84,6 +86,30 @@ class TestStage1:
         point = np.array([1.0, 1.05, 0.05])
         out = stage1_infer(data, model, (point, point), SamplerConfig(n_samples=50, seed=0))
         assert np.all(out.samples == point)
+
+    def test_n_evals_counts_pilot_and_final_runs(self, monkeypatch):
+        """The whitened run's ``n_evals`` is the log-target calls of its
+        pilot and final slice runs; initialisation calls are not counted."""
+        runs = []
+        run = hierarchy.slice_sample
+
+        def counted(target, init, config):
+            calls = []
+
+            def log_target(x):
+                calls.append(1)
+                return target.log_target(x)
+
+            out = run(dataclasses.replace(target, log_target=log_target), init, config)
+            runs.append(len(calls))
+            return out
+
+        monkeypatch.setattr(hierarchy, "slice_sample", counted)
+        data = make_dataset([0, 4000, 8000, 12000], [1.0, 1.12, 1.27, 1.45])
+        model = ParisCrackModel(GEOMETRY, CONST_LOADING)
+        out = stage1_infer(data, model, CRACK_BOUNDS, SamplerConfig(n_samples=60, seed=2))
+        assert len(runs) == 2
+        assert out.provenance["n_evals"] == sum(runs)
 
     def test_empty_dataset_rejected(self):
         data = make_dataset([], [])

@@ -129,6 +129,21 @@ class TestLoadDataset:
         assert set(json.loads((tmp_path / "a.meta.json").read_text())["loading"]) == keys
 
 
+    def test_int_valued_loading_and_geometry_save_as_they_load(self, tmp_path):
+        """Numeric loading and geometry fields given as ints are stored as
+        floats, so the first save already matches a save of the loaded
+        dataset."""
+        loading = LoadingSpec("two-block", delta_sigma1=50, n1=60, delta_sigma2=90, n2=40)
+        geometry = CrackGeometry(a0=1, n0=0, a_f=25)
+        assert loading.n1 == 60.0 and type(loading.n1) is float
+        assert type(geometry.a0) is float and type(geometry.n0) is float
+        ds = make_dataset([0, 500, 1200], [1.0, 1.05, 1.13], loading=loading, geometry=geometry)
+        save_dataset(ds, tmp_path / "a.csv")
+        save_dataset(load_dataset(tmp_path / "a.csv"), tmp_path / "b.csv")
+        for suffix in (".csv", ".meta.json"):
+            assert (tmp_path / f"a{suffix}").read_bytes() == (tmp_path / f"b{suffix}").read_bytes()
+
+
 class TestSampleSetPersistence:
     def test_roundtrip_lossless(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -355,6 +370,13 @@ class TestRunConfig:
         assert cfg.sampler_config().seed == 9
         assert cfg.sampler_config().n_samples == 40
         assert cfg.fingerprint() != plain.fingerprint()
+
+    def test_unknown_top_level_field_rejected(self):
+        raw = self._config_dict()
+        raw["stage1_bound"] = raw["stage1_bounds"]  # a misspelt section
+        with pytest.raises(DataFormatError, match="unknown field 'stage1_bound'"):
+            RunConfig(raw)
+        assert RunConfig({"family": "paris"}).family == "paris"
 
     def test_missing_fields_reported(self):
         cfg = RunConfig({"family": "paris"})

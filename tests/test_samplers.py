@@ -61,6 +61,17 @@ class TestSliceSampler:
         assert np.array_equal(a.samples, b.samples)
         assert a.provenance == b.provenance
 
+    def test_n_evals_counts_every_log_target_call(self):
+        calls = []
+
+        def log_target(x):
+            calls.append(1)
+            return -0.5 * float(x @ x)
+
+        target = TargetSpec(2, log_target, name="counted")
+        out = slice_sample(target, np.zeros(2), SamplerConfig(n_samples=50, seed=8))
+        assert out.provenance["n_evals"] == len(calls) > 1
+
     def test_init_outside_support_rejected(self):
         target = TargetSpec(
             1, lambda x: 0.0, lower=np.array([0.0]), upper=np.array([1.0])

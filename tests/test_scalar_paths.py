@@ -15,10 +15,17 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import ndtr
 
 import hbprog.hierarchy as hierarchy
-from hbprog.hierarchy import Dataset, _mixture_kernel, _stage2_target, build_model
+from hbprog.hierarchy import (
+    Dataset,
+    _mixture_kernel,
+    _stage2_target,
+    _stage2_target_batch,
+    build_model,
+)
 from hbprog.models import (
     PARIS_M_TOL,
     BatteryDoubleModel,
@@ -367,9 +374,10 @@ def test_segment_logsumexp_matches_reference():
         assert same(logsumexp(a), ref_logsumexp(a))
 
 
-@pytest.mark.parametrize("correlated", [False, True], ids=["diag", "corr"])
-def test_stage2_one_vector_matches_reference(correlated):
-    rng = np.random.default_rng(12)
+def _stage2_forms(rng, correlated):
+    """The one-vector and batch stage-2 forms over three stage-1 sets, one
+    holding a sigma draw outside the truncation range, and a check that
+    both give the bytes of :func:`ref_stage2` at a vector."""
     mats = [
         np.column_stack([rng.normal(1, 0.05, n), rng.normal(1.05, 0.01, n), rng.uniform(0.03, 0.12, n)])
         for n in (40, 25, 40)
@@ -378,8 +386,23 @@ def test_stage2_one_vector_matches_reference(correlated):
     sets = [SampleSet(m, ("theta1", "theta2", "sigma")) for m in mats]
     bounds = HyperPriorBounds.crack_default(correlated)
     loglik, n_theta = _stage2_target(sets, bounds, correlated, 0.2)
+    batch, _ = _stage2_target_batch(sets, bounds, correlated, 0.2)
     stacked = np.vstack(mats)
     counts = np.array([m.shape[0] for m in mats])
+
+    def check(vec):
+        vec = np.array(vec, dtype=float)
+        want = ref_stage2(stacked, counts, n_theta, correlated, 0.2, vec)
+        assert same(loglik(vec), want), vec
+        assert same(batch(vec[None])[0], want), vec
+
+    return check, bounds
+
+
+@pytest.mark.parametrize("correlated", [False, True], ids=["diag", "corr"])
+def test_stage2_one_vector_matches_reference(correlated):
+    rng = np.random.default_rng(12)
+    check, _ = _stage2_forms(rng, correlated)
     base = [1.0, 1.05, 0.08, 0.05, 0.01, 0.03] + ([0.3] if correlated else [])
     vecs = [base]
     for _ in range(20):
@@ -387,13 +410,120 @@ def test_stage2_one_vector_matches_reference(correlated):
     bad = [(3, 0.0), (4, -0.01), (5, 0.0), (2, 5.0)]  # sd = 0, sd < 0, sd_sigma = 0, no mass
     if correlated:
         bad += [(6, 1.0), (6, -1.0), (6, 1.5)]
+    bad += [(j, math.nan) for j in range(len(base))]
     for j, value in bad:
         v = list(base)
         v[j] = value
         vecs.append(v)
     for vec in vecs:
-        vec = np.array(vec)
-        assert same(loglik(vec), ref_stage2(stacked, counts, n_theta, correlated, 0.2, vec)), vec
+        check(vec)
+    for vec in _bit_trap_vectors(base, correlated):
+        check(vec)
+    # z overflows at the smallest subnormal sd (in the reference also at a
+    # tiny negative one), which warns
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in (3, 4, 5):
+            for value in (5e-324, -5e-324):
+                v = list(base)
+                v[j] = value
+                check(v)
+
+
+def _mass(mu_s, sd_s):
+    return float(ndtr((0.2 - mu_s) / sd_s) - ndtr(-mu_s / sd_s))
+
+
+def _plain_offset(vec, log, square):
+    """The log normalising constant of a crack hyper vector in plain floats,
+    with the logs taken by ``log`` and rho^2 by ``square``."""
+    sd = vec[3:6]
+    log_sd = [log(s) for s in sd]
+    offset = -1.5 * math.log(2.0 * math.pi) - ((log_sd[0] + log_sd[1]) + log_sd[2])
+    offset -= log(_mass(vec[2], sd[2]))
+    if len(vec) == 7:
+        offset -= 0.5 * log(1.0 - square(vec[6]))
+    return offset
+
+
+def _bit_trap_vectors(base, correlated, per_trap=4):
+    """Variants of ``base`` whose log normalising constant moves when a
+    plain-float shortcut replaces the one-vector form's arithmetic:
+    ``math.log`` for ``np.log`` at an sd or at the truncation mass of a
+    (mu_sigma, sd_sigma) pair, or (corr) Python's ``rho ** 2`` for
+    ``rho * rho``. Such values exist only where the two differ in the last
+    bit, which may be nowhere on another platform."""
+    rng = np.random.default_rng(17)
+
+    def np_log(x):
+        return float(np.log(x))
+
+    def logs_differ(x):
+        return math.log(x) != np_log(x)
+
+    def traps(values, differs, make_vec, log, square):
+        """Vectors from the values at which the two forms differ and the
+        difference reaches the constant."""
+        out = []
+        for value in values:
+            if differs(value):
+                vec = make_vec(value)
+                if _plain_offset(vec, log, square) != _plain_offset(vec, np_log, lambda r: r * r):
+                    out.append(vec)
+                    if len(out) == per_trap:
+                        break
+        return out
+
+    vecs = traps(rng.uniform(0.005, 0.1, 200_000).tolist(), logs_differ,
+                 lambda sd: base[:3] + [sd] + base[4:], math.log, lambda r: r * r)
+    # unit sd_thetas and sd_sigma near exp(-1.5 log 2 pi) cancel the rest of
+    # the constant, so its last bit is that of log z_trunc
+    pairs = zip(rng.uniform(0.02, 0.18, 20_000).tolist(), rng.uniform(0.063, 0.064, 20_000).tolist())
+    vecs += traps(pairs, lambda pair: logs_differ(_mass(*pair)),
+                  lambda pair: base[:2] + [pair[0], 1.0, 1.0, pair[1]] + base[6:],
+                  math.log, lambda r: r * r)
+    if correlated:
+        # |rho| near 1: log(1 - rho^2) is large and sensitive to the last bit of rho^2
+        vecs += traps((rng.choice([-1.0, 1.0]) * rng.uniform(0.9, 0.999, 20_000)).tolist(),
+                      lambda r: r**2 != r * r, lambda r: base[:6] + [r], np_log, lambda r: r**2)
+    return vecs
+
+
+def _hyper_vectors(correlated):
+    """Hyper vectors drawn inside the crack hyper box and up to one box
+    width outside it on either side, per coordinate."""
+    bounds = HyperPriorBounds.crack_default(correlated)
+    coords = [
+        st.floats(lo - (hi - lo), hi + (hi - lo), allow_nan=False)
+        for lo, hi in bounds.pairs(correlated)
+    ]
+    return st.tuples(*coords)
+
+
+STAGE2_FORMS = {c: _stage2_forms(np.random.default_rng(13), c)[0] for c in (False, True)}
+
+
+@pytest.mark.parametrize("correlated", [False, True], ids=["diag", "corr"])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_stage2_one_vector_matches_reference_drawn(correlated, data):
+    vec = data.draw(_hyper_vectors(correlated))
+    with np.errstate(over="ignore", invalid="ignore"):  # subnormal sds overflow z
+        STAGE2_FORMS[correlated](vec)
+
+
+def test_stage2_one_vector_wide_family_matches_batch():
+    """A vector of 8 or more sds, which numpy sums pairwise, goes through
+    the batch kernel and keeps its bytes."""
+    rng = np.random.default_rng(14)
+    n_theta = 7
+    sets = [np.column_stack([rng.normal(1, 0.05, (30, n_theta)), rng.uniform(0.03, 0.3, 30)])
+            for _ in range(2)]
+    bounds = HyperPriorBounds.battery_default(n_theta)
+    loglik, _ = _stage2_target(sets, bounds, False, 0.4)
+    batch, _ = _stage2_target_batch(sets, bounds, False, 0.4)
+    for _ in range(50):
+        vec = rng.uniform(bounds.lower(False), bounds.upper(False))
+        assert same(loglik(vec), batch(vec[None])[0])
 
 
 @pytest.mark.parametrize(
@@ -444,6 +574,66 @@ def test_whitened_slice_draws_match_reference_target(crack_fleet, monkeypatch):
     target = TargetSpec(3, ref_target, lower, upper, captured["target"].labels, name="stage1:ref")
     want = run(target, captured["init"], config)
     assert got.samples.tobytes() == want.samples.tobytes()
+
+
+def _stage1_sets(rng):
+    return [
+        SampleSet(np.column_stack([rng.normal(1, 0.05, n), rng.normal(1.05, 0.01, n),
+                                   rng.uniform(0.03, 0.12, n)]), ("theta1", "theta2", "sigma"))
+        for n in (30, 45, 30)
+    ]
+
+
+@pytest.mark.parametrize("correlated", [False, True], ids=["diag", "corr"])
+def test_stage2_slice_draws_match_reference_target(correlated, monkeypatch):
+    """A short stage-2 slice run through the target of ``stage2_infer`` and
+    one through the reference target draw the same bytes with the same
+    number of log-target calls."""
+    sets = _stage1_sets(np.random.default_rng(15))
+    bounds = HyperPriorBounds.crack_default(correlated)
+    captured = {}
+    run = hierarchy.slice_sample
+    monkeypatch.setattr(
+        hierarchy, "slice_sample",
+        lambda target, init, config: captured.update(target=target, init=init, config=config)
+        or run(target, init, config),
+    )
+    case = "corr" if correlated else "diag"
+    got = hierarchy.stage2_infer(sets, bounds, case, SamplerConfig(n_samples=40, seed=4))
+    stacked = np.vstack([ss.samples for ss in sets])
+    counts = np.array([ss.n for ss in sets])
+    lower, upper = bounds.lower(correlated), bounds.upper(correlated)
+    const = bounds.log_prior_const(correlated)
+
+    def ref_target(vec):
+        if np.any(vec < lower) or np.any(vec > upper):
+            return -math.inf
+        return const + ref_stage2(stacked, counts, 2, correlated, 0.2, vec)
+
+    labels = captured["target"].labels
+    target = TargetSpec(lower.size, ref_target, lower, upper, labels, name="stage2:ref")
+    want = run(target, captured["init"], captured["config"])
+    assert got.samples.tobytes() == want.samples.tobytes()
+    assert got.provenance["n_evals"] == want.provenance["n_evals"] > 0
+
+
+def test_stage2_one_vector_form_keeps_draws_and_counts(monkeypatch):
+    """``stage2_infer`` draws the same samples with the same ``n_evals``
+    whether the slice target is the one-vector form or the batch kernel
+    called through ``vec[None]``."""
+    sets = _stage1_sets(np.random.default_rng(16))
+    bounds = HyperPriorBounds.crack_default()
+    config = SamplerConfig(n_samples=40, seed=6)
+    got = hierarchy.stage2_infer(sets, bounds, "diag", config)
+
+    def through_batch(*args):
+        batch, n_theta = _stage2_target_batch(*args)
+        return (lambda vec: float(batch(vec[None])[0])), n_theta
+
+    monkeypatch.setattr(hierarchy, "_stage2_target", through_batch)
+    want = hierarchy.stage2_infer(sets, bounds, "diag", config)
+    assert got.samples.tobytes() == want.samples.tobytes()
+    assert got.provenance == want.provenance
 
 
 def test_box_checks_reject_each_coordinate(crack_fleet, monkeypatch):
