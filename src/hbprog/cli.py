@@ -98,16 +98,22 @@ def _build_parser() -> _Parser:
 def _load_current(cfg: RunConfig) -> tuple:
     dataset = load_dataset(cfg.current_path())
     if cfg.cutoff is None:
+        if not len(dataset):
+            raise DataFormatError(
+                f"{cfg.current_path()}: the current unit has no data points; "
+                "pass --cutoff to forecast from the prior"
+            )
         return dataset, dataset, float(dataset.cycles[-1])
     return dataset, dataset.truncate(cfg.cutoff), cfg.cutoff
 
 
 def _check_domain(dataset, path: Path, family: str | None) -> None:
     """Raise a :class:`DataFormatError` naming the file and the family when
-    the dataset's first cycle lies below the fitted family's domain."""
+    the dataset's first cycle lies below the fitted family's domain (an
+    empty dataset has no first cycle and passes)."""
     family = family or dataset.family
     lowest = FAMILIES[family].min_cycle
-    if dataset.cycles[0] < lowest:
+    if len(dataset) and dataset.cycles[0] < lowest:
         raise DataFormatError(
             f"{path}: family {family!r} is defined for cycles >= {lowest:g}, "
             f"but the data start at cycle {dataset.cycles[0]}"
@@ -179,9 +185,10 @@ def cmd_fit_current(cfg: RunConfig, args, out: Path) -> str:
 def _posterior_and_model(cfg: RunConfig, args, out: Path):
     stem = Path(args.posterior) if args.posterior else out / "current_posterior"
     samples = load_sample_set(stem)
-    dataset, _, t_c = _load_current(cfg)
     if "t_c" in samples.provenance:
-        t_c = float(samples.provenance["t_c"])
+        dataset, t_c = load_dataset(cfg.current_path()), float(samples.provenance["t_c"])
+    else:
+        dataset, _, t_c = _load_current(cfg)
     return samples, build_model(dataset, cfg.family, cfg.nominals), t_c
 
 
@@ -214,7 +221,11 @@ def cmd_rul(cfg: RunConfig, args, out: Path) -> str:
 
 def cmd_model_select(cfg: RunConfig, args, out: Path) -> str:
     candidates = cfg.candidates()
-    datasets = [load_dataset(p) for p in cfg.historical_paths()]
+    paths = cfg.historical_paths()
+    datasets = [load_dataset(p) for p in paths]
+    for cand in candidates:
+        for ds, path in zip(datasets, paths):
+            _check_domain(ds, path, cand.family)
     records = model_select(
         datasets, candidates, cfg.sampler_config(), case=cfg.case, stage1_thin=cfg.stage1_thin
     )
@@ -241,6 +252,7 @@ def cmd_model_select(cfg: RunConfig, args, out: Path) -> str:
 def cmd_compare_prior(cfg: RunConfig, args, out: Path) -> str:
     prior = cfg.literature_prior()
     dataset, truncated, t_c = _load_current(cfg)
+    _check_domain(dataset, cfg.current_path(), cfg.family)
     model = build_model(dataset, cfg.family, cfg.nominals)
     posterior = classical_update(truncated, prior, model, cfg.sampler_config())
     posterior.provenance.update(t_c=t_c, n_data=len(truncated), prior="literature")

@@ -400,21 +400,17 @@ def _stage2_target(stage1: Sequence, bounds, correlated, sigma_trunc):
 
     An invalid vector returns -inf before any array work; a valid one gets
     its constants in plain floats and one row pass over ``[1, ·]`` views of
-    the vector, with no ``np.errstate``. Three choices keep the batch
+    the vector, with no ``np.errstate``. Four choices keep the batch
     form's bits: logs go through ``np.log`` (``math.log`` differs in the
-    last bit for some inputs), ``z_trunc`` through scipy's ``ndtr``, and
-    ``1 - rho^2`` is ``1.0 - rho * rho`` (numpy squares an array, where
+    last bit for some inputs), the sd logs are summed by numpy's
+    add-reduce, ``z_trunc`` goes through scipy's ``ndtr``, and ``1 -
+    rho^2`` is ``1.0 - rho * rho`` (numpy squares an array, where
     Python's float ``**`` calls libm's ``pow``). A vector whose sd is so
     small that z overflows warns of it in both forms, and in the
     correlated case this form also warns of the ``inf - inf`` that follows.
     """
     row_pass, n_theta, base_const, _ = _stage2_rows(stage1, bounds, correlated, sigma_trunc)
     k = n_theta + 1
-    if k >= 8:
-        # numpy sums 8 or more terms pairwise, not left to right as below;
-        # no model family has that many parameters
-        batch, _ = _stage2_target_batch(stage1, bounds, correlated, sigma_trunc)
-        return (lambda vec: float(batch(vec[None])[0])), n_theta
 
     def loglik(vec: np.ndarray) -> float:
         v = vec.tolist()
@@ -432,13 +428,9 @@ def _stage2_target(stage1: Sequence, bounds, correlated, sigma_trunc):
             if not abs(r) < 1:
                 return -math.inf
             rho = vec[None, -1:]
-        # numpy sums fewer than 8 terms left to right (Python's sum() of
-        # floats is compensated from 3.12 on)
-        log_sd = np.log(vec[k : 2 * k]).tolist()
-        sum_log_sd = log_sd[0]
-        for term in log_sd[1:]:
-            sum_log_sd += term
-        offset = base_const - sum_log_sd - float(np.log(z_trunc))
+        # the batch form's add-reduce over the same k contiguous floats
+        # (Python's sum() of floats is compensated from 3.12 on)
+        offset = base_const - float(np.log(vec[k : 2 * k]).sum()) - float(np.log(z_trunc))
         if correlated:
             offset -= 0.5 * float(np.log(1.0 - r * r))
         return float(row_pass(vec[None, :k], vec[None, k : 2 * k], rho, offset)[0])

@@ -226,22 +226,30 @@ class TestExitCodes:
         assert main(["fit-historical", "--config", str(config), "--out", str(tmp_path)]) == 2
         capsys.readouterr()
 
-    @pytest.mark.parametrize("command", ["fit-historical", "fit-current"])
+    @pytest.mark.parametrize("command", ["fit-historical", "fit-current", "compare-prior",
+                                         "model-select"])
     def test_family_outside_the_data_domain_is_data_error(self, tmp_path, capsys, command):
         """The single-exponential battery family is defined from cycle 1;
-        fitted to a crack fleet whose cycles start at 0 it exits 2 before
-        any sampling, naming the dataset file and the family."""
+        fitted to a crack fleet whose cycles start at 0 (as the family of
+        the run or of a model-selection candidate) it exits 2 before any
+        sampling, naming the dataset file and the family."""
         config_dict = json.loads(json.dumps(BASE_CONFIG))
         config = tmp_path / "run.json"
         config.write_text(json.dumps(config_dict))
         assert main(["synth", "--config", str(config), "--out", str(tmp_path / "data")]) == 0
-        config_dict.update(
+        battery = dict(
             family="batt-single",
             sigma_trunc=0.4,
             stage1_bounds={"lower": [0.05] * 3 + [1e-4], "upper": [1.8] * 3 + [0.4]},
             hyper_bounds={"mu_theta": [[0.0, 1.8]] * 3, "sd_theta": [[0.0, 0.4]] * 3,
                           "mu_sigma": [0.0, 0.4], "sd_sigma": [0.0, 0.2]},
         )
+        if command == "model-select":
+            config_dict["candidates"] = [BASE_CANDIDATE, battery]
+        else:
+            config_dict.update(battery)
+            config_dict["literature_prior"] = {"means": [1.0] * 3, "sds": [0.1] * 3,
+                                               "sigma_bounds": [0.001, 0.4]}
         config.write_text(json.dumps(config_dict))
         labels = ("mu_theta1", "mu_theta2", "mu_theta3", "mu_sigma",
                   "sd_theta1", "sd_theta2", "sd_theta3", "sd_sigma")
@@ -252,9 +260,43 @@ class TestExitCodes:
         assert main([command, "--config", str(config), "--out", str(tmp_path)]) == 2
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert record["error"] == "DataFormatError"
-        first = "S1.csv" if command == "fit-historical" else "S4.csv"
+        first = "S1.csv" if command in ("fit-historical", "model-select") else "S4.csv"
         assert str(tmp_path / "data" / first) in record["message"]
         assert "'batt-single'" in record["message"]
+
+    def test_empty_dataset(self, tmp_path, capsys):
+        """A header-only dataset file: a historical one is a numerical
+        failure of stage 1 (exit 3), a current one is fitted from the prior
+        up to ``--cutoff`` (exit 0) and forecast from that posterior's t_c,
+        and without ``--cutoff`` or such a posterior it exits 2 naming the
+        file. No command prints a traceback."""
+        config_dict = json.loads(json.dumps(BASE_CONFIG))
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(config_dict))
+        assert main(["synth", "--config", str(config), "--out", str(tmp_path / "data")]) == 0
+        data = tmp_path / "data"
+        (data / "E.csv").write_text((data / "S4.csv").read_text().splitlines()[0] + "\n")
+        (data / "E.meta.json").write_text((data / "S4.meta.json").read_text())
+        labels = ("mu_theta1", "mu_theta2", "mu_sigma", "sd_theta1", "sd_theta2", "sd_sigma")
+        prov = {"n_theta": 2, "correlated": False, "sigma_trunc": 0.2}
+        rows = np.tile([1.0, 1.05, 0.08, 0.08, 0.02, 0.03], (4, 1))
+        save_sample_set(SampleSet(rows, labels, prov), tmp_path / "hyper")
+        config_dict["sampler"] = {"n_samples": 50, "kind": "slice"}
+        config_dict["datasets"] = {"historical": ["data/S1.csv", "data/E.csv"],
+                                   "current": "data/E.csv"}
+        config.write_text(json.dumps(config_dict))
+        capsys.readouterr()
+        run = ["--config", str(config), "--out", str(tmp_path)]
+        assert main(["fit-historical", *run]) == 3
+        assert main(["fit-current", *run, "--cutoff", "5000"]) == 0
+        assert load_sample_set(tmp_path / "current_posterior").provenance["n_data"] == 0
+        assert main(["rul", *run]) == 0
+        assert main(["fit-current", *run]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        record = json.loads(err.strip().splitlines()[-1])
+        assert record["error"] == "DataFormatError"
+        assert str(data / "E.csv") in record["message"]
 
     def test_unknown_config_field_is_data_error(self, tmp_path, capsys):
         config_dict = {**BASE_CONFIG, "n_samples": 100}

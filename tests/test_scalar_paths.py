@@ -512,8 +512,9 @@ def test_stage2_one_vector_matches_reference_drawn(correlated, data):
 
 
 def test_stage2_one_vector_wide_family_matches_batch():
-    """A vector of 8 or more sds, which numpy sums pairwise, goes through
-    the batch kernel and keeps its bytes."""
+    """A vector of 8 sds, which numpy's add-reduce sums pairwise rather
+    than left to right, keeps the batch form's bytes in the one-vector
+    form."""
     rng = np.random.default_rng(14)
     n_theta = 7
     sets = [np.column_stack([rng.normal(1, 0.05, (30, n_theta)), rng.uniform(0.03, 0.3, 30)])
