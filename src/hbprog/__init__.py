@@ -11,9 +11,7 @@ __version__ = "0.1.0"
 
 from hbprog.models import (
     BatteryDoubleModel,
-    BatteryDoubleParams,
     BatterySingleModel,
-    BatterySingleParams,
     CrackDivergedError,
     CrackGeometry,
     CrackParams,
@@ -21,8 +19,6 @@ from hbprog.models import (
     LoadingSpec,
     NoFailureError,
     ParisCrackModel,
-    battery_capacity_double,
-    battery_capacity_single,
     crack_length,
     cycles_to_failure,
     equivalent_stress,

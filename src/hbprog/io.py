@@ -32,7 +32,13 @@ import numpy as np
 from hbprog import __version__
 from hbprog.hierarchy import Candidate, ClassicalPrior, Dataset, build_model
 from hbprog.models import FAMILIES, CrackGeometry, LoadingSpec
-from hbprog.prognosis import PrognosisConfig, PrognosisResult, end_of_life, quantile_levels
+from hbprog.prognosis import (
+    PrognosisConfig,
+    PrognosisResult,
+    _perturb,
+    end_of_life,
+    quantile_levels,
+)
 from hbprog.samplers import SampleSet, SamplerConfig, config_fingerprint, subseed
 from hbprog.targets import HyperParameters, HyperPriorBounds, trunc_normal_ppf
 
@@ -549,8 +555,10 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> tuple[list[Dataset], d
                 keep &= curve <= cap
             if int(keep.sum()) < spec.min_points or not model.admissible(theta):
                 continue
-            cycles_i = spec.cycles[keep]
-            values = _add_noise(curve[keep], sigma_eff, model.likelihood, rng)
+            cycles_i, values = spec.cycles[keep], curve[keep]
+            # noiseless data draws no normals
+            if sigma_eff != 0.0:
+                _perturb(values[None], np.array([sigma_eff]), model.likelihood, rng)
             if np.all(np.isfinite(values)) and np.all(values > 0):
                 break
         else:
@@ -580,16 +588,6 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> tuple[list[Dataset], d
         "units": truth_units,
     }
     return datasets, truth
-
-
-def _add_noise(curve: np.ndarray, sigma: float, likelihood: str, rng) -> np.ndarray:
-    if sigma == 0.0:
-        return curve.copy()
-    if likelihood == "gaussian":
-        return curve + sigma * rng.standard_normal(curve.size)
-    zeta2 = np.log1p((sigma / curve) ** 2)
-    eta = np.log(curve) - 0.5 * zeta2
-    return np.exp(eta + np.sqrt(zeta2) * rng.standard_normal(curve.size))
 
 
 def _true_eol(model, theta, spec: SyntheticSpec) -> float | None:
@@ -639,7 +637,8 @@ class RunConfig:
     """Parsed run configuration for the command-line pipeline; the one
     reader of the config document.
 
-    A top-level key outside :data:`CONFIG_FIELDS` is rejected. The
+    A key the reader of its section does not know is rejected, at the top
+    level (outside :data:`CONFIG_FIELDS`) and in every section. The
     top-level fields and the ``sampler`` and ``datasets`` sections are
     typed and range-checked when the config is built. A section that only
     some commands need (bounds, candidates, prognosis, synthetic fleet,
@@ -653,9 +652,7 @@ class RunConfig:
     def __init__(self, raw: dict, base_dir: Path | None = None):
         self.raw = raw
         self.base_dir = Path(base_dir) if base_dir is not None else Path.cwd()
-        for key in raw:
-            if key not in CONFIG_FIELDS:
-                raise DataFormatError(f"config: unknown field {key!r}")
+        self._known("", CONFIG_FIELDS)
         field = self._get
         self.family = field("family", _optional(_family), None)
         likelihood = field("likelihood", _optional(_text), None)
@@ -674,6 +671,7 @@ class RunConfig:
         self.hyper_subsample = field("hyper_subsample", _optional(_count), None)
         self.sampler_kind = field("sampler.kind", _choice("slice", "tmcmc"), "slice")
         self._sampler = self._sampler_config(field("sampler", _object, {}))
+        self._known("datasets", ("historical", "current"))
         self._historical = field("datasets.historical", _paths, None)
         self._current = field("datasets.current", _path, None)
 
@@ -704,6 +702,17 @@ class RunConfig:
     def _get(self, key: str, convert=None, default=_REQUIRED):
         return _field(self.raw, key, "config", convert, default)
 
+    def _known(self, key: str, names) -> None:
+        """Reject a key outside ``names`` in the object at the dotted
+        ``key`` (the whole document when empty), naming its dotted path. A
+        section that is absent or not an object is left to its reader."""
+        section = self._get(key, default=None) if key else self.raw
+        if isinstance(section, dict):
+            for name in section:
+                if name not in names:
+                    path = f"{key}.{name}" if key else name
+                    raise DataFormatError(f"config: unknown field {path!r}")
+
     def _section(self, name: str):
         """:meth:`_get` for the fields under the section ``name``."""
         return lambda key, convert=None, default=_REQUIRED: self._get(f"{name}.{key}", convert, default)
@@ -731,12 +740,11 @@ class RunConfig:
         key and value type checked; its seed defaults to the run seed."""
         hints = typing.get_type_hints(SamplerConfig)
         declared = {f.name: f.type for f in fields(SamplerConfig)}
+        self._known("sampler", ("kind", *declared))
         settings = {"seed": self.seed}
         for key, value in section.items():
             if key == "kind":
                 continue
-            if key not in declared:
-                raise DataFormatError(f"config: unknown field 'sampler.{key}'")
             if not _json_fits(value, hints[key]):
                 raise DataFormatError(
                     f"config: field 'sampler.{key}' must be of type {declared[key]}, got {value!r}"
@@ -765,6 +773,7 @@ class RunConfig:
         """The ``(lower, upper)`` arrays of the stage-1 prior box at ``key``.
         With a known ``family`` (the config's own by default) each must hold
         one entry per model parameter plus one for sigma."""
+        self._known(key, ("lower", "upper"))
         lower, upper = (np.asarray(self._get(f"{key}.{side}", _numbers)) for side in ("lower", "upper"))
         family = family or self.family
         dim = FAMILIES[family].n_theta + 1 if family else lower.size
@@ -783,6 +792,7 @@ class RunConfig:
     ) -> HyperPriorBounds:
         """The uniform hyper-prior box at ``key``; with a known ``family`` it
         must bound one mean and one spread per model parameter."""
+        self._known(key, ("mu_theta", "sd_theta", "mu_sigma", "sd_sigma", "rho"))
         mu_theta, sd_theta = (self._get(f"{key}.{k}", _pairs) for k in ("mu_theta", "sd_theta"))
         family = family or self.family
         if family and len(mu_theta) != FAMILIES[family].n_theta:
@@ -811,6 +821,9 @@ class RunConfig:
         # model selection ranks at least two candidates
         for i in range(len(self._get("candidates", lambda v: _list(v, 2)))):
             key = f"candidates[{i}]"
+            self._known(
+                key, ("family", "stage1_bounds", "hyper_bounds", "nominals", "sigma_trunc", "name")
+            )
             field = self._section(key)
             family = field("family", _family)
             out.append(
@@ -829,6 +842,7 @@ class RunConfig:
         """The ``literature_prior`` section: Gaussian means and sds of the
         physical parameters (one per parameter of ``family`` when it is set)
         and the error-scale prior."""
+        self._known("literature_prior", ("means", "sds", "sigma_bounds", "sigma_mu", "sigma_sd"))
         field = self._section("literature_prior")
         means, sds = field("means", _numbers), field("sds", _numbers)
         n_theta = FAMILIES[self.family].n_theta if self.family else len(means)
@@ -851,6 +865,7 @@ class RunConfig:
 
     def _linspace(self, key: str) -> np.ndarray:
         """The evenly spaced cycles of a ``{start, stop, num}`` section."""
+        self._known(key, ("start", "stop", "num"))
         start, stop = (self._get(f"{key}.{k}", _number) for k in ("start", "stop"))
         return np.linspace(start, stop, self._get(f"{key}.num", _count))
 
@@ -862,6 +877,9 @@ class RunConfig:
         return self._linspace("prognosis.grid")
 
     def prognosis_config(self, t_c: float) -> PrognosisConfig:
+        self._known(
+            "prognosis", ("threshold", "horizon", "quantiles", "include_observation_noise", "grid")
+        )
         field = self._section("prognosis")
         t_c, horizon = float(t_c), field("horizon", float)
         if not horizon > t_c:
@@ -877,6 +895,14 @@ class RunConfig:
         )
 
     def synthetic_spec(self) -> SyntheticSpec:
+        self._known(
+            "synthetic",
+            ("family", "psi", "n_units", "cycles", "noise_scale", "loading", "geometry",
+             "threshold", "nominals", "unit_prefix"),
+        )
+        self._known("synthetic.psi", ("mu0", "sd0", "mu_sigma", "sd_sigma", "rho", "sigma_trunc"))
+        self._known("synthetic.loading", [f.name for f in fields(LoadingSpec)])
+        self._known("synthetic.geometry", [f.name for f in fields(CrackGeometry)])
         field = self._section("synthetic")
         mu0, sd0 = (np.asarray(field(f"psi.{k}", _numbers)) for k in ("mu0", "sd0"))
         mu_sigma, sd_sigma = (field(f"psi.{k}", _number) for k in ("mu_sigma", "sd_sigma"))

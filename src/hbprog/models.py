@@ -133,67 +133,6 @@ class CrackParams:
         return math.exp(self.log_c)
 
 
-@dataclass(frozen=True)
-class BatterySingleParams:
-    """Normalized single-exponential capacity parameters.
-
-    Physical values: C0 = theta1 * nominals[0], a = theta2 * nominals[1],
-    b = theta3 * nominals[2].
-    """
-
-    theta1: float
-    theta2: float
-    theta3: float
-    nominals: tuple[float, float, float] = BATT_SINGLE_NOMINALS
-
-    def __post_init__(self):
-        if not self.c0 > 0:
-            raise ValueError("physical initial capacity C0 must be positive")
-
-    @property
-    def c0(self) -> float:
-        return self.theta1 * self.nominals[0]
-
-    @property
-    def a(self) -> float:
-        return self.theta2 * self.nominals[1]
-
-    @property
-    def b(self) -> float:
-        return self.theta3 * self.nominals[2]
-
-
-@dataclass(frozen=True)
-class BatteryDoubleParams:
-    """Normalized double-exponential capacity parameters (four terms)."""
-
-    theta1: float
-    theta2: float
-    theta3: float
-    theta4: float
-    nominals: tuple[float, float, float, float] = BATT_DOUBLE_NOMINALS
-
-    def __post_init__(self):
-        if not self.a + self.c > 0:
-            raise ValueError("capacity at cycle 0 (a + c) must be positive")
-
-    @property
-    def a(self) -> float:
-        return self.theta1 * self.nominals[0]
-
-    @property
-    def b(self) -> float:
-        return self.theta2 * self.nominals[1]
-
-    @property
-    def c(self) -> float:
-        return self.theta3 * self.nominals[2]
-
-    @property
-    def d(self) -> float:
-        return self.theta4 * self.nominals[3]
-
-
 def equivalent_stress(loading: LoadingSpec, m: float) -> float:
     """Equivalent constant amplitude for the given loading and Paris exponent.
 
@@ -322,95 +261,6 @@ def _profile_rows(
     return out
 
 
-def crack_length(
-    params: CrackParams,
-    geometry: CrackGeometry,
-    loading: LoadingSpec,
-    n_cycles,
-):
-    """Crack length (mm) after ``n_cycles`` total cycles.
-
-    Accepts a scalar or array of cycles, all >= the geometry's n0. Raises
-    :class:`CrackDivergedError` if the closed form diverges at or before any
-    requested cycle (the caller treats this as end-of-life reached).
-    """
-    scalar = np.ndim(n_cycles) == 0
-    n = np.atleast_1d(np.asarray(n_cycles, dtype=float))
-    if np.any(n < geometry.n0):
-        raise ValueError("requested cycles must be >= geometry.n0")
-    m = params.m
-    a0 = geometry.a0
-    a = _profile_raw(
-        m, params.log_c, a0, math.log(a0), geometry.n0, _log_ds(loading, m), n
-    )
-    bad = ~np.isfinite(a)
-    if np.any(bad):
-        raise CrackDivergedError(float(np.min(n[bad])))
-    return float(a[0]) if scalar else a
-
-
-def cycles_to_failure(
-    params: CrackParams,
-    geometry: CrackGeometry,
-    loading: LoadingSpec,
-    a_f: float | None = None,
-) -> float:
-    """Cycle count at which the crack reaches the critical length.
-
-    Inverts the implemented closed form exactly (including the m ~ 2
-    exponential branch). ``a_f`` overrides the geometry's critical length,
-    which is how prognosis thresholds are applied. A growth rate that
-    overflows diverges at once, so the crack fails at ``n0`` (where
-    :meth:`ParisCrackModel.predict` turns +inf). Raises
-    :class:`NoFailureError` when C <= 0 leaves the crack static.
-    """
-    m = params.m
-    log_ds = _log_ds(loading, m)
-    af = geometry.a_f if a_f is None else float(a_f)
-    if af < geometry.a0:
-        raise ValueError("critical length below initial length")
-    if af == geometry.a0:
-        return float(geometry.n0)
-    band = abs(m - 2.0) < PARIS_M_TOL
-    try:
-        rate = math.exp(params.log_c + (2.0 if band else m) * log_ds)
-    except OverflowError:
-        return float(geometry.n0)
-    if band:
-        if rate == 0.0:
-            raise NoFailureError("no finite failure time: crack growth rate is zero")
-        return geometry.n0 + math.log(af / geometry.a0) / rate
-    if rate == 0.0:
-        raise NoFailureError("no finite failure time: crack growth rate is zero")
-    e = 1.0 - m / 2.0
-    # N_f = n0 + (af^e - a0^e) / (e * rate) in the cancellation-safe shape
-    # n0 + a0^e * expm1(e * log(af/a0)) / (e * rate)
-    num = math.exp(e * math.log(geometry.a0)) * math.expm1(e * math.log(af / geometry.a0))
-    return geometry.n0 + num / (e * rate)
-
-
-def battery_capacity_single(params: BatterySingleParams, k) -> float | np.ndarray:
-    """Capacity (Ahr) of the single-exponential model, C0 + a * exp(b / k).
-
-    Defined for discharge cycles k >= 1 (the model divides by k).
-    """
-    karr = np.asarray(k, dtype=float)
-    if np.any(karr < 1):
-        raise ValueError("cycle index below model domain (k >= 1 required)")
-    q = params.c0 + params.a * np.exp(params.b / karr)
-    return float(q) if np.isscalar(k) else q
-
-
-def battery_capacity_double(params: BatteryDoubleParams, k) -> float | np.ndarray:
-    """Capacity (Ahr) of the double-exponential model,
-    a * exp(b * k) + c * exp(d * k), defined for k >= 0."""
-    karr = np.asarray(k, dtype=float)
-    if np.any(karr < 0):
-        raise ValueError("cycle index must be >= 0")
-    q = params.a * np.exp(params.b * karr) + params.c * np.exp(params.d * karr)
-    return float(q) if np.isscalar(k) else q
-
-
 class DegradationModel:
     """Contract shared by all model families.
 
@@ -503,9 +353,6 @@ class ParisCrackModel(DegradationModel):
         self._log_a0 = math.log(geometry.a0)
         self._log_ds = _log_ds(loading, None) if loading.mode == "constant" else None
 
-    def _params(self, theta) -> CrackParams:
-        return CrackParams(float(theta[0]), float(theta[1]), self.m0, self.log_c0)
-
     def _m_log_c(self, theta) -> tuple[float, float] | None:
         """Physical (m, log C) of a parameter vector, or None when it is
         inadmissible: theta1 not positive, m = theta1 * m0 not finite (which
@@ -546,7 +393,79 @@ class ParisCrackModel(DegradationModel):
         return out
 
     def cycles_to_failure(self, theta, a_f: float | None = None) -> float:
-        return cycles_to_failure(self._params(theta), self.geometry, self.loading, a_f)
+        """Cycle count at which the crack reaches the critical length.
+
+        Inverts the implemented closed form exactly (including the m ~ 2
+        exponential branch). ``a_f`` overrides the geometry's critical length,
+        which is how prognosis thresholds are applied. A growth rate that
+        overflows diverges at once, so the crack fails at ``n0`` (where
+        :meth:`predict` turns +inf). Raises :class:`NoFailureError` when
+        C <= 0 leaves the crack static, and ValueError for an inadmissible
+        ``theta`` or a log C that overflows.
+        """
+        params = self._m_log_c(theta)
+        if params is None or not math.isfinite(params[1]):
+            raise ValueError("theta1 must be positive and m, log C finite")
+        m, log_c = params
+        log_ds = self._log_ds if self._log_ds is not None else _log_ds(self.loading, m)
+        geo = self.geometry
+        af = geo.a_f if a_f is None else float(a_f)
+        if af < geo.a0:
+            raise ValueError("critical length below initial length")
+        if af == geo.a0:
+            return float(geo.n0)
+        band = abs(m - 2.0) < PARIS_M_TOL
+        try:
+            rate = math.exp(log_c + (2.0 if band else m) * log_ds)
+        except OverflowError:
+            return float(geo.n0)
+        if rate == 0.0:
+            raise NoFailureError("no finite failure time: crack growth rate is zero")
+        if band:
+            return geo.n0 + math.log(af / geo.a0) / rate
+        e = 1.0 - m / 2.0
+        # N_f = n0 + (af^e - a0^e) / (e * rate) in the cancellation-safe shape
+        # n0 + a0^e * expm1(e * log(af/a0)) / (e * rate)
+        num = math.exp(e * self._log_a0) * math.expm1(e * math.log(af / geo.a0))
+        return geo.n0 + num / (e * rate)
+
+
+def crack_length(
+    params: CrackParams,
+    geometry: CrackGeometry,
+    loading: LoadingSpec,
+    n_cycles,
+):
+    """Crack length (mm) after ``n_cycles`` total cycles: a view of
+    :meth:`ParisCrackModel.predict`.
+
+    Accepts a scalar or array of cycles, all >= the geometry's n0. Raises
+    :class:`CrackDivergedError` if the closed form diverges at or before any
+    requested cycle (the caller treats this as end-of-life reached).
+    """
+    scalar = np.ndim(n_cycles) == 0
+    n = np.atleast_1d(np.asarray(n_cycles, dtype=float))
+    if np.any(n < geometry.n0):
+        raise ValueError("requested cycles must be >= geometry.n0")
+    model = ParisCrackModel(geometry, loading, (params.m0, params.log_c0))
+    a = model.predict((params.theta1, params.theta2), n)
+    bad = ~np.isfinite(a)
+    if np.any(bad):
+        raise CrackDivergedError(float(np.min(n[bad])))
+    return float(a[0]) if scalar else a
+
+
+def cycles_to_failure(
+    params: CrackParams,
+    geometry: CrackGeometry,
+    loading: LoadingSpec,
+    a_f: float | None = None,
+) -> float:
+    """Cycle count at which the crack reaches the critical length ``a_f``
+    (the geometry's by default): a view of
+    :meth:`ParisCrackModel.cycles_to_failure`."""
+    model = ParisCrackModel(geometry, loading, (params.m0, params.log_c0))
+    return model.cycles_to_failure((params.theta1, params.theta2), a_f)
 
 
 _TINY = np.finfo(float).tiny
@@ -577,9 +496,12 @@ class BatterySingleModel(DegradationModel):
         self.nominals = tuple(float(v) for v in nominals)
         self.nominal_scales = self.nominals
 
+    def _rows_ok(self, t: np.ndarray) -> np.ndarray:
+        """The admissible rows of ``t``: finite, with a positive C0."""
+        return np.isfinite(t).all(axis=1) & (t[:, 0] * self.nominals[0] > 0)
+
     def admissible(self, theta) -> bool:
-        t = np.asarray(theta, dtype=float)
-        return bool(np.all(np.isfinite(t)) and t[0] * self.nominals[0] > 0)
+        return bool(self._rows_ok(np.asarray(theta, dtype=float)[None])[0])
 
     def predict(self, theta, cycles) -> np.ndarray:
         return self.predict_batch(np.asarray(theta, dtype=float)[None], cycles)[0]
@@ -588,7 +510,7 @@ class BatterySingleModel(DegradationModel):
         t = np.asarray(theta, dtype=float)
         k = np.atleast_1d(np.asarray(cycles, dtype=float))
         nom = self.nominals
-        ok = np.isfinite(t).all(axis=1) & (t[:, 0] * nom[0] > 0)
+        ok = self._rows_ok(t)
         if ok.any() and np.any(k < self.min_cycle):
             raise ValueError("cycle index below model domain (k >= 1 required)")
         c0, a, b = (t[:, j, None] * nom[j] for j in range(3))
@@ -632,11 +554,17 @@ class BatteryDoubleModel(DegradationModel):
         self.nominals = tuple(float(v) for v in nominals)
         self.nominal_scales = self.nominals
 
+    def _rows_ok(self, t: np.ndarray) -> np.ndarray:
+        """The admissible rows of ``t``: finite, with a positive capacity
+        a + c at cycle 0."""
+        nom = self.nominals
+        ok = np.isfinite(t).all(axis=1)
+        # rows with a non-finite entry are zeroed for the sum: inf - inf would warn
+        s = t if ok.all() else np.where(ok[:, None], t, 0.0)
+        return ok & (s[:, 0] * nom[0] + s[:, 2] * nom[2] > 0)
+
     def admissible(self, theta) -> bool:
-        t = np.asarray(theta, dtype=float)
-        if not np.all(np.isfinite(t)):
-            return False
-        return t[0] * self.nominals[0] + t[2] * self.nominals[2] > 0
+        return bool(self._rows_ok(np.asarray(theta, dtype=float)[None])[0])
 
     def predict(self, theta, cycles) -> np.ndarray:
         return self.predict_batch(np.asarray(theta, dtype=float)[None], cycles)[0]
@@ -645,10 +573,7 @@ class BatteryDoubleModel(DegradationModel):
         t = np.asarray(theta, dtype=float)
         k = np.atleast_1d(np.asarray(cycles, dtype=float))
         nom = self.nominals
-        ok = np.isfinite(t).all(axis=1)
-        # rows with a non-finite entry are zeroed for the sum: inf - inf would warn
-        s = t if ok.all() else np.where(ok[:, None], t, 0.0)
-        ok &= s[:, 0] * nom[0] + s[:, 2] * nom[2] > 0
+        ok = self._rows_ok(t)
         if ok.any() and np.any(k < 0):
             raise ValueError("cycle index must be >= 0")
         a, b, c, d = (t[:, j, None] * nom[j] for j in range(4))

@@ -299,12 +299,50 @@ class TestExitCodes:
         assert str(data / "E.csv") in record["message"]
 
     def test_unknown_config_field_is_data_error(self, tmp_path, capsys):
-        config_dict = {**BASE_CONFIG, "n_samples": 100}
-        config = tmp_path / "run.json"
-        config.write_text(json.dumps(config_dict))
-        assert main(["fit-historical", "--config", str(config), "--out", str(tmp_path)]) == 2
-        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert record == {"error": "DataFormatError", "message": "config: unknown field 'n_samples'"}
+        """A misspelt key at the top level or in any section exits 2 in the
+        command that reads the section, naming the dotted key."""
+        cases = [
+            ("fit-historical", "n_samples", ["n_samples"]),
+            ("fit-historical", "sampler.n_sample", ["sampler", "n_sample"]),
+            ("fit-historical", "datasets.histrical", ["datasets", "histrical"]),
+            ("fit-historical", "stage1_bounds.lowr", ["stage1_bounds", "lowr"]),
+            ("fit-historical", "hyper_bounds.mu_thta", ["hyper_bounds", "mu_thta"]),
+            ("model-select", "candidates[1].sigma_trunk", ["candidates", 1, "sigma_trunk"]),
+            ("model-select", "candidates[0].stage1_bounds.uper",
+             ["candidates", 0, "stage1_bounds", "uper"]),
+            ("model-select", "candidates[1].hyper_bounds.rh0",
+             ["candidates", 1, "hyper_bounds", "rh0"]),
+            ("compare-prior", "literature_prior.sigma_bound", ["literature_prior", "sigma_bound"]),
+            ("rul", "prognosis.include_observation_nois",
+             ["prognosis", "include_observation_nois"]),
+            ("predict", "prognosis.grid.nm", ["prognosis", "grid", "nm"]),
+            ("synth", "synthetic.noise_scal", ["synthetic", "noise_scal"]),
+            ("synth", "synthetic.psi.rh0", ["synthetic", "psi", "rh0"]),
+            ("synth", "synthetic.cycles.nun", ["synthetic", "cycles", "nun"]),
+            ("synth", "synthetic.loading.delta_sigm", ["synthetic", "loading", "delta_sigm"]),
+            ("synth", "synthetic.geometry.af", ["synthetic", "geometry", "af"]),
+        ]
+        for i, (command, field, path) in enumerate(cases):
+            root = tmp_path / str(i)
+            config_dict = json.loads(json.dumps({**BASE_CONFIG, "candidates": [BASE_CANDIDATE] * 2}))
+            config_dict["prognosis"]["grid"] = {"start": 0, "stop": 9e4, "num": 5}
+            config = root / "run.json"
+            root.mkdir()
+            config.write_text(json.dumps(config_dict))
+            # the prognosis section is read after the posterior and its data
+            assert main(["synth", "--config", str(config), "--out", str(root / "data")]) == 0
+            ss = SampleSet(np.array([[1.0, 1.05, 0.05]]), ("theta1", "theta2", "sigma"),
+                           {"t_c": 10000.0})
+            save_sample_set(ss, root / "current_posterior")
+            node = config_dict
+            for part in path[:-1]:
+                node = node[part]
+            node[path[-1]] = True
+            config.write_text(json.dumps(config_dict))
+            capsys.readouterr()
+            assert main([command, "--config", str(config), "--out", str(root)]) == 2, field
+            record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+            assert record == {"error": "DataFormatError", "message": f"config: unknown field '{field}'"}
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         """Bounds that force divergence before every observed cycle leave no

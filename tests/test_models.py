@@ -8,18 +8,15 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from hbprog.models import (
+    BATT_SINGLE_NOMINALS,
     BatteryDoubleModel,
-    BatteryDoubleParams,
     BatterySingleModel,
-    BatterySingleParams,
     CrackDivergedError,
     CrackGeometry,
     CrackParams,
     LoadingSpec,
     NoFailureError,
     ParisCrackModel,
-    battery_capacity_double,
-    battery_capacity_single,
     crack_length,
     cycles_to_failure,
     equivalent_stress,
@@ -27,6 +24,8 @@ from hbprog.models import (
 
 GEO = CrackGeometry(a0=1.0, n0=0.0, a_f=25.0)
 CONST = LoadingSpec("constant", delta_sigma=60.0)
+SINGLE = BatterySingleModel()
+DOUBLE = BatteryDoubleModel()
 
 
 def ode_crack_length(m, log_c, a0, delta_sigma, dn, rtol=1e-11):
@@ -182,45 +181,40 @@ class TestCyclesToFailure:
 
 class TestBatterySingle:
     def test_nominal_at_k100(self):
-        p = BatterySingleParams(1.0, 1.0, 1.0)
-        assert battery_capacity_single(p, 100) == pytest.approx(2.0 - math.exp(-1.0), rel=1e-12)
-        assert battery_capacity_single(p, 100) == pytest.approx(1.6321205588285577, rel=1e-12)
+        q = SINGLE.predict([1.0, 1.0, 1.0], 100)[0]
+        assert q == pytest.approx(2.0 - math.exp(-1.0), rel=1e-12)
+        assert q == pytest.approx(1.6321205588285577, rel=1e-12)
 
     def test_large_k_limit(self):
-        p = BatterySingleParams(1.0, 1.0, 1.0)
-        assert battery_capacity_single(p, 1e9) == pytest.approx(p.c0 + p.a, rel=1e-6)
+        c0, a, _ = BATT_SINGLE_NOMINALS
+        assert SINGLE.predict([1.0, 1.0, 1.0], 1e9)[0] == pytest.approx(c0 + a, rel=1e-6)
 
     def test_zero_a_constant_capacity(self):
-        p = BatterySingleParams(1.0, 0.0, 1.0)
         k = np.array([1.0, 10.0, 500.0])
-        assert np.all(battery_capacity_single(p, k) == 2.0)
+        assert np.all(SINGLE.predict([1.0, 0.0, 1.0], k) == 2.0)
 
     def test_below_domain_rejected(self):
-        p = BatterySingleParams(1.0, 1.0, 1.0)
         with pytest.raises(ValueError, match="below model domain"):
-            battery_capacity_single(p, 0)
+            SINGLE.predict([1.0, 1.0, 1.0], 0)
 
 
 class TestBatteryDouble:
     def test_k0_sum_of_amplitudes(self):
-        p = BatteryDoubleParams(1.0, 1.0, 1.0, 1.0)
-        assert battery_capacity_double(p, 0) == pytest.approx(1.917, rel=1e-12)
+        assert DOUBLE.predict([1.0, 1.0, 1.0, 1.0], 0)[0] == pytest.approx(1.917, rel=1e-12)
 
     def test_zero_second_term(self):
-        p = BatteryDoubleParams(1.0, 1.0, 0.0, 1.0)
         k = np.arange(0, 50, 5.0)
         expect = 1.92 * np.exp(-0.02 * k)
-        np.testing.assert_allclose(battery_capacity_double(p, k), expect, rtol=1e-12)
+        np.testing.assert_allclose(DOUBLE.predict([1.0, 1.0, 0.0, 1.0], k), expect, rtol=1e-12)
 
     def test_nominal_k50_high_precision(self):
         # frozen from a 50-digit evaluation of 1.92 e^{-1} - 0.003 e^{-2.5}
-        p = BatteryDoubleParams(1.0, 1.0, 1.0, 1.0)
-        assert battery_capacity_double(p, 50) == pytest.approx(0.7060822720532976, rel=1e-14)
+        q = DOUBLE.predict([1.0, 1.0, 1.0, 1.0], 50)[0]
+        assert q == pytest.approx(0.7060822720532976, rel=1e-14)
 
     def test_negative_cycle_rejected(self):
-        p = BatteryDoubleParams(1.0, 1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
-            battery_capacity_double(p, -1)
+            DOUBLE.predict([1.0, 1.0, 1.0, 1.0], -1)
 
 
 class TestDeterminism:
@@ -230,8 +224,8 @@ class TestDeterminism:
         first = crack_length(p, GEO, CONST, grid)
         second = crack_length(p, GEO, CONST, grid)
         assert np.array_equal(first, second)
-        bp = BatteryDoubleParams(1.1, 0.9, 1.2, 0.8)
-        assert battery_capacity_double(bp, 33) == battery_capacity_double(bp, 33)
+        theta = [1.1, 0.9, 1.2, 0.8]
+        assert np.array_equal(DOUBLE.predict(theta, 33), DOUBLE.predict(theta, 33))
 
 
 class TestModelContracts:
@@ -262,16 +256,16 @@ class TestModelContracts:
         assert hi > lo
 
     def test_battery_models_vectorize(self):
-        single = BatterySingleModel()
-        double = BatteryDoubleModel()
+        # the nominal curves 2 - e^{-100/k} and 1.92 e^{-0.02k} - 0.003 e^{-0.05k},
+        # written out one cycle at a time
         k = np.arange(1, 11, dtype=float)
         np.testing.assert_allclose(
-            single.predict(np.array([1.0, 1.0, 1.0]), k),
-            [battery_capacity_single(BatterySingleParams(1, 1, 1), kk) for kk in k],
+            SINGLE.predict(np.array([1.0, 1.0, 1.0]), k),
+            [2.0 - math.exp(-100.0 / kk) for kk in k],
         )
         np.testing.assert_allclose(
-            double.predict(np.array([1.0, 1.0, 1.0, 1.0]), k),
-            [battery_capacity_double(BatteryDoubleParams(1, 1, 1, 1), kk) for kk in k],
+            DOUBLE.predict(np.array([1.0, 1.0, 1.0, 1.0]), k),
+            [1.92 * math.exp(-0.02 * kk) - 0.003 * math.exp(-0.05 * kk) for kk in k],
         )
 
     def test_normalize_gaussian_rescales_exactly(self):

@@ -1,8 +1,8 @@
 """The scalar log-target paths the slice sampler and DE initialisation call
 (Paris ``predict``, ``dataset_loglik``, the one-vector stage-2 target, the
-segment and mixture log-sum-exps) must give the same bits as a plain
-reference of the arithmetic they replace: cached constants and cheaper
-checks may not move a single draw.
+segment and mixture log-sum-exps), and the Paris inversion ``rul`` calls per
+draw, must give the same bits as a plain reference of the arithmetic they
+replace: cached constants and cheaper checks may not move a single draw.
 
 The references below evaluate the same numpy/math operations in the same
 order, but recompute every constant per call and scan the curve for bad
@@ -29,10 +29,16 @@ from hbprog.hierarchy import (
 from hbprog.models import (
     PARIS_M_TOL,
     BatteryDoubleModel,
+    CrackDivergedError,
     CrackGeometry,
+    CrackParams,
     LoadingSpec,
+    NoFailureError,
     ParisCrackModel,
     _log_ds,
+    _profile_raw,
+    crack_length,
+    cycles_to_failure,
 )
 from hbprog.samplers import SampleSet, SamplerConfig, TargetSpec
 from hbprog.targets import (
@@ -257,6 +263,128 @@ def test_paris_cases_reach_every_branch():
     late = MODELS[1]
     below_n0 = ref_predict(late, np.array((0.7, 1.0)), CYCLES)
     assert below_n0[0] < late.geometry.a0 < below_n0[-1]
+
+
+def ref_m_log_c(model, theta):
+    """Physical (m, log C) of ``theta`` under the model's nominals, or
+    ValueError where the parameter record rejects it."""
+    t1, t2 = float(theta[0]), float(theta[1])
+    if not (t1 > 0 and math.isfinite(t1)):
+        raise ValueError("theta1 must be positive and finite")
+    m, log_c = t1 * model.m0, t2 * model.log_c0
+    if not (math.isfinite(m) and math.isfinite(log_c)):
+        raise ValueError("recovered m and log C must be finite")
+    return m, log_c
+
+
+def ref_cycles_to_failure(model, theta, a_f=None):
+    """The Paris inversion as a free function over the parameter record,
+    every constant recomputed per call."""
+    m, log_c = ref_m_log_c(model, theta)
+    geo = model.geometry
+    log_ds = _log_ds(model.loading, m)
+    af = geo.a_f if a_f is None else float(a_f)
+    if af < geo.a0:
+        raise ValueError("critical length below initial length")
+    if af == geo.a0:
+        return float(geo.n0)
+    band = abs(m - 2.0) < PARIS_M_TOL
+    try:
+        rate = math.exp(log_c + (2.0 if band else m) * log_ds)
+    except OverflowError:
+        return float(geo.n0)
+    if band:
+        if rate == 0.0:
+            raise NoFailureError("zero rate")
+        return geo.n0 + math.log(af / geo.a0) / rate
+    if rate == 0.0:
+        raise NoFailureError("zero rate")
+    e = 1.0 - m / 2.0
+    num = math.exp(e * math.log(geo.a0)) * math.expm1(e * math.log(af / geo.a0))
+    return geo.n0 + num / (e * rate)
+
+
+def ref_crack_length(model, theta, n_cycles):
+    """Crack length as a free function over the parameter record: the
+    cycle check, the profile and the divergence report."""
+    geo = model.geometry
+    scalar = np.ndim(n_cycles) == 0
+    n = np.atleast_1d(np.asarray(n_cycles, dtype=float))
+    if np.any(n < geo.n0):
+        raise ValueError("requested cycles must be >= geometry.n0")
+    m, log_c = ref_m_log_c(model, theta)
+    a = _profile_raw(m, log_c, geo.a0, math.log(geo.a0), geo.n0, _log_ds(model.loading, m), n)
+    bad = ~np.isfinite(a)
+    if np.any(bad):
+        raise CrackDivergedError(float(np.min(n[bad])))
+    return float(a[0]) if scalar else a
+
+
+def view_cycles_to_failure(model, theta, a_f):
+    params = CrackParams(*theta, model.m0, model.log_c0)
+    return cycles_to_failure(params, model.geometry, model.loading, a_f)
+
+
+def view_crack_length(model, theta, n):
+    params = CrackParams(*theta, model.m0, model.log_c0)
+    return crack_length(params, model.geometry, model.loading, n)
+
+
+def outcome(f, *args):
+    """The bytes of ``f(*args)``, or the type (and diverged cycle) of the
+    error it raises."""
+    try:
+        return np.asarray(f(*args), dtype=float).tobytes()
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), getattr(exc, "cycle", None)
+
+
+INVERSION_THETAS = [
+    (1.0, 1.05),  # m = 2 exactly
+    (1.0 + 2e-8, 1.0),  # inside the band
+    (1.0 + 4.99e-8, 0.9),  # |m - 2| just under PARIS_M_TOL
+    (1.0 + 5.01e-8, 0.9),  # just over it
+    (1.0 - 5e-8, 1.0),  # the lower edge
+    (1.0 + 1e-7, 1.0),
+    (1.0 - 1e-7, 1.0),
+    (0.7, 1.0),
+    (1.2, 1.05),
+    (1.6, 0.8),
+    (0.3, 0.2),
+    (1.0, -40.0),  # the rate overflows, in the band
+    (0.5, -40.0),  # and out of it
+    (1.2, 45.0),  # the rate underflows to zero
+    (1.0, 45.0),
+    (0.0, 1.0),
+    (-0.5, 1.0),
+    (math.nan, 1.0),
+    (1.0, math.nan),
+    (math.inf, 1.0),
+    (1.0, 1e308),  # log C overflows
+]
+
+
+@pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
+def test_paris_inversion_matches_reference(model):
+    """``ParisCrackModel.cycles_to_failure`` and the ``cycles_to_failure``
+    and ``crack_length`` views give the free functions' bytes, or raise the
+    same error, for every branch of the inversion and critical lengths at
+    the default, at a0, between a0 and a_f, and below a0."""
+    geo = model.geometry
+    a_fs = [None, geo.a0, 0.5 * (geo.a0 + geo.a_f), 0.5 * geo.a0]
+    cycles = [geo.n0, CYCLES[CYCLES >= geo.n0].astype(float), 12000.0, geo.n0 - 1.0]
+    kinds = set()
+    for theta in INVERSION_THETAS:
+        for a_f in a_fs:
+            want = outcome(ref_cycles_to_failure, model, theta, a_f)
+            assert outcome(model.cycles_to_failure, np.array(theta), a_f) == want, (theta, a_f)
+            assert outcome(view_cycles_to_failure, model, theta, a_f) == want, (theta, a_f)
+            kinds.add(want[0] if isinstance(want, tuple) else float)
+        for n in cycles:
+            want = outcome(ref_crack_length, model, theta, n)
+            assert outcome(view_crack_length, model, theta, n) == want, (theta, n)
+            kinds.add(want[0] if isinstance(want, tuple) else float)
+    assert kinds == {float, ValueError, NoFailureError, CrackDivergedError}
 
 
 def _crack_dataset(model, theta=(1.0, 1.05), noise=0.04):
