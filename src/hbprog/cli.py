@@ -29,6 +29,8 @@ from hbprog.hierarchy import (
     update_current,
 )
 from hbprog.io import (
+    HYPER_PROVENANCE,
+    POSTERIOR_PROVENANCE,
     DataFormatError,
     RunConfig,
     atomic_write,
@@ -162,12 +164,32 @@ def cmd_fit_historical(cfg: RunConfig, args, out: Path) -> str:
     )
 
 
+def _check_hyper(hyper, stem: Path, model) -> None:
+    """Raise a :class:`DataFormatError` naming the hyper manifest when its
+    population metadata does not describe the fitted family or the set's
+    columns (a mean and a spread per parameter and for sigma, plus rho
+    when correlated)."""
+    n_theta, correlated = hyper.provenance["n_theta"], hyper.provenance["correlated"]
+    manifest = stem.with_suffix(".json")
+    if n_theta != model.n_theta:
+        raise DataFormatError(
+            f"{manifest}: field 'provenance.n_theta': {n_theta} parameters, but family "
+            f"{model.family!r} has {model.n_theta}"
+        )
+    if hyper.dim != 2 * n_theta + 2 + correlated:
+        raise DataFormatError(
+            f"{manifest}: fields 'provenance.n_theta' and 'provenance.correlated' describe "
+            f"{2 * n_theta + 2 + correlated} columns, but {stem.with_suffix('.csv')} has {hyper.dim}"
+        )
+
+
 def cmd_fit_current(cfg: RunConfig, args, out: Path) -> str:
     hyper_stem = Path(args.hyper) if args.hyper else out / "hyper"
-    hyper = load_sample_set(hyper_stem)
+    hyper = load_sample_set(hyper_stem, HYPER_PROVENANCE)
     dataset, truncated, t_c = _load_current(cfg)
     _check_domain(dataset, cfg.current_path(), cfg.family)
     model = build_model(dataset, cfg.family, cfg.nominals)
+    _check_hyper(hyper, hyper_stem, model)
     try:
         posterior = update_current(
             truncated, hyper, model, cfg.sampler_config(), hyper_subsample=cfg.hyper_subsample
@@ -184,7 +206,7 @@ def cmd_fit_current(cfg: RunConfig, args, out: Path) -> str:
 
 def _posterior_and_model(cfg: RunConfig, args, out: Path):
     stem = Path(args.posterior) if args.posterior else out / "current_posterior"
-    samples = load_sample_set(stem)
+    samples = load_sample_set(stem, POSTERIOR_PROVENANCE)
     if "t_c" in samples.provenance:
         dataset, t_c = load_dataset(cfg.current_path()), float(samples.provenance["t_c"])
     else:

@@ -22,9 +22,7 @@ import json
 import math
 import os
 import tempfile
-import types
-import typing
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -88,40 +86,78 @@ def _meta_path(csv_path: Path) -> Path:
     return csv_path.with_name(csv_path.stem + ".meta.json")
 
 
-_REQUIRED, _MISSING = object(), object()
+_REQUIRED = object()
 
 
-def _field(doc: dict, key: str, where: str, convert=None, default=_REQUIRED):
-    """The value at the dotted ``key`` of a JSON document ``where``, passed
-    through ``convert``. A part of the key may index a list, as in
-    ``candidates[0].family``. A missing field without a default, a part
-    that is not an object (or, indexed, not a list), or a value that
-    ``convert`` rejects with TypeError or ValueError, is a
-    :class:`DataFormatError` naming the field (or its first missing part)."""
-    cur, path = doc, ""
-    for part in key.split("."):
-        name, bracket, index = part.partition("[")
-        if not isinstance(cur, dict):
-            what = f"field {path!r}" if path else "document"
-            raise DataFormatError(f"{where}: {what} must be an object")
-        path += f".{name}" if path else name
-        cur = cur.get(name, _MISSING)
-        if bracket and cur is not _MISSING:
-            if not isinstance(cur, list):
-                raise DataFormatError(f"{where}: field {path!r} must be a list")
-            i = int(index.rstrip("]"))
-            path += f"[{i}]"
-            cur = cur[i] if i < len(cur) else _MISSING
-        if cur is _MISSING:
-            if default is not _REQUIRED:
-                return default
-            raise DataFormatError(f"{where}: missing field {path!r}")
-    if convert is None:
-        return cur
+def _convert(value, key: str, where: str, convert):
+    """``value``, the field at the dotted ``key`` of the JSON document
+    ``where``, passed through ``convert``: a schema reads an object (see
+    :func:`_read`), and a function's TypeError or ValueError is a
+    :class:`DataFormatError` naming the field."""
+    if isinstance(convert, dict):
+        return _read(value, key, where, convert)
     try:
-        return convert(cur)
+        return convert(value)
     except (TypeError, ValueError) as exc:
         raise DataFormatError(f"{where}: field {key!r}: {exc}") from None
+
+
+def _entry(entry) -> tuple:
+    """The ``(convert, default)`` of a schema entry."""
+    return entry if isinstance(entry, tuple) else (entry, _REQUIRED)
+
+
+def _read(obj, key: str, where: str, schema: dict) -> dict:
+    """Every field of ``schema`` in the JSON object ``obj`` at the dotted
+    ``key`` of the document ``where`` (the whole document when ``key`` is
+    empty): the one reader of config sections, sidecars and manifests.
+
+    The schema maps each field to ``(convert, default)``, or to a bare
+    ``convert`` when it is required. A field the schema lacks is rejected,
+    a present one passes through ``convert`` (None keeps it as written) and
+    an absent one takes ``default``; each violation is a
+    :class:`DataFormatError` naming the dotted field."""
+    if not isinstance(obj, dict):
+        raise DataFormatError(f"{where}: {f'field {key!r}' if key else 'document'} must be an object")
+    prefix = f"{key}." if key else ""
+    for name in obj:
+        if name not in schema:
+            raise DataFormatError(f"{where}: unknown field {prefix + name!r}")
+    out = {}
+    for name, entry in schema.items():
+        convert, default = _entry(entry)
+        # a null optional section is no section
+        if name in obj and not (obj[name] is None and isinstance(convert, dict) and default is None):
+            out[name] = obj[name] if convert is None else _convert(obj[name], prefix + name, where, convert)
+        elif default is _REQUIRED:
+            raise DataFormatError(f"{where}: missing field {prefix + name!r}")
+        else:
+            out[name] = default
+    return out
+
+
+def _build(cls, values: dict, where: str, key: str = ""):
+    """``cls`` built from ``values``, the fields read at the dotted ``key``
+    of ``where`` (the whole document when empty). A None value leaves the
+    class's default, and a ValueError of the class's own checks is a
+    :class:`DataFormatError` naming the field."""
+    try:
+        return cls(**{k: v for k, v in values.items() if v is not None})
+    except ValueError as exc:
+        raise DataFormatError(f"{where}: {f'field {key!r}: ' if key else ''}{exc}") from None
+
+
+def _length(values, n: int, key: str, where: str, what: str = "entries") -> None:
+    if len(values) != n:
+        raise DataFormatError(f"{where}: field {key!r} must have {n} {what}, got {len(values)}")
+
+
+def _nominals(values, family: str | None, key: str, where: str):
+    """Nominal-value overrides, one per parameter of ``family`` when it is
+    known, or None for the model's own."""
+    if values is not None and family:
+        _length(values, FAMILIES[family].n_theta, key, where)
+    return values
 
 
 def _json_bool(value) -> bool:
@@ -132,7 +168,7 @@ def _json_bool(value) -> bool:
     return value
 
 
-def _numbers(value) -> list[float]:
+def _numbers(value) -> tuple[float, ...]:
     """A JSON list of finite numbers (booleans are not numbers here)."""
     if not isinstance(value, list) or not all(
         isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
@@ -140,7 +176,7 @@ def _numbers(value) -> list[float]:
         raise TypeError(f"must be a list of numbers, got {value!r}")
     if not all(math.isfinite(v) for v in value):
         raise ValueError(f"must hold finite numbers, got {value!r}")
-    return [float(v) for v in value]
+    return tuple(float(v) for v in value)
 
 
 def _number(value) -> float:
@@ -157,12 +193,28 @@ def _positive(value) -> float:
     return value
 
 
+def _widths(value) -> tuple[float, ...]:
+    """A slice width > 0, or a nonempty list of them (one per dimension)."""
+    widths = _numbers(value) if isinstance(value, list) else (_number(value),)
+    if not widths or not min(widths) > 0:
+        raise ValueError(f"must be a number > 0 or a nonempty list of them, got {value!r}")
+    return widths
+
+
 def _integer(value, low: int) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"must be an integer, got {value!r}")
     if value < low:
         raise ValueError(f"must be >= {low}, got {value}")
     return value
+
+
+def _natural(value) -> int:
+    return _integer(value, 0)
+
+
+def _count(value) -> int:
+    return _integer(value, 1)
 
 
 def _text(value) -> str:
@@ -210,14 +262,6 @@ def _choice(*options: str):
 _family = _choice(*FAMILIES)
 
 
-def _seed(value) -> int:
-    return _integer(value, 0)
-
-
-def _count(value) -> int:
-    return _integer(value, 1)
-
-
 def _optional(convert):
     """``convert`` that also passes JSON null through as None."""
     return lambda value: None if value is None else convert(value)
@@ -228,34 +272,65 @@ def _pair(value) -> tuple[float, float]:
     pair = _numbers(value)
     if len(pair) != 2:
         raise ValueError(f"must be a [lower, upper] pair, got {value!r}")
-    return pair[0], pair[1]
+    return pair
 
 
 def _pairs(value) -> tuple[tuple[float, float], ...]:
     """A list of ``[lower, upper]`` bound pairs."""
-    if not isinstance(value, list):
-        raise TypeError(f"must be a list of [lower, upper] pairs, got {value!r}")
-    return tuple(_pair(v) for v in value)
+    return tuple(_pair(v) for v in _list(value, 0))
 
 
-def _loading(doc: dict, key: str, where: str) -> LoadingSpec:
-    """The :class:`LoadingSpec` at ``key`` of a dataset sidecar or config."""
-    mode = _field(doc, f"{key}.mode", where)
-    names = ("delta_sigma",) if mode == "constant" else ("delta_sigma1", "n1", "delta_sigma2", "n2")
-    values = {k: _field(doc, f"{key}.{k}", where, float) for k in names}
-    try:
-        return LoadingSpec(mode, **values)
-    except ValueError as exc:
-        raise DataFormatError(f"{where}: field {key!r}: {exc}") from None
+#: :class:`~hbprog.models.LoadingSpec`; its checks say which fields each
+#: mode needs
+LOADING = {
+    "mode": _text,
+    **dict.fromkeys(("delta_sigma", "delta_sigma1", "n1", "delta_sigma2", "n2"), (_number, None)),
+}
 
+#: :class:`~hbprog.models.CrackGeometry`
+GEOMETRY = {"a0": _number, "n0": _number, "a_f": _number}
 
-def _geometry(doc: dict, key: str, where: str) -> CrackGeometry:
-    """The :class:`CrackGeometry` at ``key`` of a dataset sidecar or config."""
-    values = [_field(doc, f"{key}.{k}", where, float) for k in ("a0", "n0", "a_f")]
-    try:
-        return CrackGeometry(*values)
-    except ValueError as exc:
-        raise DataFormatError(f"{where}: field {key!r}: {exc}") from None
+#: a dataset's ``<stem>.meta.json``; crack units need ``geometry`` and
+#: ``loading``
+SIDECAR = {
+    "unit_id": _text,
+    "family": _family,
+    "units": _text,
+    "geometry": (GEOMETRY, None),
+    "loading": (LOADING, None),
+    "threshold": (_optional(_number), None),
+    "nominals": (_optional(_numbers), None),
+    "note": (_optional(_text), None),
+}
+
+#: a sample set's ``<stem>.json``; ``labels``, ``n`` and ``version`` are
+#: written for readers of the file, and the CSV header is the labels' source
+SAMPLE_SET = {
+    **dict.fromkeys(("labels", "n", "version"), (None, None)),
+    **dict.fromkeys(("log_evidence", "log_evidence_se"), (_optional(_number), None)),
+    "provenance": (_object, {}),
+}
+
+#: the population metadata that ``fit-current`` reads back from the
+#: provenance of a hyper sample set
+HYPER_PROVENANCE = {"n_theta": _count, "correlated": _json_bool, "sigma_trunc": _positive}
+
+#: the current cycle that ``predict`` and ``rul`` read back from the
+#: provenance of a posterior, when it records one
+POSTERIOR_PROVENANCE = {"t_c": (_number, None)}
+
+#: the fields of a :class:`~hbprog.prognosis.PrognosisConfig` that a run
+#: config sets; a prognosis manifest adds ``t_c``
+PROGNOSIS = {
+    "threshold": _number, "horizon": _number, "quantiles": (quantile_levels, None),
+    "include_observation_noise": (_json_bool, None),
+}
+
+#: a prognosis's ``<stem>.json``
+PROGNOSIS_MANIFEST = {
+    "config": {**PROGNOSIS, "t_c": _number}, "version": (None, None),
+    **dict.fromkeys(("summary", "provenance"), (_object, {})),
+}
 
 
 def load_dataset(path: Path | str) -> Dataset:
@@ -266,69 +341,44 @@ def load_dataset(path: Path | str) -> Dataset:
     meta_path = _meta_path(path)
     if not meta_path.is_file():
         raise DataFormatError(f"{meta_path}: missing metadata sidecar")
-    lines = path.read_text().splitlines()
-    if not lines or lines[0].strip() != "cycle,value":
+    header, table, lines = _read_table(path, finite=True)
+    if header != ["cycle", "value"]:
         raise DataFormatError(f"{path}:1: expected header 'cycle,value'")
-    cycles, values = [], []
-    prev = None
-    for ln, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise DataFormatError(f"{path}:{ln}: expected two comma-separated fields")
-        try:
-            c = int(parts[0])
-            v = float(parts[1])
-        except ValueError as exc:
-            raise DataFormatError(f"{path}:{ln}: unparseable row ({exc})") from None
-        if prev is not None and c <= prev:
-            kind = "duplicate" if c == prev else "decreasing"
-            raise DataFormatError(f"{path}:{ln}: {kind} cycle index {c}")
-        prev = c
-        cycles.append(c)
-        values.append(v)
-
-    meta = _read_json(meta_path)
+    cycles, values = table.T.copy()
+    bad = np.flatnonzero((cycles != np.floor(cycles)) | (np.abs(cycles) > 2**53))
+    if bad.size:
+        i = bad[0]
+        raise DataFormatError(f"{path}:{lines[i]}: cycle {cycles[i]:g} is not an integer index")
+    bad = np.flatnonzero(np.diff(cycles) <= 0) + 1
+    if bad.size:
+        i = bad[0]
+        kind = "duplicate" if cycles[i] == cycles[i - 1] else "decreasing"
+        raise DataFormatError(f"{path}:{lines[i]}: {kind} cycle index {int(cycles[i])}")
     where = str(meta_path)
-    family = _field(meta, "family", where, _family)
-    loading = geometry = None
-    if family == "paris":
-        geometry = _geometry(meta, "geometry", where)
-        loading = _loading(meta, "loading", where)
-    try:
-        return Dataset(
-            unit_id=str(_field(meta, "unit_id", where)),
-            cycles=np.array(cycles, dtype=np.int64),
-            values=np.array(values, dtype=float),
-            family=family,
-            units=str(_field(meta, "units", where)),
-            loading=loading,
-            geometry=geometry,
-            threshold=_field(meta, "threshold", where, _optional(_number), None),
-            nominals=_field(meta, "nominals", where, _optional(_numbers), None),
-            note=_field(meta, "note", where, _optional(_text), None),
-        )
-    except ValueError as exc:
-        raise DataFormatError(f"{path}: {exc}") from None
+    meta = _read(_read_json(meta_path), "", where, SIDECAR)
+    for key, cls in (("geometry", CrackGeometry), ("loading", LoadingSpec)):
+        if meta[key] is not None:
+            meta[key] = _build(cls, meta[key], where, key)
+        elif meta["family"] == "paris":
+            raise DataFormatError(f"{where}: missing field {key!r}")
+    _nominals(meta["nominals"], meta["family"], "nominals", where)
+    return _build(Dataset, {**meta, "cycles": cycles.astype(np.int64), "values": values}, str(path))
 
 
 def save_dataset(dataset: Dataset, path: Path | str) -> Path:
-    """Write the CSV body and metadata sidecar for a dataset."""
+    """Write the CSV body and the metadata sidecar (:data:`SIDECAR`) of a
+    dataset. A section (geometry, loading) the dataset lacks is left out;
+    any other field it lacks is written as null."""
     path = Path(path)
     rows = [f"{int(c)},{_fmt(v)}" for c, v in zip(dataset.cycles, dataset.values)]
     atomic_write(path, "\n".join(["cycle,value", *rows]) + "\n")
-    meta = {
-        "unit_id": dataset.unit_id,
-        "family": dataset.family,
-        "units": dataset.units,
-        "threshold": dataset.threshold,
-        "nominals": list(dataset.nominals) if dataset.nominals is not None else None,
-        "note": dataset.note,
-    }
-    for key in ("geometry", "loading"):
-        if getattr(dataset, key) is not None:
-            meta[key] = _as_dict(getattr(dataset, key))
+    meta = {}
+    for key, entry in SIDECAR.items():
+        value = getattr(dataset, key)
+        if not isinstance(_entry(entry)[0], dict):
+            meta[key] = _jsonable(value)
+        elif value is not None:
+            meta[key] = _as_dict(value)
     atomic_write(_meta_path(path), _dump_json(meta))
     return path
 
@@ -351,10 +401,11 @@ def save_sample_set(ss: SampleSet, stem: Path | str) -> Path:
     return stem.with_suffix(".csv")
 
 
-def _read_table(path: Path, finite: bool) -> tuple[list[str], np.ndarray]:
-    """The header and the numeric rows of a comma-separated table. An empty
-    file, or a row that is ragged, not numeric or (with ``finite``) not
-    finite, is a :class:`DataFormatError` naming the file and 1-based line."""
+def _read_table(path: Path, finite: bool) -> tuple[list[str], np.ndarray, list[int]]:
+    """The header, the numeric rows and their 1-based line numbers of a
+    comma-separated table. An empty file, or a row that is ragged, not
+    numeric or (with ``finite``) not finite, is a :class:`DataFormatError`
+    naming the file and line."""
     lines = path.read_text().splitlines()
     if not lines:
         raise DataFormatError(f"{path}:1: missing header")
@@ -375,27 +426,32 @@ def _read_table(path: Path, finite: bool) -> tuple[list[str], np.ndarray]:
     bad = np.flatnonzero(~np.isfinite(table).all(axis=1)) if finite else []
     if len(bad):
         raise DataFormatError(f"{path}:{numbers[bad[0]]}: values must be finite")
-    return header, table
+    return header, table, numbers
 
 
-def load_sample_set(stem: Path | str) -> SampleSet:
+def load_sample_set(stem: Path | str, provenance: dict | None = None) -> SampleSet:
     """Read ``<stem>.csv`` and its ``<stem>.json`` manifest; a malformed
-    row or manifest is a :class:`DataFormatError` naming the file."""
+    row or manifest is a :class:`DataFormatError` naming the file. The
+    provenance is free-form: ``provenance``, when given, is the schema of
+    the fields in it that the caller reads back (such as
+    :data:`HYPER_PROVENANCE`), and only those are checked."""
     stem = Path(stem)
     csv_path = stem.with_suffix(".csv")
     json_path = stem.with_suffix(".json")
     if not csv_path.is_file() or not json_path.is_file():
         raise DataFormatError(f"{stem}: missing sample-set artifact pair")
-    manifest = _read_json(json_path)
-    provenance = _field(manifest, "provenance", str(json_path), _object, {})
-    labels, data = _read_table(csv_path, finite=True)
+    manifest = _read(_read_json(json_path), "", str(json_path), SAMPLE_SET)
+    if provenance is not None:
+        known = {k: v for k, v in manifest["provenance"].items() if k in provenance}
+        _read(known, "provenance", str(json_path), provenance)
+    labels, data, _ = _read_table(csv_path, finite=True)
     try:
         return SampleSet(
             data,
             tuple(labels),
-            dict(provenance),
-            manifest.get("log_evidence"),
-            manifest.get("log_evidence_se"),
+            dict(manifest["provenance"]),
+            manifest["log_evidence"],
+            manifest["log_evidence_se"],
         )
     except ValueError as exc:
         raise DataFormatError(f"{csv_path}: {exc}") from None
@@ -438,20 +494,17 @@ def save_prognosis(res: PrognosisResult, stem: Path | str) -> list[Path]:
 def load_prognosis(stem: Path | str) -> PrognosisResult:
     stem = Path(stem)
     path = stem.parent / (stem.name + ".json")
-    manifest = _read_json(path)
-    cfg = _field(manifest, "config", str(path), lambda d: PrognosisConfig(**d))
+    manifest = _read(_read_json(path), "", str(path), PROGNOSIS_MANIFEST)
+    cfg = _build(PrognosisConfig, manifest["config"], str(path), "config")
     grid = bands = t_eol = rul = censored = None
     bands_path = stem.parent / (stem.name + ".bands.csv")
     if bands_path.exists():
-        _, table = _read_table(bands_path, finite=False)
-        grid = table[:, 0]
-        bands = table[:, 1:].T
+        _, table, _ = _read_table(bands_path, finite=False)
+        grid, bands = table[:, 0], table[:, 1:].T
     rul_path = stem.parent / (stem.name + ".rul.csv")
     if rul_path.exists():
-        _, table = _read_table(rul_path, finite=False)
-        t_eol = table[:, 0]
-        rul = table[:, 1]
-        censored = table[:, 2].astype(bool)
+        _, table, _ = _read_table(rul_path, finite=False)
+        t_eol, rul, censored = table[:, 0], table[:, 1], table[:, 2].astype(bool)
     return PrognosisResult(
         config=cfg,
         grid=grid,
@@ -459,8 +512,8 @@ def load_prognosis(stem: Path | str) -> PrognosisResult:
         t_eol=t_eol,
         rul=rul,
         censored=censored,
-        summary=dict(manifest.get("summary", {})),
-        provenance=dict(manifest.get("provenance", {})),
+        summary=dict(manifest["summary"]),
+        provenance=dict(manifest["provenance"]),
     )
 
 
@@ -563,13 +616,7 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> tuple[list[Dataset], d
                 break
         else:
             raise RuntimeError(f"unit {unit_id}: no admissible parameter draw in 100 tries")
-        datasets.append(
-            Dataset(
-                unit_id, cycles_i, values, spec.family,
-                "mm" if spec.family == "paris" else "Ahr",
-                spec.loading, spec.geometry, spec.threshold, spec.nominals,
-            )
-        )
+        datasets.append(replace(probe, cycles=cycles_i, values=values))
         truth_units.append(
             {
                 "unit_id": unit_id,
@@ -606,44 +653,119 @@ def _true_eol(model, theta, spec: SyntheticSpec) -> float | None:
     return None if censored else t_eol
 
 
-def _json_fits(value, hint) -> bool:
-    """Whether a JSON value fits a :class:`SamplerConfig` field type: ints
-    for ``int``, any number for ``float``, a nonempty list of numbers for
-    ``tuple``, null for ``None``."""
-    if isinstance(hint, types.UnionType):
-        return any(_json_fits(value, h) for h in typing.get_args(hint))
-    if hint is type(None):
-        return value is None
-    if hint is tuple:
-        return isinstance(value, list) and bool(value) and all(_json_fits(v, float) for v in value)
-    if isinstance(value, bool):
-        return False
-    if hint is int:
-        return isinstance(value, int)
-    if hint is float:
-        return isinstance(value, (int, float))
-    raise TypeError(f"no JSON form for the field type {hint!r}")
+#: the ``sampler`` section: ``kind`` and the fields of
+#: :class:`~hbprog.samplers.SamplerConfig`
+SAMPLER = {
+    "kind": (_choice("slice", "tmcmc"), "slice"),
+    **dict.fromkeys(("n_samples", "thinning", "max_shrink"), (_count, None)),
+    **dict.fromkeys(("seed", "max_step_out", "tmcmc_moves"), (_natural, None)),
+    **dict.fromkeys(("tmcmc_target_cov", "tmcmc_proposal_scale"), (_positive, None)),
+    "burn_in": (_number, None),
+    "slice_width": (_optional(_widths), None),
+    "tmcmc_stage_size": (_optional(_count), None),
+}
+
+#: an evenly spaced grid of cycles, the arguments of :func:`numpy.linspace`
+LINSPACE = {"start": _number, "stop": _number, "num": _count}
+
+STAGE1_BOUNDS = {"lower": _numbers, "upper": _numbers}
+
+#: :class:`~hbprog.targets.HyperPriorBounds`; ``rho`` is required when
+#: ``case`` is ``corr``
+HYPER_BOUNDS = {
+    "mu_theta": _pairs, "sd_theta": _pairs, "mu_sigma": _pair, "sd_sigma": _pair,
+    "rho": (_optional(_pair), None),
+}
+
+#: one entry of ``candidates``; ``sigma_trunc`` defaults to the run's
+CANDIDATE = {
+    "family": _family,
+    "stage1_bounds": STAGE1_BOUNDS,
+    "hyper_bounds": HYPER_BOUNDS,
+    "nominals": (_optional(_numbers), None),
+    "sigma_trunc": (_positive, None),
+    "name": (_optional(_text), None),
+}
+
+#: :class:`~hbprog.hierarchy.ClassicalPrior`
+LITERATURE_PRIOR = {
+    "means": _numbers, "sds": _numbers, "sigma_bounds": (_pair, None),
+    **dict.fromkeys(("sigma_mu", "sigma_sd"), (_optional(_number), None)),
+}
+
+#: :class:`~hbprog.targets.HyperParameters`; ``sigma_trunc`` defaults to
+#: the run's
+PSI = {
+    "mu0": _numbers, "sd0": _numbers, "mu_sigma": _number, "sd_sigma": _number,
+    "rho": (_optional(_number), None), "sigma_trunc": (_positive, None),
+}
+
+#: the ``synthetic`` section; ``family`` defaults to the run's, and
+#: ``cycles`` is a list of cycles or a :data:`LINSPACE` grid
+SYNTHETIC = {
+    "family": (_family, None),
+    "psi": PSI,
+    "n_units": _count,
+    "cycles": None,
+    "noise_scale": (_number, None),
+    "loading": (LOADING, None),
+    "geometry": (GEOMETRY, None),
+    "threshold": (_optional(_number), None),
+    "nominals": (_optional(_numbers), None),
+    "unit_prefix": (_text, None),
+}
+
+#: the ``datasets`` section; a command that reads a dataset needs its field
+DATASETS = {"historical": (_paths, None), "current": (_path, None)}
+
+#: the top level of a run config. Each section has its own schema:
+#: ``sampler`` and ``datasets`` are read when the config loads, each other
+#: section when a command asks for it.
+RUN = {
+    "family": (_optional(_family), None),
+    "likelihood": (_optional(_text), None),
+    "seed": (_natural, 0),
+    "case": (_choice("diag", "corr"), "diag"),
+    "sigma_trunc": (_positive, None),
+    "cutoff": (_optional(_number), None),
+    "nominals": (_optional(_numbers), None),
+    "stage1_thin": (_optional(_count), None),
+    "hyper_subsample": (_optional(_count), None),
+    **dict.fromkeys(
+        ("sampler", "datasets", "stage1_bounds", "hyper_bounds", "candidates", "literature_prior",
+         "prognosis", "synthetic"),
+        (None, None),
+    ),
+}
 
 
-#: the top-level fields a run config may set
-CONFIG_FIELDS = frozenset({
-    "family", "likelihood", "seed", "case", "sigma_trunc", "cutoff", "nominals",
-    "stage1_thin", "hyper_subsample", "sampler", "datasets", "stage1_bounds",
-    "hyper_bounds", "candidates", "literature_prior", "prognosis", "synthetic",
-})
+def _stage1_box(bounds: dict, key: str, family: str | None):
+    """The ``(lower, upper)`` arrays of the stage-1 prior box read at ``key``."""
+    lower, upper = np.asarray(bounds["lower"]), np.asarray(bounds["upper"])
+    dim = FAMILIES[family].n_theta + 1 if family else lower.size
+    for side, arr in (("lower", lower), ("upper", upper)):
+        _length(arr, dim, f"{key}.{side}", "config", "entries (theta..., sigma)")
+    if np.any(lower > upper):
+        raise DataFormatError(f"config: field {key!r}: lower exceeds upper")
+    return lower, upper
+
+
+def _hyper_box(bounds: dict, key: str, family: str | None, case: str) -> HyperPriorBounds:
+    """The hyper-prior box read at ``key``; the correlated case samples rho,
+    so its box must bound it."""
+    if family:
+        _length(bounds["mu_theta"], FAMILIES[family].n_theta, f"{key}.mu_theta", "config", "pairs")
+    if case == "corr" and bounds["rho"] is None:
+        raise DataFormatError(f"config: missing field '{key}.rho'")
+    return _build(HyperPriorBounds, bounds, "config", key)
 
 
 class RunConfig:
-    """Parsed run configuration for the command-line pipeline; the one
-    reader of the config document.
+    """Parsed run configuration for the command-line pipeline.
 
-    A key the reader of its section does not know is rejected, at the top
-    level (outside :data:`CONFIG_FIELDS`) and in every section. The
-    top-level fields and the ``sampler`` and ``datasets`` sections are
-    typed and range-checked when the config is built. A section that only
-    some commands need (bounds, candidates, prognosis, synthetic fleet,
-    literature prior) is checked when a command asks for it, before any data
-    is read or sampled. Every violation is a :class:`DataFormatError` naming
+    Each part of the document is read by its schema (:data:`RUN` for the
+    top level, which says when each section is read), before any data is
+    read or sampled; every violation is a :class:`DataFormatError` naming
     the dotted field. Dataset paths resolve relative to the config file. The
     fingerprint covers the whole document with the command-line flags
     applied, and is embedded in every artifact the run writes.
@@ -652,28 +774,30 @@ class RunConfig:
     def __init__(self, raw: dict, base_dir: Path | None = None):
         self.raw = raw
         self.base_dir = Path(base_dir) if base_dir is not None else Path.cwd()
-        self._known("", CONFIG_FIELDS)
-        field = self._get
-        self.family = field("family", _optional(_family), None)
-        likelihood = field("likelihood", _optional(_text), None)
+        top = _read(raw, "", "config", RUN)
+        self.family = top["family"]
+        likelihood = top["likelihood"]
         if self.family and likelihood:
             expected = FAMILIES[self.family].likelihood
             if likelihood != expected:
                 raise DataFormatError(
                     f"family {self.family!r} pairs with the {expected} likelihood, not {likelihood!r}"
                 )
-        self.seed = field("seed", _seed, 0)
-        self.case = field("case", _choice("diag", "corr"), "diag")
-        self.sigma_trunc = field("sigma_trunc", _positive, 0.2 if self.family == "paris" else 0.4)
-        self.cutoff = field("cutoff", _optional(_number), None)
-        self.nominals = self._nominals("nominals", self.family)
-        self.stage1_thin = field("stage1_thin", _optional(_count), None)
-        self.hyper_subsample = field("hyper_subsample", _optional(_count), None)
-        self.sampler_kind = field("sampler.kind", _choice("slice", "tmcmc"), "slice")
-        self._sampler = self._sampler_config(field("sampler", _object, {}))
-        self._known("datasets", ("historical", "current"))
-        self._historical = field("datasets.historical", _paths, None)
-        self._current = field("datasets.current", _path, None)
+        self.seed = top["seed"]
+        self.case = top["case"]
+        self.sigma_trunc = top["sigma_trunc"] or (0.2 if self.family == "paris" else 0.4)
+        self.cutoff = top["cutoff"]
+        self.nominals = _nominals(top["nominals"], self.family, "nominals", "config")
+        self.stage1_thin = top["stage1_thin"]
+        self.hyper_subsample = top["hyper_subsample"]
+        sampler = raw.get("sampler", {})
+        self.sampler_kind = _read(sampler, "sampler", "config", SAMPLER)["kind"]
+        # built from the values as written, so that the config hash in each
+        # sample set's provenance does not depend on the reader
+        settings = {k: v for k, v in sampler.items() if k != "kind"}
+        self._sampler = _build(SamplerConfig, {"seed": self.seed, **settings}, "config", "sampler")
+        datasets = _read(raw.get("datasets", {}), "datasets", "config", DATASETS)
+        self._historical, self._current = datasets["historical"], datasets["current"]
 
     @classmethod
     def from_file(
@@ -699,23 +823,11 @@ class RunConfig:
                 raw["sampler"] = section
         return cls(raw, path.parent)
 
-    def _get(self, key: str, convert=None, default=_REQUIRED):
-        return _field(self.raw, key, "config", convert, default)
-
-    def _known(self, key: str, names) -> None:
-        """Reject a key outside ``names`` in the object at the dotted
-        ``key`` (the whole document when empty), naming its dotted path. A
-        section that is absent or not an object is left to its reader."""
-        section = self._get(key, default=None) if key else self.raw
-        if isinstance(section, dict):
-            for name in section:
-                if name not in names:
-                    path = f"{key}.{name}" if key else name
-                    raise DataFormatError(f"config: unknown field {path!r}")
-
-    def _section(self, name: str):
-        """:meth:`_get` for the fields under the section ``name``."""
-        return lambda key, convert=None, default=_REQUIRED: self._get(f"{name}.{key}", convert, default)
+    def _lazy(self, key: str, convert):
+        """The top-level field ``key`` a command needs, read by ``convert``."""
+        if key not in self.raw:
+            raise DataFormatError(f"config: missing field {key!r}")
+        return _convert(self.raw[key], key, "config", convert)
 
     def fingerprint(self) -> str:
         return config_fingerprint(self.raw)
@@ -723,37 +835,6 @@ class RunConfig:
     def resolve(self, rel: str) -> Path:
         p = Path(rel)
         return p if p.is_absolute() else self.base_dir / p
-
-    def _nominals(self, key: str, family: str | None) -> tuple[float, ...] | None:
-        """Nominal-value overrides at ``key``, one per parameter of
-        ``family`` when it is known, or None for the dataset's own."""
-        nominals = self._get(key, _optional(_numbers), None)
-        if nominals is not None and family and len(nominals) != FAMILIES[family].n_theta:
-            raise DataFormatError(
-                f"config: field {key!r} must have {FAMILIES[family].n_theta} entries, "
-                f"got {len(nominals)}"
-            )
-        return None if nominals is None else tuple(nominals)
-
-    def _sampler_config(self, section: dict) -> SamplerConfig:
-        """The :class:`SamplerConfig` of the ``sampler`` section, with every
-        key and value type checked; its seed defaults to the run seed."""
-        hints = typing.get_type_hints(SamplerConfig)
-        declared = {f.name: f.type for f in fields(SamplerConfig)}
-        self._known("sampler", ("kind", *declared))
-        settings = {"seed": self.seed}
-        for key, value in section.items():
-            if key == "kind":
-                continue
-            if not _json_fits(value, hints[key]):
-                raise DataFormatError(
-                    f"config: field 'sampler.{key}' must be of type {declared[key]}, got {value!r}"
-                )
-            settings[key] = value
-        try:
-            return SamplerConfig(**settings)
-        except ValueError as exc:
-            raise DataFormatError(f"config: field 'sampler': {exc}") from None
 
     def sampler_config(self) -> SamplerConfig:
         return self._sampler
@@ -769,71 +850,34 @@ class RunConfig:
     def current_path(self) -> Path:
         return self.resolve(self._required(self._current, "datasets.current"))
 
-    def stage1_bounds(self, key: str = "stage1_bounds", family: str | None = None):
-        """The ``(lower, upper)`` arrays of the stage-1 prior box at ``key``.
-        With a known ``family`` (the config's own by default) each must hold
-        one entry per model parameter plus one for sigma."""
-        self._known(key, ("lower", "upper"))
-        lower, upper = (np.asarray(self._get(f"{key}.{side}", _numbers)) for side in ("lower", "upper"))
-        family = family or self.family
-        dim = FAMILIES[family].n_theta + 1 if family else lower.size
-        for side, arr in (("lower", lower), ("upper", upper)):
-            if arr.size != dim:
-                raise DataFormatError(
-                    f"config: field '{key}.{side}' must have {dim} entries "
-                    f"(theta..., sigma), got {arr.size}"
-                )
-        if np.any(lower > upper):
-            raise DataFormatError(f"config: field {key!r}: lower exceeds upper")
-        return lower, upper
+    def stage1_bounds(self):
+        """The ``(lower, upper)`` arrays of the stage-1 prior box; with a
+        known ``family`` each holds one entry per model parameter plus one
+        for sigma."""
+        return _stage1_box(self._lazy("stage1_bounds", STAGE1_BOUNDS), "stage1_bounds", self.family)
 
-    def hyper_bounds(
-        self, key: str = "hyper_bounds", family: str | None = None
-    ) -> HyperPriorBounds:
-        """The uniform hyper-prior box at ``key``; with a known ``family`` it
-        must bound one mean and one spread per model parameter."""
-        self._known(key, ("mu_theta", "sd_theta", "mu_sigma", "sd_sigma", "rho"))
-        mu_theta, sd_theta = (self._get(f"{key}.{k}", _pairs) for k in ("mu_theta", "sd_theta"))
-        family = family or self.family
-        if family and len(mu_theta) != FAMILIES[family].n_theta:
-            raise DataFormatError(
-                f"config: field '{key}.mu_theta' must have {FAMILIES[family].n_theta} pairs, "
-                f"got {len(mu_theta)}"
-            )
-        try:
-            return HyperPriorBounds(
-                mu_theta=mu_theta,
-                sd_theta=sd_theta,
-                mu_sigma=self._get(f"{key}.mu_sigma", _pair),
-                sd_sigma=self._get(f"{key}.sd_sigma", _pair),
-                # the correlated case samples rho, so its box must bound it
-                rho=self._get(f"{key}.rho", _pair)
-                if self.case == "corr"
-                else self._get(f"{key}.rho", _optional(_pair), None),
-            )
-        except ValueError as exc:
-            raise DataFormatError(f"config: field {key!r}: {exc}") from None
+    def hyper_bounds(self) -> HyperPriorBounds:
+        """The uniform hyper-prior box; with a known ``family`` it bounds
+        one mean and one spread per model parameter."""
+        return _hyper_box(self._lazy("hyper_bounds", HYPER_BOUNDS), "hyper_bounds", self.family, self.case)
 
     def candidates(self) -> list[Candidate]:
         """The ``candidates`` section for model selection, one
         :class:`~hbprog.hierarchy.Candidate` per entry (at least two)."""
         out = []
         # model selection ranks at least two candidates
-        for i in range(len(self._get("candidates", lambda v: _list(v, 2)))):
+        for i, entry in enumerate(self._lazy("candidates", lambda v: _list(v, 2))):
             key = f"candidates[{i}]"
-            self._known(
-                key, ("family", "stage1_bounds", "hyper_bounds", "nominals", "sigma_trunc", "name")
-            )
-            field = self._section(key)
-            family = field("family", _family)
+            cand = _read(entry, key, "config", CANDIDATE)
+            family = cand["family"]
             out.append(
                 Candidate(
                     family=family,
-                    stage1_bounds=self.stage1_bounds(f"{key}.stage1_bounds", family),
-                    hyper_bounds=self.hyper_bounds(f"{key}.hyper_bounds", family),
-                    nominals=self._nominals(f"{key}.nominals", family),
-                    sigma_trunc=field("sigma_trunc", _positive, self.sigma_trunc),
-                    name=field("name", _optional(_text), None),
+                    stage1_bounds=_stage1_box(cand["stage1_bounds"], f"{key}.stage1_bounds", family),
+                    hyper_bounds=_hyper_box(cand["hyper_bounds"], f"{key}.hyper_bounds", family, self.case),
+                    nominals=_nominals(cand["nominals"], family, f"{key}.nominals", "config"),
+                    sigma_trunc=cand["sigma_trunc"] or self.sigma_trunc,
+                    name=cand["name"],
                 )
             )
         return out
@@ -842,99 +886,49 @@ class RunConfig:
         """The ``literature_prior`` section: Gaussian means and sds of the
         physical parameters (one per parameter of ``family`` when it is set)
         and the error-scale prior."""
-        self._known("literature_prior", ("means", "sds", "sigma_bounds", "sigma_mu", "sigma_sd"))
-        field = self._section("literature_prior")
-        means, sds = field("means", _numbers), field("sds", _numbers)
-        n_theta = FAMILIES[self.family].n_theta if self.family else len(means)
-        for name, values in (("means", means), ("sds", sds)):
-            if len(values) != n_theta:
-                raise DataFormatError(
-                    f"config: field 'literature_prior.{name}' must have {n_theta} entries, "
-                    f"got {len(values)}"
-                )
-        try:
-            return ClassicalPrior(
-                means=tuple(means),
-                sds=tuple(sds),
-                sigma_bounds=field("sigma_bounds", _pair, (0.0, 0.2)),
-                sigma_mu=field("sigma_mu", _optional(_number), None),
-                sigma_sd=field("sigma_sd", _optional(_number), None),
-            )
-        except ValueError as exc:
-            raise DataFormatError(f"config: field 'literature_prior': {exc}") from None
+        prior = self._lazy("literature_prior", LITERATURE_PRIOR)
+        n_theta = FAMILIES[self.family].n_theta if self.family else len(prior["means"])
+        for name in ("means", "sds"):
+            _length(prior[name], n_theta, f"literature_prior.{name}", "config")
+        return _build(ClassicalPrior, prior, "config", "literature_prior")
 
-    def _linspace(self, key: str) -> np.ndarray:
-        """The evenly spaced cycles of a ``{start, stop, num}`` section."""
-        self._known(key, ("start", "stop", "num"))
-        start, stop = (self._get(f"{key}.{k}", _number) for k in ("start", "stop"))
-        return np.linspace(start, stop, self._get(f"{key}.num", _count))
+    def _prognosis(self) -> dict:
+        return self._lazy("prognosis", {**PROGNOSIS, "grid": (LINSPACE, None)})
 
     def prognosis_grid(self) -> np.ndarray | None:
         """The band grid ``prognosis.grid`` ({start, stop, num}), or None
         when the config does not set one."""
-        if self._get("prognosis.grid", default=None) is None:
-            return None
-        return self._linspace("prognosis.grid")
+        grid = self._prognosis()["grid"]
+        return None if grid is None else np.linspace(**grid)
 
     def prognosis_config(self, t_c: float) -> PrognosisConfig:
-        self._known(
-            "prognosis", ("threshold", "horizon", "quantiles", "include_observation_noise", "grid")
-        )
-        field = self._section("prognosis")
-        t_c, horizon = float(t_c), field("horizon", float)
+        section = self._prognosis()
+        del section["grid"]
+        t_c, horizon = float(t_c), section["horizon"]
         if not horizon > t_c:
             raise DataFormatError(
                 f"config: field 'prognosis.horizon': {horizon:g} must exceed the current cycle {t_c:g}"
             )
-        return PrognosisConfig(
-            threshold=field("threshold", float),
-            t_c=t_c,
-            horizon=horizon,
-            quantiles=field("quantiles", quantile_levels, (0.025, 0.5, 0.975)),
-            include_observation_noise=field("include_observation_noise", _json_bool, False),
-        )
+        return _build(PrognosisConfig, {**section, "t_c": t_c}, "config", "prognosis")
 
     def synthetic_spec(self) -> SyntheticSpec:
-        self._known(
-            "synthetic",
-            ("family", "psi", "n_units", "cycles", "noise_scale", "loading", "geometry",
-             "threshold", "nominals", "unit_prefix"),
-        )
-        self._known("synthetic.psi", ("mu0", "sd0", "mu_sigma", "sd_sigma", "rho", "sigma_trunc"))
-        self._known("synthetic.loading", [f.name for f in fields(LoadingSpec)])
-        self._known("synthetic.geometry", [f.name for f in fields(CrackGeometry)])
-        field = self._section("synthetic")
-        mu0, sd0 = (np.asarray(field(f"psi.{k}", _numbers)) for k in ("mu0", "sd0"))
-        mu_sigma, sd_sigma = (field(f"psi.{k}", _number) for k in ("mu_sigma", "sd_sigma"))
-        rho = field("psi.rho", _optional(_number), None)
-        sigma_trunc = field("psi.sigma_trunc", _positive, self.sigma_trunc)
-        try:
-            psi = HyperParameters(mu0, sd0, mu_sigma, sd_sigma, rho, sigma_trunc)
-        except ValueError as exc:
-            raise DataFormatError(f"config: field 'synthetic.psi': {exc}") from None
-        loading = geometry = None
-        if field("loading", None, None) is not None:
-            loading = _loading(self.raw, "synthetic.loading", "config")
-        if field("geometry", None, None) is not None:
-            geometry = _geometry(self.raw, "synthetic.geometry", "config")
-        if isinstance(field("cycles", None), dict):
-            cycles = self._linspace("synthetic.cycles").astype(np.int64)
+        spec = self._lazy("synthetic", SYNTHETIC)
+        family = spec["family"] or self.family
+        if family is None:
+            raise DataFormatError("config: missing field 'synthetic.family'")
+        psi = {**spec["psi"], "sigma_trunc": spec["psi"]["sigma_trunc"] or self.sigma_trunc}
+        cycles = spec["cycles"]
+        if isinstance(cycles, dict):
+            cycles = np.linspace(**_read(cycles, "synthetic.cycles", "config", LINSPACE))
         else:
-            cycles = np.asarray(field("cycles", _numbers), dtype=np.int64)
-        nominals = field("nominals", _optional(_numbers), None)
-        spec = dict(
-            family=field("family", _family, self.family or _REQUIRED),
-            psi=psi,
-            n_units=field("n_units", _count),
-            cycles=cycles,
-            noise_scale=field("noise_scale", _number, 1.0),
-            loading=loading,
-            geometry=geometry,
-            threshold=field("threshold", _optional(_number), None),
-            nominals=tuple(nominals) if nominals else None,
-            unit_prefix=field("unit_prefix", _text, "S"),
+            cycles = _convert(cycles, "synthetic.cycles", "config", _numbers)
+        for key, cls in (("loading", LoadingSpec), ("geometry", CrackGeometry)):
+            if spec[key] is not None:
+                spec[key] = _build(cls, spec[key], "config", f"synthetic.{key}")
+        spec.update(
+            family=family,
+            psi=_build(HyperParameters, psi, "config", "synthetic.psi"),
+            cycles=np.asarray(cycles).astype(np.int64),
+            nominals=_nominals(spec["nominals"] or None, family, "synthetic.nominals", "config"),
         )
-        try:
-            return SyntheticSpec(**spec)
-        except ValueError as exc:
-            raise DataFormatError(f"config: field 'synthetic': {exc}") from None
+        return _build(SyntheticSpec, spec, "config", "synthetic")

@@ -379,8 +379,17 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "sampler, field",
-        [({"n_samples": "abc"}, "sampler.n_samples"), ({"bogus": 1}, "sampler.bogus")],
-        ids=["wrong-type", "unknown-key"],
+        [
+            ({"n_samples": "abc"}, "sampler.n_samples"),
+            ({"bogus": 1}, "sampler.bogus"),
+            ({"seed": -1}, "sampler.seed"),
+            ({"max_shrink": 0}, "sampler.max_shrink"),
+            ({"max_step_out": -5}, "sampler.max_step_out"),
+            ({"tmcmc_target_cov": float("nan")}, "sampler.tmcmc_target_cov"),
+            ({"slice_width": float("inf")}, "sampler.slice_width"),
+        ],
+        ids=["wrong-type", "unknown-key", "negative-seed", "no-shrink", "negative-step-out",
+             "nan-target-cov", "infinite-width"],
     )
     def test_bad_sampler_section_is_data_error(self, tmp_path, capsys, sampler, field):
         config_dict = json.loads(json.dumps(BASE_CONFIG))
@@ -597,6 +606,87 @@ class TestExitCodes:
         assert record["error"] == "DataFormatError"
         assert f"{csv}:{line}:" in record["message"]
 
+    @pytest.mark.parametrize(
+        "edit, field",
+        [
+            (lambda m: m.update(thresold=1.4), "thresold"),
+            (lambda m: m.update(nominals=[1.0]), "nominals"),
+            (lambda m: m.update(nominals=[1.0, 1.0, 1.0]), "nominals"),
+            (lambda m: m["loading"].update(delta_sigma="60"), "loading.delta_sigma"),
+            (lambda m: m["geometry"].update(a0=True), "geometry.a0"),
+            (lambda m: m["geometry"].update(a_f=float("inf")), "geometry.a_f"),
+            (lambda m: m.update(unit_id={"a": 1}), "unit_id"),
+            (lambda m: m.update(units={"a": 1}), "units"),
+            (lambda m: m.update(threshold="x"), "threshold"),
+        ],
+        ids=["misspelt-key", "nominals-short", "nominals-long", "number-as-string",
+             "boolean-as-number", "infinite-number", "unit_id-object", "units-object",
+             "threshold-string"],
+    )
+    def test_bad_sidecar_field_is_data_error(self, workspace, tmp_path, capsys, edit, field):
+        """A malformed field of the current unit's sidecar exits 2, with an
+        error record that names the sidecar (once) and the dotted field."""
+        root, _ = workspace
+        for suffix in (".csv", ".meta.json"):
+            (tmp_path / f"S4{suffix}").write_text((root / "data" / f"S4{suffix}").read_text())
+        meta_path = tmp_path / "S4.meta.json"
+        meta = json.loads(meta_path.read_text())
+        edit(meta)
+        meta_path.write_text(json.dumps(meta))
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({**BASE_CONFIG, "datasets": {"current": "S4.csv"}}))
+        ss = SampleSet(np.array([[1.0, 1.05, 0.05]]), ("theta1", "theta2", "sigma"), {"t_c": 10000.0})
+        save_sample_set(ss, tmp_path / "current_posterior")
+        assert main(["rul", "--config", str(config), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        record = json.loads(err.strip().splitlines()[-1])
+        assert record["error"] == "DataFormatError"
+        assert record["message"].startswith(f"{meta_path}: ")
+        assert f"'{field}'" in record["message"]
+        assert json.loads((tmp_path / "error.json").read_text()) == record
+
+    @pytest.mark.parametrize(
+        "command, stem, edit, field",
+        [
+            ("fit-current", "hyper", lambda p: p.update(correlated="no"), "correlated"),
+            ("fit-current", "hyper", lambda p: p.update(n_theta="two"), "n_theta"),
+            ("fit-current", "hyper", lambda p: p.update(sigma_trunc="x"), "sigma_trunc"),
+            ("fit-current", "hyper", lambda p: p.pop("sigma_trunc"), "sigma_trunc"),
+            ("fit-current", "hyper", lambda p: p.update(n_theta=3), "n_theta"),
+            ("fit-current", "hyper", lambda p: p.update(correlated=True), "correlated"),
+            ("rul", "current_posterior", lambda p: p.update(t_c=None), "t_c"),
+            ("rul", "current_posterior", lambda p: p.update(t_c="x"), "t_c"),
+        ],
+        ids=["correlated-string", "n_theta-string", "sigma_trunc-string", "sigma_trunc-missing",
+             "n_theta-not-the-family", "correlated-without-rho", "t_c-null", "t_c-string"],
+    )
+    def test_bad_manifest_field_is_data_error(self, workspace, tmp_path, capsys, command, stem,
+                                              edit, field):
+        """The provenance fields the pipeline reads back from a sample set
+        (a hyper set's population metadata, a posterior's t_c) are checked
+        before any sampling: a malformed one, or metadata that does not
+        describe the family or the set's columns, exits 2 naming the
+        manifest and the field."""
+        _, config = workspace
+        if stem == "hyper":
+            labels = ("mu_theta1", "mu_theta2", "mu_sigma", "sd_theta1", "sd_theta2", "sd_sigma")
+            rows = np.tile([1.0, 1.05, 0.08, 0.08, 0.02, 0.03], (4, 1))
+            prov = {"n_theta": 2, "correlated": False, "sigma_trunc": 0.2}
+        else:
+            labels, rows = ("theta1", "theta2", "sigma"), np.array([[1.0, 1.05, 0.05]])
+            prov = {"t_c": 10000.0}
+        edit(prov)
+        save_sample_set(SampleSet(rows, labels, prov), tmp_path / stem)
+        assert main([command, "--config", str(config), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        record = json.loads(err.strip().splitlines()[-1])
+        assert record["error"] == "DataFormatError"
+        assert record["message"].startswith(f"{tmp_path / stem}.json: ")
+        assert f"'provenance.{field}'" in record["message"]
+        assert [p.name for p in tmp_path.iterdir() if p.suffix == ".csv"] == [f"{stem}.csv"]
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
@@ -722,3 +812,88 @@ class TestConfigFuzz:
             code = main(argv)
         assert code in (0, 2), (path, mutation, err.getvalue())
         assert "Traceback" not in err.getvalue()
+
+
+#: a data file of the fuzz workspace, and the command that reads it
+FUZZ_DATA_COMMANDS = {
+    "S4.csv": "rul",
+    "S4.meta.json": "rul",
+    "hyper.json": "fit-current",
+    "current_posterior.json": "rul",
+}
+
+
+class TestDataFileFuzz:
+    """One data file that a command reads (the current unit's CSV or
+    sidecar, the hyper set's or the posterior's manifest) mutated once: the
+    command exits 0 or 2, never 1 or 3, prints no traceback, and its error
+    record names the mutated file."""
+
+    @staticmethod
+    def _run(root: Path, name: str, mutate) -> int:
+        out = Path(tempfile.mkdtemp(dir=root))
+        for path in [root / "data" / "S4.csv", root / "data" / "S4.meta.json"] + [
+            root / f"{stem}{suffix}"
+            for stem in ("hyper", "current_posterior") for suffix in (".csv", ".json")
+        ]:
+            (out / path.name).write_bytes(path.read_bytes())
+        mutate(out / name)
+        config = out / "run.json"
+        config.write_text(json.dumps({**FUZZ_CONFIG, "datasets": {"current": "S4.csv"}}))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([FUZZ_DATA_COMMANDS[name], "--config", str(config), "--out", str(out)])
+        assert code in (0, 2), (name, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert name in json.loads((out / "error.json").read_text())["message"]
+        return code
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        name=st.sampled_from(["S4.meta.json", "hyper.json", "current_posterior.json"]),
+        mutation=st.sampled_from(["wrong-type", "null", "missing", "nan", "inf", "extra-key"]),
+        data=st.data(),
+    )
+    def test_mutated_json_field_never_crashes(self, fuzz_workspace, name, mutation, data):
+        def mutate(path):
+            doc = json.loads(path.read_text())
+            field = data.draw(st.sampled_from(list(_config_paths(doc))))
+            node = doc
+            for part in field[:-1]:
+                node = node[part]
+            if mutation == "missing":
+                del node[field[-1]]
+            elif mutation == "extra-key" and isinstance(node, list):
+                node.append(1.0)
+            elif mutation == "extra-key":
+                node["extra"] = 1.0
+            else:
+                values = {"null": None, "nan": float("nan"), "inf": float("inf")}
+                node[field[-1]] = values.get(mutation) if mutation in values else _wrong_type(
+                    node[field[-1]])
+            path.write_text(json.dumps(doc))
+
+        self._run(fuzz_workspace, name, mutate)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        mutation=st.sampled_from(["duplicate", "decreasing", "empty", "ragged", "nan"]),
+        row=st.integers(1, 2),
+    )
+    def test_mutated_dataset_rows_never_crash(self, fuzz_workspace, mutation, row):
+        def mutate(path):
+            lines = path.read_text().splitlines()
+            if mutation == "duplicate":
+                lines.insert(row, lines[row])
+            elif mutation == "decreasing":
+                lines[row], lines[row + 1] = lines[row + 1], lines[row]
+            elif mutation == "ragged":
+                lines[row] += ",1.0"
+            elif mutation == "nan":
+                lines[row] = lines[row].split(",")[0] + ",nan"
+            else:
+                lines = []
+            path.write_text("".join(f"{line}\n" for line in lines))
+
+        assert self._run(fuzz_workspace, "S4.csv", mutate) == 2

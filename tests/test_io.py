@@ -1,10 +1,14 @@
 """File formats, round trips, synthetic generation and run configuration."""
 
 import json
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hbprog import io
+from hbprog.hierarchy import ClassicalPrior, Dataset
 from hbprog.io import (
     DataFormatError,
     RunConfig,
@@ -19,8 +23,8 @@ from hbprog.io import (
 )
 from hbprog.models import BatteryDoubleModel, CrackGeometry, LoadingSpec
 from hbprog.prognosis import PrognosisConfig, rul_distribution
-from hbprog.samplers import SampleSet, config_fingerprint
-from hbprog.targets import HyperParameters
+from hbprog.samplers import SampleSet, SamplerConfig, config_fingerprint
+from hbprog.targets import HyperParameters, HyperPriorBounds
 
 from conftest import CONST_LOADING, CRACK_PSI, GEOMETRY, make_dataset
 
@@ -401,3 +405,50 @@ class TestRunConfig:
         assert spec.n_units == 4
         assert spec.cycles.size == 13
         assert spec.psi.sigma_trunc == 0.2
+
+    def test_readme_example_reads(self, tmp_path):
+        """README's run-config example loads, and every section reader
+        accepts it."""
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        example = readme.split("### Run configuration")[1].split("```json\n")[1].split("```")[0]
+        cfg = RunConfig(json.loads(example), tmp_path)
+        assert cfg.sampler_config().n_samples == 5000
+        assert len(cfg.historical_paths()) == 6 and cfg.current_path() == tmp_path / "data/T7.csv"
+        assert cfg.stage1_bounds()[0].size == 3
+        assert cfg.hyper_bounds().rho == (-1.0, 1.0)
+        assert [c.name for c in cfg.candidates()] == ["paris", "paris-wide"]
+        assert cfg.literature_prior().means == (2.89, -10.78)
+        assert cfg.prognosis_grid() is None
+        assert cfg.prognosis_config(16000.0).horizon == 300000.0
+        assert cfg.synthetic_spec().unit_prefix == "T"
+
+
+class TestSchemas:
+    @pytest.mark.parametrize(
+        "schema, cls, differ",
+        [
+            (io.SAMPLER, SamplerConfig, {"kind"}),
+            (io.LOADING, LoadingSpec, set()),
+            (io.GEOMETRY, CrackGeometry, set()),
+            (io.HYPER_BOUNDS, HyperPriorBounds, set()),
+            (io.LITERATURE_PRIOR, ClassicalPrior, set()),
+            (io.PSI, HyperParameters, set()),
+            (io.PROGNOSIS_MANIFEST["config"], PrognosisConfig, set()),
+            (io.SIDECAR, Dataset, {"cycles", "values"}),
+        ],
+        ids=["sampler", "loading", "geometry", "hyper_bounds", "literature_prior", "psi",
+             "prognosis", "sidecar"],
+    )
+    def test_schema_reads_every_field(self, schema, cls, differ):
+        """Each schema names every field of the class it builds (a new
+        field left unreadable fails here); ``differ`` lists the keys that
+        only one of them has."""
+        assert set(schema) ^ {f.name for f in fields(cls)} == differ
+
+    @pytest.mark.parametrize("family", ["paris", "batt-double"])
+    def test_sidecar_schema_is_what_save_dataset_writes(self, tmp_path, family):
+        ds = make_dataset([1, 500], [1.2, 1.1], family=family, threshold=1.0)
+        save_dataset(ds, tmp_path / "a.csv")
+        written = set(json.loads((tmp_path / "a.meta.json").read_text()))
+        sections = {"geometry", "loading"} if family != "paris" else set()
+        assert written == set(io.SIDECAR) - sections
