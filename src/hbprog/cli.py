@@ -41,6 +41,7 @@ from hbprog.io import (
     save_prognosis,
     save_sample_set,
     _dump_json,
+    _meta_path,
 )
 from hbprog.models import FAMILIES
 from hbprog.prognosis import predict_trajectory, rul_distribution
@@ -109,10 +110,11 @@ def _load_current(cfg: RunConfig) -> tuple:
     return dataset, dataset.truncate(cfg.cutoff), cfg.cutoff
 
 
-def _check_domain(dataset, path: Path, family: str | None) -> None:
+def _check_fits(dataset, path: Path, family: str | None) -> None:
     """Raise a :class:`DataFormatError` naming the file and the family when
-    the dataset's first cycle lies below the fitted family's domain (an
-    empty dataset has no first cycle and passes)."""
+    the dataset does not fit the fitted family: its first cycle lies below
+    the family's domain (an empty dataset has no first cycle and passes),
+    or a crack family's sidecar lacks the geometry or the loading."""
     family = family or dataset.family
     lowest = FAMILIES[family].min_cycle
     if len(dataset) and dataset.cycles[0] < lowest:
@@ -120,6 +122,24 @@ def _check_domain(dataset, path: Path, family: str | None) -> None:
             f"{path}: family {family!r} is defined for cycles >= {lowest:g}, "
             f"but the data start at cycle {dataset.cycles[0]}"
         )
+    if family == "paris" and (dataset.geometry is None or dataset.loading is None):
+        raise DataFormatError(
+            f"{_meta_path(path)}: family 'paris' needs the fields 'geometry' and 'loading', "
+            f"but the unit is {dataset.family!r}"
+        )
+
+
+def _load_historical(cfg: RunConfig, families) -> list:
+    """The historical datasets, each checked to hold data and to fit every
+    family in ``families``."""
+    paths = cfg.historical_paths()
+    datasets = [load_dataset(p) for p in paths]
+    for ds, path in zip(datasets, paths):
+        if not len(ds):
+            raise DataFormatError(f"{path}: a historical dataset needs at least one data point")
+        for family in families:
+            _check_fits(ds, path, family)
+    return datasets
 
 
 def _stamp(ss, cfg: RunConfig):
@@ -138,10 +158,7 @@ def cmd_synth(cfg: RunConfig, args, out: Path) -> str:
 
 def cmd_fit_historical(cfg: RunConfig, args, out: Path) -> str:
     stage1_bounds, hyper_bounds = cfg.stage1_bounds(), cfg.hyper_bounds()
-    paths = cfg.historical_paths()
-    datasets = [load_dataset(p) for p in paths]
-    for ds, path in zip(datasets, paths):
-        _check_domain(ds, path, cfg.family)
+    datasets = _load_historical(cfg, [cfg.family])
     result = fit_historical(
         datasets,
         stage1_bounds,
@@ -187,7 +204,7 @@ def cmd_fit_current(cfg: RunConfig, args, out: Path) -> str:
     hyper_stem = Path(args.hyper) if args.hyper else out / "hyper"
     hyper = load_sample_set(hyper_stem, HYPER_PROVENANCE)
     dataset, truncated, t_c = _load_current(cfg)
-    _check_domain(dataset, cfg.current_path(), cfg.family)
+    _check_fits(dataset, cfg.current_path(), cfg.family)
     model = build_model(dataset, cfg.family, cfg.nominals)
     _check_hyper(hyper, hyper_stem, model)
     try:
@@ -211,6 +228,7 @@ def _posterior_and_model(cfg: RunConfig, args, out: Path):
         dataset, t_c = load_dataset(cfg.current_path()), float(samples.provenance["t_c"])
     else:
         dataset, _, t_c = _load_current(cfg)
+    _check_fits(dataset, cfg.current_path(), cfg.family)
     return samples, build_model(dataset, cfg.family, cfg.nominals), t_c
 
 
@@ -243,11 +261,7 @@ def cmd_rul(cfg: RunConfig, args, out: Path) -> str:
 
 def cmd_model_select(cfg: RunConfig, args, out: Path) -> str:
     candidates = cfg.candidates()
-    paths = cfg.historical_paths()
-    datasets = [load_dataset(p) for p in paths]
-    for cand in candidates:
-        for ds, path in zip(datasets, paths):
-            _check_domain(ds, path, cand.family)
+    datasets = _load_historical(cfg, [cand.family for cand in candidates])
     records = model_select(
         datasets, candidates, cfg.sampler_config(), case=cfg.case, stage1_thin=cfg.stage1_thin
     )
@@ -274,7 +288,7 @@ def cmd_model_select(cfg: RunConfig, args, out: Path) -> str:
 def cmd_compare_prior(cfg: RunConfig, args, out: Path) -> str:
     prior = cfg.literature_prior()
     dataset, truncated, t_c = _load_current(cfg)
-    _check_domain(dataset, cfg.current_path(), cfg.family)
+    _check_fits(dataset, cfg.current_path(), cfg.family)
     model = build_model(dataset, cfg.family, cfg.nominals)
     posterior = classical_update(truncated, prior, model, cfg.sampler_config())
     posterior.provenance.update(t_c=t_c, n_data=len(truncated), prior="literature")

@@ -29,7 +29,7 @@ import numpy as np
 
 from hbprog import __version__
 from hbprog.hierarchy import Candidate, ClassicalPrior, Dataset, build_model
-from hbprog.models import FAMILIES, CrackGeometry, LoadingSpec
+from hbprog.models import FAMILIES, LOADING_FIELDS, CrackGeometry, LoadingSpec
 from hbprog.prognosis import (
     PrognosisConfig,
     PrognosisResult,
@@ -281,11 +281,24 @@ def _pairs(value) -> tuple[tuple[float, float], ...]:
 
 
 #: :class:`~hbprog.models.LoadingSpec`; its checks say which fields each
-#: mode needs
+#: mode needs, and :func:`_mode_fields` names a field of the other mode
 LOADING = {
     "mode": _text,
     **dict.fromkeys(("delta_sigma", "delta_sigma1", "n1", "delta_sigma2", "n2"), (_number, None)),
 }
+
+
+def _mode_fields(loading: dict | None, where: str, key: str) -> None:
+    """Reject a field of the read :data:`LOADING` section at the dotted
+    ``key`` that its mode does not take, naming the field (an unknown mode
+    is left to :class:`~hbprog.models.LoadingSpec`)."""
+    if loading is None or loading["mode"] not in LOADING_FIELDS:
+        return
+    mode = loading["mode"]
+    for name, value in loading.items():
+        if value is not None and name not in ("mode", *LOADING_FIELDS[mode]):
+            raise DataFormatError(f"{where}: field '{key}.{name}': {mode} loading takes no {name}")
+
 
 #: :class:`~hbprog.models.CrackGeometry`
 GEOMETRY = {"a0": _number, "n0": _number, "a_f": _number}
@@ -356,6 +369,7 @@ def load_dataset(path: Path | str) -> Dataset:
         raise DataFormatError(f"{path}:{lines[i]}: {kind} cycle index {int(cycles[i])}")
     where = str(meta_path)
     meta = _read(_read_json(meta_path), "", where, SIDECAR)
+    _mode_fields(meta["loading"], where, "loading")
     for key, cls in (("geometry", CrackGeometry), ("loading", LoadingSpec)):
         if meta[key] is not None:
             meta[key] = _build(cls, meta[key], where, key)
@@ -410,19 +424,24 @@ def _read_table(path: Path, finite: bool) -> tuple[list[str], np.ndarray, list[i
     if not lines:
         raise DataFormatError(f"{path}:1: missing header")
     header = lines[0].split(",")
-    rows, numbers = [], []
-    for ln, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        try:
-            row = [float(v) for v in line.split(",")]
-        except ValueError as exc:
-            raise DataFormatError(f"{path}:{ln}: {exc}") from None
-        if len(row) != len(header):
-            raise DataFormatError(f"{path}:{ln}: expected {len(header)} values, got {len(row)}")
-        rows.append(row)
-        numbers.append(ln)
-    table = np.array(rows, dtype=float).reshape(-1, len(header))
+    numbers = [ln for ln, line in enumerate(lines[1:], start=2) if line.strip()]
+    fields = [lines[ln - 1].split(",") for ln in numbers]
+    try:
+        if any(len(row) != len(header) for row in fields):
+            raise ValueError("ragged table")
+        # one call; numpy parses each str with float()'s grammar
+        table = np.array(fields, dtype=float).reshape(-1, len(header))
+    except ValueError:
+        # row by row, to name the first bad line
+        rows = []
+        for ln, row in zip(numbers, fields):
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError as exc:
+                raise DataFormatError(f"{path}:{ln}: {exc}") from None
+            if len(row) != len(header):
+                raise DataFormatError(f"{path}:{ln}: expected {len(header)} values, got {len(row)}")
+        table = np.array(rows, dtype=float).reshape(-1, len(header))
     bad = np.flatnonzero(~np.isfinite(table).all(axis=1)) if finite else []
     if len(bad):
         raise DataFormatError(f"{path}:{numbers[bad[0]]}: values must be finite")
@@ -922,6 +941,7 @@ class RunConfig:
             cycles = np.linspace(**_read(cycles, "synthetic.cycles", "config", LINSPACE))
         else:
             cycles = _convert(cycles, "synthetic.cycles", "config", _numbers)
+        _mode_fields(spec["loading"], "config", "synthetic.loading")
         for key, cls in (("loading", LoadingSpec), ("geometry", CrackGeometry)):
             if spec[key] is not None:
                 spec[key] = _build(cls, spec[key], "config", f"synthetic.{key}")

@@ -44,6 +44,13 @@ class NoFailureError(ValueError):
     """The crack never reaches the critical length (no finite failure time)."""
 
 
+#: the fields each loading mode takes
+LOADING_FIELDS = {
+    "constant": ("delta_sigma",),
+    "two-block": ("delta_sigma1", "n1", "delta_sigma2", "n2"),
+}
+
+
 @dataclass(frozen=True)
 class LoadingSpec:
     """Stress loading applied to a cracked specimen.
@@ -51,7 +58,8 @@ class LoadingSpec:
     ``constant`` mode carries a single amplitude ``delta_sigma`` (MPa).
     ``two-block`` mode alternates two constant-amplitude blocks with cycle
     counts ``n1`` and ``n2``; an equivalent amplitude is derived per value of
-    the Paris exponent via :func:`equivalent_stress`.
+    the Paris exponent via :func:`equivalent_stress`. A mode takes no field
+    of the other (:data:`LOADING_FIELDS`).
     """
 
     mode: str
@@ -62,15 +70,20 @@ class LoadingSpec:
     n2: float | None = None
 
     def __post_init__(self):
+        fields = LOADING_FIELDS.get(self.mode)
+        if fields is None:
+            raise ValueError(f"unknown loading mode {self.mode!r}")
         # stored as floats, so a spec built with ints saves as it loads back
         for name in ("delta_sigma", "delta_sigma1", "n1", "delta_sigma2", "n2"):
             value = getattr(self, name)
             if value is not None:
+                if name not in fields:
+                    raise ValueError(f"{self.mode} loading takes no {name}")
                 object.__setattr__(self, name, float(value))
         if self.mode == "constant":
             if self.delta_sigma is None or not self.delta_sigma > 0:
                 raise ValueError("constant loading requires delta_sigma > 0")
-        elif self.mode == "two-block":
+        else:
             for name in ("delta_sigma1", "delta_sigma2", "n1", "n2"):
                 if getattr(self, name) is None:
                     raise ValueError(f"two-block loading requires {name}")
@@ -78,8 +91,6 @@ class LoadingSpec:
                 raise ValueError("block amplitudes must be positive")
             if self.n1 < 0 or self.n2 < 0 or self.n1 + self.n2 <= 0:
                 raise ValueError("block cycle counts must be >= 0 with n1 + n2 > 0")
-        else:
-            raise ValueError(f"unknown loading mode {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -291,29 +302,33 @@ class DegradationModel:
         raise NotImplementedError
 
     def predict_batch(self, theta: np.ndarray, cycles) -> np.ndarray:
-        """Curves for every row of ``theta`` (``[n, n_theta] -> [n, len]``),
-        equal to :meth:`predict` row by row. This default stacks
-        :meth:`predict`; the built-in families evaluate closed forms."""
+        """Curves for every row of ``theta`` (``[n, n_theta] -> [n, m]``),
+        equal to :meth:`predict` row by row. ``cycles`` is shared by every
+        row, or ``[n, m]`` with row ``i`` at ``cycles[i]``. This default
+        stacks :meth:`predict`; the built-in families evaluate closed
+        forms."""
         theta = np.asarray(theta, dtype=float)
-        n_points = np.atleast_1d(np.asarray(cycles)).size
-        out = np.empty((theta.shape[0], n_points))
+        k = np.atleast_1d(np.asarray(cycles))
+        per_row = k.ndim == 2
+        out = np.empty((theta.shape[0], k.shape[-1] if per_row else k.size))
         for i, row in enumerate(theta):
-            out[i] = self.predict(row, cycles)
+            out[i] = self.predict(row, k[i] if per_row else cycles)
         return out
 
     def admissible(self, theta: np.ndarray) -> bool:
         raise NotImplementedError
 
-    def scan_bound(self, theta: np.ndarray, k0: float, k1: float):
+    def scan_bound(self, theta: np.ndarray, k0, k1):
         """Bound on every row's curve over the cycles [k0, k1], or None.
 
-        A family with a closed form returns ``(value, slope, magnitude)``,
-        three ``[n]`` arrays: the curve at ``k0``, a bound S on |dQ/dk| over
-        [k0, k1] and a bound M on the magnitude of each term summed there
-        (so on the curve's rounding). The battery first-crossing scan uses
-        them to skip rows that provably stay above the floor; see
-        :data:`hbprog.prognosis.SCAN_ETA`. This default bounds nothing, so
-        every row is evaluated.
+        ``k0`` and ``k1`` are floats shared by every row or per-row ``[n]``
+        arrays. A family with a closed form returns
+        ``(value, slope, magnitude)``, three ``[n]`` arrays: the curve at
+        ``k0``, a bound S on |dQ/dk| over [k0, k1] and a bound M on the
+        magnitude of each term summed there (so on the curve's rounding).
+        The battery first-crossing scan uses them to skip rows that provably
+        stay above the floor; see :data:`hbprog.prognosis.SCAN_ETA`. This
+        default bounds nothing, so every row is evaluated.
         """
         return None
 
@@ -379,6 +394,8 @@ class ParisCrackModel(DegradationModel):
     def predict_batch(self, theta, cycles) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
         n = np.atleast_1d(np.asarray(cycles, dtype=float))
+        if n.ndim == 2:
+            return super().predict_batch(theta, n)
         out = np.full((theta.shape[0], n.size), np.inf)
         t1, t2 = theta[:, 0], theta[:, 1]
         with np.errstate(over="ignore"):

@@ -2,8 +2,8 @@
 
 Posterior parameter samples are pushed through the degradation model to get
 per-cycle quantile bands, per-sample end-of-life times (algebraic inversion
-for crack growth, a chunked integer first-crossing scan over all samples at
-once for battery capacity) and the remaining-useful-life distribution
+for crack growth, a galloping integer first-crossing scan over all samples
+at once for battery capacity) and the remaining-useful-life distribution
 RUL = t_EOL - t_c.
 """
 
@@ -17,18 +17,22 @@ import numpy as np
 from hbprog.models import DegradationModel, NoFailureError, ParisCrackModel
 from hbprog.samplers import SampleSet
 
-#: Curve values (live draws x cycles) that one chunk of the battery
-#: first-crossing scan evaluates: 2^17 doubles, 1 MB per scratch array
-#: whatever the horizon, while at most ``SCAN_CHUNK // 16`` draws are live;
-#: with more, a chunk is 16 cycles wide.
+#: Most curve values one round of the battery first-crossing scan
+#: evaluates: 2^17 doubles, 1 MB per scratch array whatever the horizon,
+#: while at most ``SCAN_CHUNK // SCAN_SPAN`` draws are evaluated in the
+#: round; with more, each gets a ``SCAN_SPAN``-cycle window.
 SCAN_CHUNK = 1 << 17
 
-#: Relative slack of the certified skip-ahead in the battery scan. Before a
-#: chunk [k0, k1] the scan skips a live draw whose family bound (value Q(k0),
+#: Cycles in a draw's first certified span and first evaluated window in the
+#: battery scan; a certificate is never tried on fewer.
+SCAN_SPAN = 16
+
+#: Relative slack of the certified skip-ahead in the battery scan. The scan
+#: skips a draw's span [k0, k1] when its family bound (value Q(k0),
 #: slope bound S, term magnitude M; see
 #: :meth:`~hbprog.models.DegradationModel.scan_bound`) gives
 #: ``Q(k0) - (k1 - k0) * S * (1 + eta) - eta * M > floor``. In exact
-#: arithmetic Q(k) >= Q(k0) - (k - k0) * S on the chunk, so only rounding
+#: arithmetic Q(k) >= Q(k0) - (k - k0) * S on the span, so only rounding
 #: separates the bound from the values ``predict_batch`` would compute. Each
 #: exponential's argument is rounded once (relative error 2^-53, amplified
 #: by exp to at most |x| * 2^-53 < 1e-13 for any finite nonzero result,
@@ -147,11 +151,13 @@ def _perturb(curves: np.ndarray, sigma: np.ndarray, likelihood: str, rng) -> Non
     curves[finite] = np.exp(eta + np.sqrt(zeta2) * z)
 
 
-def _certified(theta: np.ndarray, model: DegradationModel, k0: int, k1: int, floor):
+def _certified(theta: np.ndarray, model: DegradationModel, k0, k1, floor):
     """Rows of ``theta`` whose curve provably stays strictly above ``floor``
     at every cycle in [k0, k1] (the rule at :data:`SCAN_ETA`), or None when
-    the family has no bound."""
-    bound = model.scan_bound(theta, float(k0), float(k1))
+    the family has no bound. ``k0`` and ``k1`` are cycles shared by every
+    row or per-row ``[n]`` arrays."""
+    k0, k1 = np.asarray(k0, dtype=float), np.asarray(k1, dtype=float)
+    bound = model.scan_bound(theta, k0, k1)
     if bound is None:
         return None
     value, slope, magnitude = bound
@@ -164,45 +170,78 @@ def _first_crossing(
     theta: np.ndarray, model: DegradationModel, cfg: PrognosisConfig
 ) -> tuple[np.ndarray, np.ndarray, int, int]:
     """First integer cycle in (t_c, horizon] at or below the capacity floor,
-    for every row of ``theta``, by a chunked forward scan.
+    for every row of ``theta``, by a galloping forward scan.
 
-    The rows still live (not yet crossed) are scanned in chunks of
-    ``max(16, SCAN_CHUNK // live)`` cycles; a row leaves at its first
-    crossing and the scan stops once none is live. Before each chunk the
-    family's :meth:`~hbprog.models.DegradationModel.scan_bound` certifies
-    the rows that stay strictly above the floor at every cycle of it (rule
-    at :data:`SCAN_ETA`); one ``predict_batch`` call covers the rest. A
-    certified cell cannot be a crossing, so the chunks, the live set and the
-    results are those of evaluating every live row.
+    Each live row (not yet crossed) has a frontier, its first cycle not yet
+    cleared, a certificate span and an evaluation window, both starting at
+    :data:`SCAN_SPAN` cycles. A round makes one
+    :meth:`~hbprog.models.DegradationModel.scan_bound` call over every live
+    row's span from its frontier (clipped to the horizon):
+
+    - a certified row (rule at :data:`SCAN_ETA`) moves past its span, and
+      the span doubles;
+    - an uncertified row whose span is wider than ``SCAN_SPAN`` has it
+      quartered (to no less) and retries in the next round;
+    - an uncertified row at ``SCAN_SPAN`` is evaluated, in one
+      ``predict_batch`` call with per-row cycles for all of them, on its
+      evaluation window, cut to ``SCAN_CHUNK // rows`` cycles but never
+      below ``SCAN_SPAN``. It leaves at its first cycle at or below the
+      floor; otherwise it moves past the window, and the window doubles.
+
+    A family without a bound evaluates every live row each round, on windows
+    that double the same way. Certified cells cannot be crossings and
+    evaluated windows are searched in cycle order, so every result is that
+    of evaluating each row at every cycle.
 
     Returns ``(t_eol, censored, n_points, n_evaluated)``: censored rows (no
     crossing, NaN or +inf curves) hold the horizon, ``n_points`` counts the
-    cells (live rows x cycles) the scan covered and ``n_evaluated`` the
-    curve values it computed. There is no bisection: a double exponential
-    need not be monotone, and the first crossing in scan order is the end
-    of life.
+    cells from t_c + 1 through each row's end of life (the horizon when
+    censored) and ``n_evaluated`` the curve values the scan computed. There
+    is no bisection: a double exponential need not be monotone, and the
+    first crossing in cycle order is the end of life.
     """
     n = theta.shape[0]
     t_eol = np.full(n, float(cfg.horizon))
     censored = np.ones(n, dtype=bool)
-    k, last = max(int(math.floor(cfg.t_c)) + 1, 1), int(math.floor(cfg.horizon))
-    live = np.arange(n)
-    n_points = n_evaluated = 0
-    while live.size and k <= last:
-        width = min(max(16, SCAN_CHUNK // live.size), last - k + 1)
-        n_points += live.size * width
-        safe = _certified(theta[live], model, k, k + width - 1, cfg.threshold)
-        todo = live if safe is None else live[~safe]
+    first, last = max(int(math.floor(cfg.t_c)) + 1, 1), int(math.floor(cfg.horizon))
+    front = np.full(n, first)
+    span = np.full(n, SCAN_SPAN)
+    window = np.full(n, SCAN_SPAN)
+    live = np.arange(n) if first <= last else np.arange(0)
+    n_evaluated = 0
+    while live.size:
+        k0 = front[live]
+        k1 = np.minimum(k0 + span[live] - 1, last)
+        safe = _certified(theta[live], model, k0, k1, cfg.threshold)
+        if safe is None:
+            todo = live
+        else:
+            done = live[safe]
+            front[done] = k1[safe] + 1
+            span[done] *= 2
+            failed = live[~safe]
+            short = span[failed] == SCAN_SPAN
+            todo, wide = failed[short], failed[~short]
+            span[wide] = np.maximum(span[wide] // 4, SCAN_SPAN)
         if todo.size:
-            cycles = np.arange(k, k + width, dtype=float)
+            start = front[todo]
+            width = np.minimum(window[todo], max(SCAN_SPAN, SCAN_CHUNK // todo.size))
+            width = np.minimum(width, last - start + 1)
+            # a row's window short of the widest repeats its last cycle,
+            # which cannot move its first crossing
+            steps = np.minimum(np.arange(width.max()), width[:, None] - 1)
+            cycles = (start[:, None] + steps).astype(float)
             below = model.predict_batch(theta[todo], cycles) <= cfg.threshold
             n_evaluated += below.size
             hit = below.any(axis=1)
             crossed = todo[hit]
-            t_eol[crossed] = cycles[below[hit].argmax(axis=1)]
+            t_eol[crossed] = cycles[hit, below[hit].argmax(axis=1)]
             censored[crossed] = False
-            live = live[censored[live]]
-        k += width
+            front[todo] = start + width
+            window[todo] = np.minimum(2 * window[todo], SCAN_CHUNK)
+        live = live[censored[live] & (front[live] <= last)]
+    ends = np.where(censored, last, t_eol)
+    n_points = int(np.maximum(ends - first + 1, 0).sum())
     return t_eol, censored, n_points, n_evaluated
 
 
@@ -243,9 +282,10 @@ def rul_distribution(
 
     Crack growth maps :func:`end_of_life` over the sample set; battery
     capacity runs one first-crossing scan over all samples at once, and the
-    provenance records ``n_curve_points``, the cells (draws x cycles) the
-    scan covered, and ``n_curve_evaluated``, the capacity values it
-    computed; the rest were certified above the floor.
+    provenance records ``n_curve_points``, the cells (draws x cycles) from
+    t_c + 1 through each draw's end of life (the horizon when censored),
+    and ``n_curve_evaluated``, the capacity values the scan computed; the
+    rest were certified above the floor.
     RUL is exactly ``t_eol - t_c`` per sample. Censored samples enter the
     summary at their ``horizon - t_c`` lower bound; the summary records the
     censored fraction and flags the result uninformative when every sample

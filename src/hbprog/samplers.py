@@ -315,22 +315,31 @@ def _choose_dbeta(loglik: np.ndarray, beta: float, target_cov: float) -> float:
     variation does not exceed the target (bisection; full remaining step if
     even that stays below the target)."""
     remaining = 1.0 - beta
-    finite = loglik[np.isfinite(loglik)]
-    shift = np.max(finite)
+    centred = loglik - np.max(loglik[np.isfinite(loglik)])
+    size = centred.size
 
     def cov(db: float) -> float:
-        w = np.exp(db * (loglik - shift))
-        m = w.mean()
+        # the operations of ``w.std() / w.mean()``, with the mean summed once
+        w = np.exp(db * centred)
+        m = np.add.reduce(w) / size
         if m == 0:
             return math.inf
-        return float(w.std() / m)
+        dev = w - m
+        np.square(dev, out=dev)
+        return float(math.sqrt(np.add.reduce(dev) / size) / m)
 
     if cov(remaining) <= target_cov:
         return remaining
     lo_db, hi_db = 0.0, remaining
     for _ in range(80):
         mid = 0.5 * (lo_db + hi_db)
+        # from a midpoint equal to an end on (lo_db, or hi_db over the
+        # target) the remaining steps repeat themselves and keep lo_db
+        if mid == lo_db:
+            break
         if cov(mid) > target_cov:
+            if mid == hi_db:
+                break
             hi_db = mid
         else:
             lo_db = mid

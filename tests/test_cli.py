@@ -264,12 +264,44 @@ class TestExitCodes:
         assert str(tmp_path / "data" / first) in record["message"]
         assert "'batt-single'" in record["message"]
 
+    @pytest.mark.parametrize("command", ["fit-historical", "fit-current", "compare-prior",
+                                         "predict", "rul", "model-select"])
+    def test_unit_of_another_family_is_data_error(self, tmp_path, capsys, command):
+        """A battery unit under a crack run has no geometry or loading: the
+        command that reads it exits 2, naming its sidecar."""
+        config_dict = json.loads(json.dumps({**BASE_CONFIG, "candidates": [BASE_CANDIDATE] * 2}))
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(config_dict))
+        assert main(["synth", "--config", str(config), "--out", str(tmp_path / "data")]) == 0
+        (tmp_path / "data" / "B1.csv").write_text("cycle,value\n1,1.9\n2,1.89\n")
+        (tmp_path / "data" / "B1.meta.json").write_text(
+            json.dumps({"unit_id": "B1", "family": "batt-double", "units": "Ahr"})
+        )
+        config_dict["datasets"] = {"historical": ["data/S1.csv", "data/B1.csv"],
+                                   "current": "data/B1.csv"}
+        config.write_text(json.dumps(config_dict))
+        prov = {"n_theta": 2, "correlated": False, "sigma_trunc": 0.2}
+        labels = ("mu_theta1", "mu_theta2", "mu_sigma", "sd_theta1", "sd_theta2", "sd_sigma")
+        rows = np.tile([1.0, 1.05, 0.08, 0.08, 0.02, 0.03], (4, 1))
+        save_sample_set(SampleSet(rows, labels, prov), tmp_path / "hyper")
+        ss = SampleSet(np.array([[1.0, 1.05, 0.05]]), ("theta1", "theta2", "sigma"), {"t_c": 2.0})
+        save_sample_set(ss, tmp_path / "current_posterior")
+        capsys.readouterr()
+        assert main([command, "--config", str(config), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        record = json.loads(err.strip().splitlines()[-1])
+        assert record["error"] == "DataFormatError"
+        assert record["message"].startswith(f"{tmp_path / 'data' / 'B1.meta.json'}: ")
+        assert "'geometry'" in record["message"] and "'batt-double'" in record["message"]
+        assert json.loads((tmp_path / "error.json").read_text()) == record
+
     def test_empty_dataset(self, tmp_path, capsys):
-        """A header-only dataset file: a historical one is a numerical
-        failure of stage 1 (exit 3), a current one is fitted from the prior
-        up to ``--cutoff`` (exit 0) and forecast from that posterior's t_c,
-        and without ``--cutoff`` or such a posterior it exits 2 naming the
-        file. No command prints a traceback."""
+        """A header-only dataset file: a historical one exits 2 naming the
+        file, a current one is fitted from the prior up to ``--cutoff``
+        (exit 0) and forecast from that posterior's t_c, and without
+        ``--cutoff`` or such a posterior it exits 2 naming the file. No
+        command prints a traceback."""
         config_dict = json.loads(json.dumps(BASE_CONFIG))
         config = tmp_path / "run.json"
         config.write_text(json.dumps(config_dict))
@@ -282,12 +314,17 @@ class TestExitCodes:
         rows = np.tile([1.0, 1.05, 0.08, 0.08, 0.02, 0.03], (4, 1))
         save_sample_set(SampleSet(rows, labels, prov), tmp_path / "hyper")
         config_dict["sampler"] = {"n_samples": 50, "kind": "slice"}
+        config_dict["candidates"] = [BASE_CANDIDATE] * 2
         config_dict["datasets"] = {"historical": ["data/S1.csv", "data/E.csv"],
                                    "current": "data/E.csv"}
         config.write_text(json.dumps(config_dict))
         capsys.readouterr()
         run = ["--config", str(config), "--out", str(tmp_path)]
-        assert main(["fit-historical", *run]) == 3
+        for command in ("fit-historical", "model-select"):
+            assert main([command, *run]) == 2
+            record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+            assert record["error"] == "DataFormatError"
+            assert record["message"].startswith(f"{data / 'E.csv'}: ")
         assert main(["fit-current", *run, "--cutoff", "5000"]) == 0
         assert load_sample_set(tmp_path / "current_posterior").provenance["n_data"] == 0
         assert main(["rul", *run]) == 0
@@ -549,10 +586,16 @@ class TestExitCodes:
             ("model-select", ["candidates", 0, "sigma_trunc"], "x", "candidates[0].sigma_trunc"),
             ("model-select", ["candidates"], [BASE_CANDIDATE], "candidates"),
             ("fit-historical", ["datasets", "historical"], "data/S1.csv", "datasets.historical"),
+            ("synth", ["synthetic", "loading"], {"mode": "constant", "delta_sigma": 60, "n1": 5},
+             "synthetic.loading.n1"),
+            ("synth", ["synthetic", "loading"],
+             {"mode": "two-block", "delta_sigma1": 60, "n1": 5, "delta_sigma2": 80, "n2": 5,
+              "delta_sigma": 60}, "synthetic.loading.delta_sigma"),
         ],
         ids=["sigma_bounds-string", "sigma_bounds-negative", "means-string", "sds-short",
              "grid-num-string", "grid-num-zero", "grid-stop-missing", "corr-without-rho",
-             "candidate-sigma_trunc-string", "one-candidate", "historical-string"],
+             "candidate-sigma_trunc-string", "one-candidate", "historical-string",
+             "constant-loading-n1", "two-block-loading-delta_sigma"],
     )
     def test_config_error_names_the_field(self, tmp_path, capsys, command, path, value, field):
         """Each malformed field exits 2 naming its dotted path, without a
@@ -618,10 +661,11 @@ class TestExitCodes:
             (lambda m: m.update(unit_id={"a": 1}), "unit_id"),
             (lambda m: m.update(units={"a": 1}), "units"),
             (lambda m: m.update(threshold="x"), "threshold"),
+            (lambda m: m["loading"].update(n1=5), "loading.n1"),
         ],
         ids=["misspelt-key", "nominals-short", "nominals-long", "number-as-string",
              "boolean-as-number", "infinite-number", "unit_id-object", "units-object",
-             "threshold-string"],
+             "threshold-string", "other-mode-loading-field"],
     )
     def test_bad_sidecar_field_is_data_error(self, workspace, tmp_path, capsys, edit, field):
         """A malformed field of the current unit's sidecar exits 2, with an

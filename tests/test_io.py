@@ -195,6 +195,26 @@ class TestSampleSetPersistence:
         with pytest.raises(DataFormatError, match=match):
             load_sample_set(tmp_path / "s")
 
+    def test_table_tokens_parse_as_float_does(self, tmp_path):
+        """The one-call parse reads every token as ``float()`` would, and a
+        token it refuses is named by line as the row-by-row parse names it."""
+        tokens = ["1.5", " 2.5 ", "1_0", "infinity", "-Infinity", "nan", "١٢", "1e5", ".5",
+                  "5.", "+3", "1e400", "-1e-400", "\u20021.0", "4.9e-324", "1\t"]
+        path = tmp_path / "t.csv"
+        path.write_text("a,b\n" + "".join(f"{t},{i}\n" for i, t in enumerate(tokens)))
+        _, table, lines = io._read_table(path, finite=False)
+        want = np.array([float(t) for t in tokens])
+        assert table[:, 0].tobytes() == want.tobytes()
+        assert lines == list(range(2, len(tokens) + 2))
+        for bad in ["0x10", "1d5", "1__0", "_1", "True", "nan(1)", ""]:
+            path.write_text(f"a,b\n1,2\n\n{bad},3\n")
+            with pytest.raises(DataFormatError) as exc:
+                io._read_table(path, finite=False)
+            try:
+                float(bad)
+            except ValueError as err:
+                assert str(exc.value) == f"{path}:4: {err}"
+
     def test_no_stray_temp_files(self, tmp_path):
         ss = SampleSet(np.ones((3, 2)), ("a", "b"))
         save_sample_set(ss, tmp_path / "clean")

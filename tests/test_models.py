@@ -65,6 +65,14 @@ class TestEquivalentStress:
         with pytest.raises(ValueError):
             LoadingSpec("two-block", delta_sigma1=60, n1=0, delta_sigma2=80, n2=0)
 
+    def test_other_mode_fields_rejected(self):
+        with pytest.raises(ValueError, match="constant loading takes no n1"):
+            LoadingSpec("constant", delta_sigma=60, n1=5)
+        with pytest.raises(ValueError, match="two-block loading takes no delta_sigma"):
+            LoadingSpec("two-block", delta_sigma1=60, n1=5, delta_sigma2=80, n2=5, delta_sigma=60)
+        with pytest.raises(ValueError, match="unknown loading mode"):
+            LoadingSpec("sine", delta_sigma=60)
+
     @given(
         ds1=st.floats(10, 200),
         ds2=st.floats(10, 200),

@@ -248,10 +248,11 @@ class TestFirstCrossingScan:
         "t_c, horizon", [(0.0, 400.0), (100.0, 400.0), (100.5, 400.0), (150.0, 400.7)]
     )
     def test_matches_per_cycle_loop(self, monkeypatch, model, t_c, horizon):
-        # 16-cycle chunks while more than 4 draws are live
+        # windows held at 16 cycles while more than 4 draws are evaluated
         monkeypatch.setattr(prognosis, "SCAN_CHUNK", 64)
         first, last = math.floor(t_c) + 1, math.floor(horizon)
-        edges = [first + 16 * j + d for j in (1, 2) for d in (-2, -1, 0, 1)]
+        # the ends of the doubling spans 16, 32 and 64 from t_c + 1
+        edges = [first + 16 * (2**j - 1) + d for j in (1, 2, 3) for d in (-2, -1, 0, 1)]
         cycles = [first - 30, first, first + 1, *edges, last - 1, last, last + 1, last + 50]
         rows = [crossing_row(model, c) for c in cycles if c >= 1]
         n = model.n_theta
@@ -273,7 +274,8 @@ class TestFirstCrossingScan:
         assert by_cycle[last] == last and by_cycle[last - 1] == last - 1
         assert by_cycle[last + 1] == horizon and by_cycle[last + 50] == horizon
         assert res.censored[len(by_cycle):][: len(inadmissible)].all()
-        assert res.provenance["n_curve_points"] < len(rows) * (last - first + 1)
+        ends = [last if censored else t_eol for t_eol, censored in want]
+        assert res.provenance["n_curve_points"] == sum(end - first + 1 for end in ends)
 
     def test_first_crossing_of_a_curve_that_recovers(self):
         """The dip row crosses the floor, climbs back above it and stays
@@ -295,38 +297,30 @@ class TestFirstCrossingScan:
         assert res.provenance["n_curve_points"] == 0
 
     def test_scan_stops_at_the_crossing_chunk(self, monkeypatch):
+        """The cells counted end at the crossing, whatever the per-round cap."""
         cfg = PrognosisConfig(threshold=FLOOR, t_c=0.0, horizon=500.0)
         ss = sample_set([crossing_row(BATT_MODEL, 145)])
-        assert rul_distribution(ss, BATT_MODEL, cfg).provenance["n_curve_points"] == 500
+        assert rul_distribution(ss, BATT_MODEL, cfg).provenance["n_curve_points"] == 145
         monkeypatch.setattr(prognosis, "SCAN_CHUNK", 16)
         res = rul_distribution(ss, BATT_MODEL, cfg)
-        # chunks of 16 cycles from cycle 1; cycle 145 opens the tenth
         assert res.t_eol.tolist() == [145.0]
-        assert res.provenance["n_curve_points"] == 160
+        assert res.provenance["n_curve_points"] == 145
 
 
 def full_scan(theta, model, cfg):
-    """Reference copy of the first-crossing scan as it was before chunks
-    were certified: every live row is evaluated at every cycle of every
-    chunk. Returns ``(t_eol, censored, n_points)``."""
-    n = theta.shape[0]
-    t_eol = np.full(n, float(cfg.horizon))
-    censored = np.ones(n, dtype=bool)
-    k, last = max(int(math.floor(cfg.t_c)) + 1, 1), int(math.floor(cfg.horizon))
-    live = np.arange(n)
-    n_points = 0
-    while live.size and k <= last:
-        width = min(max(16, prognosis.SCAN_CHUNK // live.size), last - k + 1)
-        cycles = np.arange(k, k + width, dtype=float)
-        below = model.predict_batch(theta[live], cycles) <= cfg.threshold
-        n_points += below.size
-        hit = below.any(axis=1)
-        crossed = live[hit]
-        t_eol[crossed] = cycles[below[hit].argmax(axis=1)]
-        censored[crossed] = False
-        live = live[~hit]
-        k += width
-    return t_eol, censored, n_points
+    """Reference first-crossing scan: every row evaluated at every cycle of
+    (t_c, horizon] in one ``predict_batch`` call. Returns
+    ``(t_eol, censored, n_points)``, with ``n_points`` the cells from
+    t_c + 1 through each row's end of life (the horizon when censored)."""
+    cycles = scan_range(cfg)
+    t_eol = np.full(theta.shape[0], float(cfg.horizon))
+    if not cycles.size:
+        return t_eol, np.ones(theta.shape[0], dtype=bool), 0
+    below = model.predict_batch(theta, cycles) <= cfg.threshold
+    hit = below.any(axis=1)
+    first = below.argmax(axis=1)
+    t_eol[hit] = cycles[first[hit]]
+    return t_eol, ~hit, int(np.where(hit, first + 1, cycles.size).sum())
 
 
 #: parameter rows that stress the bound, per family: mixed signs, zeros,
@@ -385,7 +379,7 @@ def assert_matches_full_scan(theta, model, cfg):
     assert t_eol.tobytes() == want[0].tobytes()
     assert censored.tobytes() == want[1].tobytes()
     assert n_points == want[2]
-    assert 0 <= n_evaluated <= n_points
+    assert n_evaluated >= 0
 
 
 class TestCertifiedScan:
@@ -423,23 +417,27 @@ class TestCertifiedScan:
             assert_matches_full_scan(theta, model, cfg)
 
     @BATTERIES
-    @given(
-        data=st.data(),
-        k0=st.integers(1, 3000),
-        width=st.integers(1, 300),
-        rel=st.sampled_from(NEAR),
-    )
+    @given(data=st.data(), rel=st.sampled_from(NEAR))
     @settings(max_examples=200, deadline=None)
-    def test_certified_chunk_stays_above_floor(self, model, data, k0, width, rel):
-        """Direct soundness: with each row's floor at (or within 1e-12 of)
-        its own minimum over the chunk, a certified row has a
-        ``predict_batch`` value above the floor at every integer cycle."""
+    def test_certified_chunk_stays_above_floor(self, model, data, rel):
+        """Direct soundness over per-row spans up to 5,000 cycles: with each
+        row's floor at (or within 1e-12 of) its own minimum over its span,
+        a certified row has a ``predict_batch`` value above the floor at
+        every integer cycle of it."""
         theta = data.draw(theta_rows(model.n_theta, max_rows=16))
-        curves = model.predict_batch(theta, np.arange(k0, k0 + width, dtype=float))
+        n = theta.shape[0]
+        k0 = np.array(data.draw(st.lists(st.integers(1, 3000), min_size=n, max_size=n)))
+        widths = st.integers(1, 300) | st.integers(1, 5000)
+        width = np.array(data.draw(st.lists(widths, min_size=n, max_size=n)))
+        curves = [
+            model.predict_batch(row[None], np.arange(k, k + w, dtype=float))[0]
+            for row, k, w in zip(theta, k0, width)
+        ]
         with np.errstate(invalid="ignore"):
-            floor = curves.min(axis=1) * (1.0 + rel)
+            floor = np.array([c.min() for c in curves]) * (1.0 + rel)
         safe = prognosis._certified(theta, model, k0, k0 + width - 1, floor)
-        assert np.all(curves[safe] > floor[safe, None])
+        for curve, f, certified in zip(curves, floor, safe):
+            assert not certified or np.all(curve > f)
 
     @BATTERIES
     @pytest.mark.parametrize("k0, width", [(1, 16), (30, 16), (200, 64), (1, 1)])
@@ -462,13 +460,13 @@ class TestCertifiedScan:
         assert res.provenance["n_curve_evaluated"] == 0
 
     def test_only_the_crossing_chunk_is_evaluated(self, monkeypatch):
-        """A gently falling curve: the nine 16-cycle chunks before the
-        crossing at cycle 145 are certified, the tenth is evaluated."""
+        """A gently falling curve: the spans before the crossing at cycle
+        145 are certified, and one 16-cycle window is evaluated."""
         monkeypatch.setattr(prognosis, "SCAN_CHUNK", 16)
         cfg = PrognosisConfig(threshold=FLOOR, t_c=0.0, horizon=500.0)
         res = rul_distribution(sample_set([crossing_row(BATT_MODEL, 145)]), BATT_MODEL, cfg)
         assert res.t_eol.tolist() == [145.0]
-        assert res.provenance["n_curve_points"] == 160
+        assert res.provenance["n_curve_points"] == 145
         assert res.provenance["n_curve_evaluated"] == 16
 
     def test_base_model_certifies_nothing(self):
@@ -478,7 +476,137 @@ class TestCertifiedScan:
         cfg = PrognosisConfig(threshold=1.2, t_c=0.0, horizon=50.0)
         res = rul_distribution(sample_set(rows), model, cfg)
         assert res.t_eol.tolist() == [50.0, 1.0, 50.0]
-        assert res.provenance["n_curve_evaluated"] == res.provenance["n_curve_points"]
+        assert res.provenance["n_curve_points"] == 50 + 1 + 50
+        # windows of 16, 32 and the last 2 cycles, over 3, 2 and 2 rows
+        assert res.provenance["n_curve_evaluated"] == 3 * 16 + 2 * 32 + 2 * 2
+
+
+class CountingCalls:
+    """A model's ``predict_batch`` and ``scan_bound`` with their calls counted."""
+
+    def __init__(self, monkeypatch, model):
+        self.predict = self.bound = 0
+        predict, bound = model.predict_batch, model.scan_bound
+
+        def counted_predict(*args):
+            self.predict += 1
+            return predict(*args)
+
+        def counted_bound(*args):
+            self.bound += 1
+            return bound(*args)
+
+        monkeypatch.setattr(model, "predict_batch", counted_predict)
+        monkeypatch.setattr(model, "scan_bound", counted_bound)
+
+
+def rounds_needed(n_cycles, width):
+    """Rounds that windows doubling from 16 cycles, capped at ``width``,
+    take to cover ``n_cycles``."""
+    rounds, span = 0, 16
+    while n_cycles > 0:
+        n_cycles -= min(span, width)
+        span, rounds = 2 * span, rounds + 1
+    return rounds
+
+
+class TestGallopingScan:
+    """Per-row spans and windows that double: the results of the per-cycle
+    loop, in few rounds."""
+
+    @BATTERIES
+    @pytest.mark.parametrize("cycle", [3000, 3001, 16 * (2**7 - 1), 16 * (2**7 - 1) + 1])
+    def test_crossing_after_a_long_certified_span(self, model, cycle):
+        """A row certified over thousands of cycles still stops at its own
+        first crossing, beside rows that cross early and late."""
+        cfg = PrognosisConfig(threshold=FLOOR, t_c=0.0, horizon=5000.0)
+        rows = [crossing_row(model, c) for c in (cycle, 2, 17, 4999, 5000)]
+        res = rul_distribution(sample_set(rows), model, cfg)
+        want = [per_cycle_eol(model, row, cfg) for row in rows]
+        assert res.t_eol.tolist() == [w[0] for w in want] == [cycle, 2, 17, 4999, 5000]
+        assert_matches_full_scan(np.array(rows), model, cfg)
+        # a 16-cycle window or two per row, at its crossing
+        assert res.provenance["n_curve_evaluated"] <= 2 * 16 * len(rows)
+
+    @BATTERIES
+    @pytest.mark.parametrize("t_c, horizon", [(0.0, 2000.0), (37.5, 1500.2)])
+    def test_crossings_at_the_range_ends(self, model, t_c, horizon):
+        cfg = PrognosisConfig(threshold=FLOOR, t_c=t_c, horizon=horizon)
+        first, last = math.floor(t_c) + 1, math.floor(horizon)
+        rows = np.array([crossing_row(model, c) for c in (first, first + 1, last - 1, last, last + 1)])
+        assert_matches_full_scan(rows, model, cfg)
+        t_eol, censored = prognosis._first_crossing(rows, model, cfg)[:2]
+        assert t_eol.tolist() == [first, first + 1, last - 1, last, horizon]
+        assert censored.tolist() == [False] * 4 + [True]
+        for row, want in zip(rows, zip(t_eol, censored)):
+            assert end_of_life([*row, 0.01], model, cfg) == want
+
+    def test_dip_rows(self):
+        """The dip row beside copies that start scanning inside and after
+        its dip."""
+        for t_c in (0.0, 40.0, 90.0, 130.0):
+            cfg = PrognosisConfig(threshold=FLOOR, t_c=t_c, horizon=3000.0)
+            rows = np.array([DIP, DIP, crossing_row(BATT_MODEL, 2500)])
+            assert_matches_full_scan(rows, BATT_MODEL, cfg)
+            assert end_of_life([*DIP, 0.01], BATT_MODEL, cfg) == per_cycle_eol(BATT_MODEL, DIP, cfg)
+
+    @BATTERIES
+    def test_uncertifiable_rows_gallop(self, monkeypatch, model):
+        """NaN and inadmissible rows are never certified: their evaluated
+        windows double, so 2,000 of them cover 5,000 cycles in no more
+        rounds than 65-cycle windows need, and one alone in the 9 rounds of
+        windows doubling from 16 cycles."""
+        cfg = PrognosisConfig(threshold=FLOOR, t_c=0.0, horizon=5000.0)
+        n = model.n_theta
+        bad = np.array([[math.nan] * n, [-1.0] + [1.0] * (n - 1), [1.0, math.inf] + [1.0] * (n - 2)])
+        rows = np.concatenate([np.tile(bad, (667, 1))[:2000], [crossing_row(model, 700)]])
+        counts = CountingCalls(monkeypatch, model)
+        prognosis._first_crossing(rows, model, cfg)
+        assert counts.predict <= rounds_needed(5000, prognosis.SCAN_CHUNK // len(rows))
+        assert_matches_full_scan(rows, model, cfg)
+        for row in bad:
+            counts.predict = 0
+            assert end_of_life([*row, 0.01], model, cfg) == (5000.0, True)
+            assert counts.predict <= rounds_needed(5000, prognosis.SCAN_CHUNK)
+
+    def test_long_scan_of_drawn_rows_matches(self):
+        """2,000 slowly fading rows over 28,000 cycles, as a posterior
+        gives them: the per-cycle results in a few dozen rounds."""
+        model = BatteryDoubleModel((1.92, -3e-5, -0.003, -0.05))
+        rng = np.random.default_rng(7)
+        n = 2000
+        theta = np.column_stack([
+            rng.normal(1.0, 0.01, n), np.exp(rng.normal(0.0, 0.6, n)),
+            rng.normal(1.0, 0.05, n), rng.normal(1.0, 0.05, n),
+        ])
+        cfg = PrognosisConfig(threshold=1.4, t_c=2000.0, horizon=30000.0)
+        with pytest.MonkeyPatch.context() as mp:
+            counts = CountingCalls(mp, model)
+            t_eol, censored, n_points, n_evaluated = prognosis._first_crossing(theta, model, cfg)
+        assert 0 < censored.sum() < n
+        for i in rng.choice(n, 12, replace=False):
+            assert (t_eol[i], censored[i]) == per_cycle_eol(model, theta[i], cfg)
+        assert counts.bound <= 64
+        assert n_evaluated < 0.01 * n_points
+
+    def test_constant_capacity_takes_few_rounds(self, monkeypatch):
+        """A family without a bound evaluates doubling windows, at most
+        ``SCAN_CHUNK`` values a round: one row covers 5,000 cycles in 9
+        rounds, and 2,000 rows never crawl 16 cycles at a time."""
+        model = ConstantCapacity()
+        cfg = PrognosisConfig(threshold=1.2, t_c=0.0, horizon=5000.0)
+        counts = CountingCalls(monkeypatch, model)
+        assert end_of_life([1.0, 0.01], model, cfg) == (5000.0, True)
+        assert counts.predict == rounds_needed(5000, prognosis.SCAN_CHUNK) == 9
+        counts.predict = 0
+        rows = np.where(np.arange(2000) % 2, 1.0, 0.5)[:, None]
+        res = rul_distribution(sample_set(rows), model, cfg)
+        assert res.t_eol.tolist() == [1.0, 5000.0] * 1000
+        # 16 cycles over 2,000 rows, then 32, 64, 128 and 131-cycle windows
+        # over the 1,000 that did not cross
+        assert prognosis.SCAN_CHUNK // 1000 == 131
+        assert counts.predict == 1 + 3 + math.ceil((5000 - 16 - 32 - 64 - 128) / 131)
+        assert res.provenance["n_curve_evaluated"] <= counts.predict * prognosis.SCAN_CHUNK
 
 
 class TestRulDistribution:

@@ -7,6 +7,7 @@ import pytest
 from scipy.stats import kstest, norm
 
 from hbprog.samplers import (
+    _choose_dbeta,
     SampleSet,
     SamplerConfig,
     SamplerError,
@@ -257,6 +258,49 @@ class TestTMCMC:
         )
         with pytest.raises(SamplerError):
             tmcmc(target, SamplerConfig(n_samples=100, seed=0))
+
+
+def reference_dbeta(loglik, beta, target_cov):
+    """Reference copy of the tempering step as first written: the CoV from
+    ``ndarray.std`` and ``mean`` and all 80 bisection steps."""
+    remaining = 1.0 - beta
+    shift = np.max(loglik[np.isfinite(loglik)])
+
+    def cov(db):
+        w = np.exp(db * (loglik - shift))
+        m = w.mean()
+        if m == 0:
+            return math.inf
+        return float(w.std() / m)
+
+    if cov(remaining) <= target_cov:
+        return remaining
+    lo_db, hi_db = 0.0, remaining
+    for _ in range(80):
+        mid = 0.5 * (lo_db + hi_db)
+        if cov(mid) > target_cov:
+            hi_db = mid
+        else:
+            lo_db = mid
+    return max(lo_db, remaining * 1e-12)
+
+
+class TestChooseDbeta:
+    @pytest.mark.parametrize("target_cov", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("beta", [0.0, 0.37, 0.999, 1.0 - 1e-9, 1.0 - 2**-52])
+    def test_matches_reference_bit_for_bit(self, beta, target_cov):
+        """Log-likelihood scales from 1e-2 to 1e6, with and without -inf
+        entries: the same increment, to the last bit, as the reference."""
+        rng = np.random.default_rng(int(1e6 * beta) + int(10 * target_cov))
+        for scale in 10.0 ** np.arange(-2, 7):
+            for n in (2, 7, 200, 1000):
+                loglik = scale * rng.standard_normal(n) - 50.0
+                if n > 2:
+                    loglik[rng.random(n) < 0.25] = -np.inf
+                    loglik[0] = scale
+                got = _choose_dbeta(loglik, beta, target_cov)
+                want = reference_dbeta(loglik, beta, target_cov)
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 class TestUtilities:
