@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import differential_evolution, minimize
 
 from hbprog.models import (
     FAMILIES,
@@ -42,6 +41,7 @@ from hbprog.targets import (
     HyperParameters,
     HyperPriorBounds,
     _decode_hyper_meta,
+    _import_scipy,
     _mixture_kernel,
     _stage2_target,
     _stage2_target_batch,
@@ -56,6 +56,22 @@ _TAG_STAGE1, _TAG_STAGE2, _TAG_CURRENT, _TAG_SELECT, _TAG_CLASSICAL = 1, 2, 3, 4
 
 # length of the whitening pilot run, as a fraction of the final run (at least 100 draws)
 _PILOT_FRACTION = 0.25
+
+
+# scipy.optimize is imported on the first call, so commands that never
+# search for a mode (predict, rul) start without it. The wrappers stay
+# module-level names because the initialisation looks them up here at call
+# time, which is where a tracer or a test patches them.
+
+
+def differential_evolution(*args, **kwargs):
+    """:func:`scipy.optimize.differential_evolution`, imported on the first call."""
+    return _import_scipy("scipy.optimize").differential_evolution(*args, **kwargs)
+
+
+def minimize(*args, **kwargs):
+    """:func:`scipy.optimize.minimize`, imported on the first call."""
+    return _import_scipy("scipy.optimize").minimize(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -623,6 +639,10 @@ def _map_jobs(fn: Callable, items: Iterable) -> list:
     # imported here so commands that never fan out do not load them
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
+
+    # imported once here rather than once in every worker: the forked
+    # workers inherit it (see differential_evolution above)
+    _import_scipy("scipy.optimize")
 
     pool = ProcessPoolExecutor(
         workers,

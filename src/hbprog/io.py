@@ -31,6 +31,7 @@ from hbprog import __version__
 from hbprog.hierarchy import Candidate, ClassicalPrior, Dataset, build_model
 from hbprog.models import FAMILIES, LOADING_FIELDS, CrackGeometry, LoadingSpec
 from hbprog.prognosis import (
+    MAX_HORIZON,
     PrognosisConfig,
     PrognosisResult,
     _perturb,
@@ -666,8 +667,8 @@ def _true_eol(model, theta, spec: SyntheticSpec) -> float | None:
             return None
     if threshold is None:
         return None
-    # first crossing in cycles 1 .. 20 * (last observed cycle) + 99
-    horizon = 20 * int(spec.cycles[-1]) + 99
+    # first crossing in cycles 1 .. 20 * (last observed cycle) + 99, at most 2^53
+    horizon = min(20 * int(spec.cycles[-1]) + 99, MAX_HORIZON)
     t_eol, censored = end_of_life(theta, model, PrognosisConfig(threshold, 0.0, horizon))
     return None if censored else t_eol
 
@@ -927,6 +928,11 @@ class RunConfig:
         if not horizon > t_c:
             raise DataFormatError(
                 f"config: field 'prognosis.horizon': {horizon:g} must exceed the current cycle {t_c:g}"
+            )
+        if not horizon <= MAX_HORIZON:
+            raise DataFormatError(
+                f"config: field 'prognosis.horizon': {horizon:g} must be at most "
+                f"2^53 = {MAX_HORIZON:.0f} cycles"
             )
         return _build(PrognosisConfig, {**section, "t_c": t_c}, "config", "prognosis")
 

@@ -17,6 +17,10 @@ import numpy as np
 from hbprog.models import DegradationModel, NoFailureError, ParisCrackModel
 from hbprog.samplers import SampleSet
 
+#: Largest prognosis horizon, 2^53 cycles: the scans count cycles in int64
+#: and report them as floats, which hold every integer only up to 2^53.
+MAX_HORIZON = 2.0**53
+
 #: Most curve values one round of the battery first-crossing scan
 #: evaluates: 2^17 doubles, 1 MB per scratch array whatever the horizon,
 #: while at most ``SCAN_CHUNK // SCAN_SPAN`` draws are evaluated in the
@@ -64,7 +68,8 @@ class PrognosisConfig:
     For crack growth the threshold is a critical length the crack crosses
     upward; for batteries it is a capacity floor crossed downward. ``t_c``
     is the current cycle, ``horizon`` the last cycle searched; samples whose
-    trajectory never crosses by the horizon are censored.
+    trajectory never crosses by the horizon are censored. The horizon is at
+    most :data:`MAX_HORIZON`.
     """
 
     threshold: float
@@ -76,6 +81,8 @@ class PrognosisConfig:
     def __post_init__(self):
         if not self.horizon > self.t_c:
             raise ValueError("horizon must exceed the current cycle t_c")
+        if not self.horizon <= MAX_HORIZON:
+            raise ValueError(f"horizon must be at most 2^53 = {MAX_HORIZON:.0f} cycles")
         object.__setattr__(self, "quantiles", quantile_levels(self.quantiles))
 
 

@@ -11,18 +11,46 @@ The population density has one kernel per sampling shape (stage-1 rows x hyper
 vectors, one row x a fixed hyper set); the public densities are views of them.
 
 All functions return -inf (never NaN) for out-of-support input.
+
+``scipy.special`` is imported by the functions that call it (see
+:func:`_import_scipy`), not with the module, so commands that never evaluate
+these densities (``predict``, ``rul``) start without it; the target builders
+look ``ndtr`` up once, when they build their closures.
 """
 
 from __future__ import annotations
 
+import gc
+import importlib
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 LOG_TWO_PI = math.log(2.0 * math.pi)
+
+
+def _import_scipy(name: str):
+    """The scipy module ``name`` (``"scipy.special"``, ``"scipy.optimize"``),
+    imported on its first use rather than with the package.
+
+    Cyclic garbage collection is paused for the import: loading scipy
+    allocates tens of thousands of long-lived objects and no garbage, and
+    the collections those allocations set off cost each command that loads
+    it about 10 ms.
+    """
+    module = sys.modules.get(name)
+    if module is None:
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            module = importlib.import_module(name)
+        finally:
+            if enabled:
+                gc.enable()
+    return module
 
 
 def logsumexp(a) -> float:
@@ -113,6 +141,7 @@ def trunc_normal_logpdf(x, mu, sd, lo, hi):
     normalization constant."""
     if not sd > 0:
         raise ValueError("truncated normal requires sd > 0")
+    ndtr = _import_scipy("scipy.special").ndtr
     x = np.asarray(x, dtype=float)
     z = ndtr((hi - mu) / sd) - ndtr((lo - mu) / sd)
     if not z > 0:
@@ -124,9 +153,10 @@ def trunc_normal_logpdf(x, mu, sd, lo, hi):
 
 def trunc_normal_ppf(q, mu, sd, lo, hi):
     """Quantile function of the truncated Gaussian; used for ancestral draws."""
-    a = ndtr((lo - mu) / sd)
-    b = ndtr((hi - mu) / sd)
-    return mu + sd * ndtri(a + np.asarray(q, dtype=float) * (b - a))
+    special = _import_scipy("scipy.special")
+    a = special.ndtr((lo - mu) / sd)
+    b = special.ndtr((hi - mu) / sd)
+    return mu + sd * special.ndtri(a + np.asarray(q, dtype=float) * (b - a))
 
 
 @dataclass(frozen=True)
@@ -357,6 +387,7 @@ def _stage2_target_batch(stage1: Sequence, bounds, correlated, sigma_trunc):
     at most ``STAGE2_CHUNK_ROWS`` stacked rows x vectors through the row
     pass of :func:`_stage2_rows`.
     """
+    ndtr = _import_scipy("scipy.special").ndtr
     row_pass, n_theta, base_const, n_rows = _stage2_rows(stage1, bounds, correlated, sigma_trunc)
     block = max(1, STAGE2_CHUNK_ROWS // n_rows)
 
@@ -409,6 +440,7 @@ def _stage2_target(stage1: Sequence, bounds, correlated, sigma_trunc):
     small that z overflows warns of it in both forms, and in the
     correlated case this form also warns of the ``inf - inf`` that follows.
     """
+    ndtr = _import_scipy("scipy.special").ndtr
     row_pass, n_theta, base_const, _ = _stage2_rows(stage1, bounds, correlated, sigma_trunc)
     k = n_theta + 1
 
@@ -453,6 +485,7 @@ def _mixture_kernel(hyper_mat: np.ndarray, n_theta: int, correlated: bool, sigma
     unchecked, to ``logsumexp_s hier(row | psi_s) - log N_s`` in a few
     array passes.
     """
+    ndtr = _import_scipy("scipy.special").ndtr
     mu = hyper_mat[:, :n_theta]
     sd = hyper_mat[:, n_theta + 1 : 2 * n_theta + 1]
     mu_s = hyper_mat[:, n_theta]

@@ -446,6 +446,8 @@ class TestExitCodes:
             ("rul", "prognosis", "horizon", "x"),
             ("rul", "prognosis", "threshold", "x"),
             ("rul", "prognosis", "horizon", 5000.0),  # before t_c = 10000
+            ("rul", "prognosis", "horizon", 1e20),  # cycles past 2^53 are not exact
+            ("predict", "prognosis", "horizon", 2.0**53 + 2),
             ("predict", "prognosis", "quantiles", [0.975, 0.5, 0.025]),
             ("synth", "synthetic.loading", "delta_sigma", "x"),
             ("synth", "synthetic.geometry", "a0", "x"),
@@ -459,7 +461,8 @@ class TestExitCodes:
             ("synth", "synthetic", "psi", MISSING),
             ("synth", "synthetic.cycles", "stop", MISSING),
         ],
-        ids=["horizon-type", "threshold-type", "horizon-before-t_c", "unsorted-quantiles",
+        ids=["horizon-type", "threshold-type", "horizon-before-t_c", "horizon-huge-rul",
+             "horizon-huge-predict", "unsorted-quantiles",
              "delta_sigma-type", "a0-type", "noise-flag-string", "noise-flag-number",
              "psi-mu0-type", "n_units-type", "noise_scale-type", "cycles-entry-type",
              "cycles-num-type", "psi-missing", "cycles-stop-missing"],

@@ -51,6 +51,9 @@ class TestPrognosisConfig:
             PrognosisConfig(threshold=25.0, t_c=0.0, horizon=10.0, quantiles=(0.9, 0.1))
         with pytest.raises(ValueError):
             PrognosisConfig(threshold=25.0, t_c=0.0, horizon=10.0, quantiles=(0.0, 0.5))
+        with pytest.raises(ValueError):
+            PrognosisConfig(threshold=1.4, t_c=0.0, horizon=2.0**53 + 2)
+        assert PrognosisConfig(threshold=1.4, t_c=0.0, horizon=2.0**53).horizon == 2.0**53
 
 
 class TestPredictTrajectory:
