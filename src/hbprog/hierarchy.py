@@ -59,9 +59,9 @@ _PILOT_FRACTION = 0.25
 
 
 # scipy.optimize is imported on the first call, so commands that never
-# search for a mode (predict, rul) start without it. The wrappers stay
-# module-level names because the initialisation looks them up here at call
-# time, which is where a tracer or a test patches them.
+# search for a mode (predict, rul, model-select) run without it. The
+# wrappers stay module-level names because the initialisation looks them up
+# here at call time, which is where a tracer or a test patches them.
 
 
 def differential_evolution(*args, **kwargs):
@@ -640,10 +640,6 @@ def _map_jobs(fn: Callable, items: Iterable) -> list:
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    # imported once here rather than once in every worker: the forked
-    # workers inherit it (see differential_evolution above)
-    _import_scipy("scipy.optimize")
-
     pool = ProcessPoolExecutor(
         workers,
         mp_context=multiprocessing.get_context("fork"),
@@ -669,6 +665,9 @@ def update_many(
     returned in input order. The updates are independent and each seeds
     itself from ``config``, so they run in worker processes (see
     :func:`_map_jobs`) with the serial loop's bytes."""
+    # each update polishes its starts: imported once here, not once per
+    # forked worker (see differential_evolution above)
+    _import_scipy("scipy.optimize")
     return _map_jobs(
         lambda ds: update_current(ds, hyper, model, config, hyper_subsample), datasets
     )
@@ -710,6 +709,9 @@ def fit_historical(
         job_cfg = config.replace(seed=subseed(config.seed, _TAG_STAGE1, i))
         return stage1_infer(ds, build_model(ds, family, nominals), stage1_bounds, job_cfg)
 
+    # each stage-1 job searches for a mode: imported once here, not once
+    # per forked worker (see differential_evolution above)
+    _import_scipy("scipy.optimize")
     stage1_sets = _map_jobs(stage1_job, enumerate(datasets))
     hyper = stage2_infer(
         _forward_stage1(stage1_sets, stage1_thin), hyper_bounds, case, config, sampler, sigma_trunc
@@ -803,7 +805,9 @@ def model_select(
 
     A failing candidate is marked failed and ranked last; the ranking
     proceeds over the rest. The candidates run in worker processes (see
-    :func:`_map_jobs`).
+    :func:`_map_jobs`). TMCMC searches for no mode, so no scipy module is
+    imported before they fork: each job loads ``scipy.special`` when it
+    builds its stage-2 target.
     """
     if len(candidates) < 2:
         raise ValueError("model selection requires at least two candidates")

@@ -318,8 +318,17 @@ class HyperPriorBounds:
 
 
 #: cap on stacked stage-1 rows x hyper vectors evaluated at once by the
-#: stage-2 target, which bounds its scratch memory
-STAGE2_CHUNK_ROWS = 4096
+#: stage-2 target, which bounds its scratch memory (about 0.7 MB for five
+#: components). On battery-select's model-select, stage 2 took 0.121 s per
+#: input set at 4096, 0.108 at 8192, 0.104 at 16384 and 32768, and 0.115
+#: at 65536 (2 vCPU, one BLAS thread).
+STAGE2_CHUNK_ROWS = 16384
+
+#: a population sd below this takes the stage-2 row pass's overflow guard.
+#: Above it, z = (x - mu) / sd stays under 1e145 for |x - mu| < 1e5, far
+#: beyond any stage-1 draw's distance from a hyper mean, so no square or
+#: quadratic form overflows; below it z can reach +inf.
+_TINY_SD = 1e-140
 
 
 def _stage2_rows(stage1: Sequence, bounds, correlated, sigma_trunc):
@@ -332,12 +341,17 @@ def _stage2_rows(stage1: Sequence, bounds, correlated, sigma_trunc):
     hyper vector, so that mask is precomputed too.
 
     Returns ``(row_pass, n_theta, base_const, n_rows)``. ``row_pass(mu, sd,
-    rho, offset)`` maps a block of b hyper vectors to their pooled
-    log-likelihoods ``[b]``: ``mu`` and ``sd`` are ``[b, n_theta + 1]``,
+    rho, offset, tiny=False)`` maps a block of b hyper vectors to their
+    pooled log-likelihoods ``[b]``: ``mu`` and ``sd`` are ``[b, n_theta + 1]``,
     ``rho`` is a ``[b, 1]`` column (None in the diagonal case) and
     ``offset``, the per-vector log normalising constant, is a ``[b, 1]``
     column or a float. Every vector must be valid (sd > 0, sigma mass
-    > 0, |rho| < 1); the callers screen the others out.
+    > 0, |rho| < 1); the callers screen the others out. ``tiny`` says
+    that a vector in the block has an sd below ``_TINY_SD``, so its z may
+    overflow, and the caller ignores that overflow. An infinite z makes the
+    correlated quadratic form ``inf - inf`` (or ``inf * 0``), a NaN whose
+    value is +inf; such a pass reads it as +inf, so the row gets -inf, as in
+    the diagonal case.
     """
     mats = [np.asarray(getattr(ss, "samples", ss), dtype=float) for ss in stage1]
     dims = {m.shape[1] for m in mats}
@@ -361,7 +375,7 @@ def _stage2_rows(stage1: Sequence, bounds, correlated, sigma_trunc):
     # row axis
     stacked_t = np.ascontiguousarray(stacked.T)
 
-    def row_pass(mu, sd, rho, offset) -> np.ndarray:
+    def row_pass(mu, sd, rho, offset, tiny=False) -> np.ndarray:
         # in-place steps keep the block's scratch at one [b, d, rows] array
         z = stacked_t - mu[:, :, None]
         z /= sd[:, :, None]
@@ -369,6 +383,8 @@ def _stage2_rows(stage1: Sequence, bounds, correlated, sigma_trunc):
             quad = (
                 z[:, 0] ** 2 - 2.0 * rho * z[:, 0] * z[:, 1] + z[:, 1] ** 2
             ) / (1.0 - rho**2) + z[:, 2] ** 2
+            if tiny:
+                quad[np.isnan(quad) & np.isinf(z).any(axis=1)] = np.inf
         else:
             quad = np.square(z, out=z).sum(axis=1)
         del z  # release the scratch before the segment sums allocate theirs
@@ -397,7 +413,7 @@ def _stage2_target_batch(stage1: Sequence, bounds, correlated, sigma_trunc):
         sd = vecs[:, n_theta + 1 : 2 * n_theta + 2]
         mu_s, sd_s = mu[:, -1], sd[:, -1]
         out = np.empty(vecs.shape[0])
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             z_trunc = ndtr((sigma_trunc - mu_s) / sd_s) - ndtr(-mu_s / sd_s)
             # vectors with sd <= 0, |rho| >= 1 or no truncation mass get
             # -inf. A call with no valid vector stops here; otherwise all
@@ -414,10 +430,11 @@ def _stage2_target_batch(stage1: Sequence, bounds, correlated, sigma_trunc):
             offset = base_const - np.log(sd).sum(axis=1) - np.log(z_trunc)
             if correlated:
                 offset -= 0.5 * np.log(1.0 - rho**2)
+            tiny = correlated and np.count_nonzero(sd < _TINY_SD) > 0
             for lo in range(0, vecs.shape[0], block):
                 b = slice(lo, lo + block)
                 r = rho[b, None] if correlated else None
-                out[b] = row_pass(mu[b], sd[b], r, offset[b, None])
+                out[b] = row_pass(mu[b], sd[b], r, offset[b, None], tiny)
         if n_ok < ok.size:
             out[~ok] = -np.inf
         return out
@@ -436,9 +453,9 @@ def _stage2_target(stage1: Sequence, bounds, correlated, sigma_trunc):
     last bit for some inputs), the sd logs are summed by numpy's
     add-reduce, ``z_trunc`` goes through scipy's ``ndtr``, and ``1 -
     rho^2`` is ``1.0 - rho * rho`` (numpy squares an array, where
-    Python's float ``**`` calls libm's ``pow``). A vector whose sd is so
-    small that z overflows warns of it in both forms, and in the
-    correlated case this form also warns of the ``inf - inf`` that follows.
+    Python's float ``**`` calls libm's ``pow``). Only a vector with an sd
+    below ``_TINY_SD``, which the sd scan finds, runs its row pass under
+    an ``np.errstate`` that ignores z's overflow, as the batch form does.
     """
     ndtr = _import_scipy("scipy.special").ndtr
     row_pass, n_theta, base_const, _ = _stage2_rows(stage1, bounds, correlated, sigma_trunc)
@@ -465,7 +482,11 @@ def _stage2_target(stage1: Sequence, bounds, correlated, sigma_trunc):
         offset = base_const - float(np.log(vec[k : 2 * k]).sum()) - float(np.log(z_trunc))
         if correlated:
             offset -= 0.5 * float(np.log(1.0 - r * r))
-        return float(row_pass(vec[None, :k], vec[None, k : 2 * k], rho, offset)[0])
+        block = (vec[None, :k], vec[None, k : 2 * k], rho, offset)
+        if min(sd) < _TINY_SD:
+            with np.errstate(over="ignore", invalid="ignore"):
+                return float(row_pass(*block, True)[0])
+        return float(row_pass(*block)[0])
 
     return loglik, n_theta
 

@@ -150,7 +150,7 @@ def ref_stage2(stacked, counts, n_theta, correlated, sigma_trunc, vec):
     sigma_ok = (sigma_col > 0.0) & (sigma_col < sigma_trunc)
     mu = vec[None, : n_theta + 1]
     sd = vec[None, n_theta + 1 : 2 * n_theta + 2]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         z_trunc = ndtr((sigma_trunc - mu[:, -1]) / sd[:, -1]) - ndtr(-mu[:, -1] / sd[:, -1])
         offset = (
             -0.5 * (n_theta + 1) * math.log(2.0 * math.pi)
@@ -166,6 +166,9 @@ def ref_stage2(stacked, counts, n_theta, correlated, sigma_trunc, vec):
             quad = (
                 z[:, 0] ** 2 - 2.0 * rho[:, None] * z[:, 0] * z[:, 1] + z[:, 1] ** 2
             ) / one_m_rho2[:, None] + z[:, 2] ** 2
+            # a positive-definite form with an infinite coordinate is +inf,
+            # where the sum above gives inf - inf or inf * 0
+            quad = np.where(np.isnan(quad) & np.isinf(z).any(axis=1), np.inf, quad)
         else:
             quad = np.square(z, out=z).sum(axis=1)
         rows = offset[:, None] - 0.5 * quad
@@ -547,14 +550,41 @@ def test_stage2_one_vector_matches_reference(correlated):
         check(vec)
     for vec in _bit_trap_vectors(base, correlated):
         check(vec)
-    # z overflows at the smallest subnormal sd (in the reference also at a
-    # tiny negative one), which warns
-    with np.errstate(over="ignore", invalid="ignore"):
+    # z overflows at a tiny sd; the reference ignores that
+    for j in (3, 4, 5):
+        for value in (5e-324, -5e-324):
+            v = list(base)
+            v[j] = value
+            check(v)
+
+
+@pytest.mark.parametrize("correlated", [False, True], ids=["diag", "corr"])
+def test_stage2_tiny_sd_is_minus_inf_without_warning(correlated):
+    """A hyper vector inside the crack box (whose sd bounds start at 0) with
+    one sd at 5e-324, 1e-200 or 1e-160 puts every stage-1 row at an
+    overflowing z: both stage-2 forms return -inf for it, never NaN, and
+    warn of nothing. In a batch beside it, a regular vector keeps the
+    bytes it has alone."""
+    rng = np.random.default_rng(12)
+    sets = [np.column_stack([rng.normal(1, 0.05, n), rng.normal(1.05, 0.01, n),
+                             rng.uniform(0.03, 0.12, n)]) for n in (40, 25, 40)]
+    bounds = HyperPriorBounds.crack_default(correlated)
+    loglik, _ = _stage2_target(sets, bounds, correlated, 0.2)
+    batch, _ = _stage2_target_batch(sets, bounds, correlated, 0.2)
+    base = np.array([1.0, 1.05, 0.08, 0.05, 0.01, 0.03] + ([0.3] if correlated else []))
+    alone = batch(base[None])[0]
+    assert math.isfinite(alone)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         for j in (3, 4, 5):
-            for value in (5e-324, -5e-324):
-                v = list(base)
-                v[j] = value
-                check(v)
+            for value in (5e-324, 1e-200, 1e-160):
+                vec = base.copy()
+                vec[j] = value
+                assert bounds.contains(vec, correlated)
+                assert loglik(vec) == -math.inf, (j, value)
+                got = batch(np.stack([vec, base]))
+                assert got[0] == -math.inf, (j, value)
+                assert same(got[1], alone)
 
 
 def _mass(mu_s, sd_s):
@@ -634,9 +664,7 @@ STAGE2_FORMS = {c: _stage2_forms(np.random.default_rng(13), c)[0] for c in (Fals
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_stage2_one_vector_matches_reference_drawn(correlated, data):
-    vec = data.draw(_hyper_vectors(correlated))
-    with np.errstate(over="ignore", invalid="ignore"):  # subnormal sds overflow z
-        STAGE2_FORMS[correlated](vec)
+    STAGE2_FORMS[correlated](data.draw(_hyper_vectors(correlated)))
 
 
 def test_stage2_one_vector_wide_family_matches_batch():

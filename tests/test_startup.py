@@ -3,12 +3,16 @@ the scipy modules its own path runs, when it first runs them.
 
 ``predict`` and ``rul`` never call scipy, so they start without it. The
 mode search calls ``scipy.optimize`` through two module-level wrappers in
-``hierarchy``, which perfbench's tracer patches by name, and ``_map_jobs``
-imports ``scipy.optimize`` before it forks, so the workers inherit it.
+``hierarchy``, which perfbench's tracer patches by name. The callers whose
+jobs search for a mode import ``scipy.optimize`` before ``_map_jobs`` forks,
+so their workers inherit it; ``model-select`` runs TMCMC only and never
+loads it.
 """
 
 import json
 import os
+import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -125,15 +129,165 @@ def test_mode_search_calls_the_module_level_names(monkeypatch, name):
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="_map_jobs forks its workers")
-def test_forked_workers_inherit_scipy_optimize():
-    """Each job sees ``scipy.optimize`` loaded at its entry, imported once
-    in the parent before the fork, although the parent never called it."""
+@pytest.mark.parametrize(
+    "patch, call",
+    [
+        ("hierarchy.stage1_infer = job\n"
+         "hierarchy.stage2_infer = lambda *args: SimpleNamespace(log_evidence=None)\n",
+         "hierarchy.fit_historical(units, None, None).stage1"),
+        ("hierarchy.update_current = job\n", "hierarchy.update_many(units, None, None, None)"),
+    ],
+    ids=["fit_historical", "update_many"],
+)
+def test_mode_search_jobs_start_with_scipy_optimize(patch, call):
+    """The stage-1 jobs of ``fit_historical`` and the updates of
+    ``update_many`` search for a mode, so each job (here replaced by one
+    that reports its process and whether ``scipy.optimize`` is loaded) sees
+    it loaded at its entry in a forked worker: imported once in the parent
+    before the fork, although the parent never calls it."""
     proc = run_fresh(
         "import os, sys\n"
+        "from types import SimpleNamespace\n"
         "import hbprog.hierarchy as hierarchy\n"
         "hierarchy._available_cpus = lambda: 2\n"
+        "parent = os.getpid()\n"
+        "job = lambda *args: (os.getpid() != parent, 'scipy.optimize' in sys.modules)\n"
+        + patch
+        + "units = [hierarchy.Dataset(f'B{i}', [1, 2], [1.9, 1.8], 'batt-single') for i in range(4)]\n"
         "assert 'scipy.optimize' not in sys.modules\n"
-        "job = lambda i: (os.getpid(), 'scipy.optimize' in sys.modules)\n"
-        "print([(pid != os.getpid(), loaded) for pid, loaded in hierarchy._map_jobs(job, range(4))])\n"
+        f"print(list({call}))\n"
     )
     assert proc.stdout.strip() == str([(True, True)] * 4)
+
+
+def _box(n: int) -> dict:
+    return {"lower": [0.05] * n + [1e-4], "upper": [1.8] * n + [0.4]}
+
+
+def _hyper_box(n: int) -> dict:
+    return {"mu_theta": [[0.0, 1.8]] * n, "sd_theta": [[0.0, 0.4]] * n,
+            "mu_sigma": [0.0, 0.4], "sd_sigma": [0.0, 0.2]}
+
+
+BATT_NOMINALS = [1.92, -0.02, -0.003, -0.05]
+
+#: a tiny battery run that every command accepts: two historical units and
+#: a current one of six cycles each, 30 draws per sampler, and the two
+#: battery families as model-selection candidates
+TINY_BATTERY = {
+    "family": "batt-double",
+    "seed": 5,
+    "sigma_trunc": 0.4,
+    "nominals": BATT_NOMINALS,
+    "stage1_bounds": _box(4),
+    "hyper_bounds": _hyper_box(4),
+    "sampler": {"kind": "slice", "n_samples": 30},
+    "datasets": {"historical": ["data/B1.csv", "data/B2.csv"], "current": "data/B3.csv"},
+    "prognosis": {"threshold": 1.4, "horizon": 3000.0},
+    "literature_prior": {
+        "means": BATT_NOMINALS, "sds": [0.2, 0.004, 0.0006, 0.01], "sigma_bounds": [0.001, 0.2],
+    },
+    "synthetic": {
+        "family": "batt-double",
+        "psi": {"mu0": [1.0] * 4, "sd0": [0.03] * 4, "mu_sigma": 0.015, "sd_sigma": 0.005},
+        "n_units": 3,
+        "unit_prefix": "B",
+        "cycles": [1, 11, 21, 31, 41, 51],
+        "threshold": 1.4,
+        "nominals": BATT_NOMINALS,
+    },
+    "candidates": [
+        {"family": "batt-single", "nominals": [2.0, -1.0, -100.0],
+         "stage1_bounds": _box(3), "hyper_bounds": _hyper_box(3)},
+        {"family": "batt-double", "nominals": BATT_NOMINALS,
+         "stage1_bounds": _box(4), "hyper_bounds": _hyper_box(4)},
+    ],
+}
+
+
+@pytest.fixture(scope="module")
+def battery_run(tmp_path_factory):
+    """A directory holding the tiny battery config, its fleet, and the hyper
+    and current-unit posteriors that ``fit-current``, ``predict`` and
+    ``rul`` read."""
+    from hbprog.cli import main
+
+    root = tmp_path_factory.mktemp("startup")
+    (root / "run.json").write_text(json.dumps(TINY_BATTERY))
+    config = str(root / "run.json")
+    assert main(["synth", "--config", config, "--out", str(root / "data")]) == 0
+    for command in ("fit-historical", "fit-current"):
+        assert main([command, "--config", config, "--out", str(root)]) == 0, command
+    return root
+
+
+def _readme_scipy_table() -> dict[str, set[str]]:
+    """README's Start-up table: command -> the scipy modules it loads."""
+    section = (ROOT / "README.md").read_text().split("### Start-up", 1)[1].split("\n#", 1)[0]
+    table = {}
+    for line in section.splitlines():
+        cells = line.split("|")
+        if len(cells) == 4 and cells[1].strip().startswith("`"):
+            modules = set(re.findall(r"`(scipy\.[\w.]+)`", cells[2]))
+            for command in re.findall(r"`([\w-]+)`", cells[1]):
+                table[command] = modules
+    return table
+
+
+COMMANDS = ("synth", "fit-historical", "fit-current", "predict", "rul", "model-select", "compare-prior")
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_command_loads_the_scipy_modules_readme_lists(battery_run, tmp_path, command):
+    """Run in a fresh interpreter on one CPU, so all of its work stays in
+    one process, each command loads exactly the scipy modules README's
+    Start-up table lists for it, among the modules the table names, and a
+    command listed with none loads no scipy module at all."""
+    table = _readme_scipy_table()
+    named = sorted(set().union(*table.values()))
+    shutil.copytree(battery_run, tmp_path, dirs_exist_ok=True)
+    out = "data" if command == "synth" else "."
+    proc = run_fresh(
+        "import sys\n"
+        "import hbprog.hierarchy as hierarchy\n"
+        "from hbprog.cli import main\n"
+        "hierarchy._available_cpus = lambda: 1\n"
+        f"assert main([{command!r}, '--config', 'run.json', '--out', {out!r}]) == 0\n"
+        f"print(sorted(m for m in {named!r} if m in sys.modules), 'scipy' in sys.modules)\n",
+        cwd=tmp_path,
+    )
+    expected = sorted(table[command])
+    assert proc.stdout.splitlines()[-1] == f"{expected} {bool(expected)}"
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="_map_jobs forks its workers")
+def test_model_select_fans_out_without_scipy_optimize(battery_run, tmp_path):
+    """``model-select`` on the tiny two-candidate fleet, fanned out to two
+    workers: the parent loads no scipy module, and each worker, at the end
+    of its stage 2, holds ``scipy.special`` but not ``scipy.optimize``."""
+    shutil.copytree(battery_run / "data", tmp_path / "data")
+    (tmp_path / "run.json").write_text(json.dumps(TINY_BATTERY))
+    proc = run_fresh(
+        "import json, os, sys\n"
+        "import hbprog.hierarchy as hierarchy\n"
+        "from hbprog.cli import main\n"
+        "hierarchy._available_cpus = lambda: 2\n"
+        "stage2_infer = hierarchy.stage2_infer\n"
+        "def recording(*args, **kwargs):\n"
+        "    out = stage2_infer(*args, **kwargs)\n"
+        "    with open(f'worker-{os.getpid()}.json', 'w') as f:\n"
+        f"        json.dump({LOADED_SCIPY}, f)\n"
+        "    return out\n"
+        "hierarchy.stage2_infer = recording\n"
+        "assert main(['model-select', '--config', 'run.json', '--out', '.']) == 0\n"
+        f"print(os.getpid(), {LOADED_SCIPY})\n",
+        cwd=tmp_path,
+    )
+    parent, parent_scipy = proc.stdout.splitlines()[-1].split(" ", 1)
+    assert parent_scipy == "[]"
+    workers = sorted(tmp_path.glob("worker-*.json"))
+    assert len(workers) == 2 and f"worker-{parent}.json" not in [w.name for w in workers]
+    for path in workers:
+        loaded = json.loads(path.read_text())
+        assert "scipy.special" in loaded and "scipy.optimize" not in loaded, (path.name, loaded)
+    assert json.loads((tmp_path / "model_select.json").read_text())["ranking"][0]["error"] is None
