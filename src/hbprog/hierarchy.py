@@ -58,20 +58,130 @@ _TAG_STAGE1, _TAG_STAGE2, _TAG_CURRENT, _TAG_SELECT, _TAG_CLASSICAL = 1, 2, 3, 4
 _PILOT_FRACTION = 0.25
 
 
-# scipy.optimize is imported on the first call, so commands that never
-# search for a mode (predict, rul, model-select) run without it. The
-# wrappers stay module-level names because the initialisation looks them up
-# here at call time, which is where a tracer or a test patches them.
-
-
-def differential_evolution(*args, **kwargs):
-    """:func:`scipy.optimize.differential_evolution`, imported on the first call."""
-    return _import_scipy("scipy.optimize").differential_evolution(*args, **kwargs)
+# scipy.optimize is imported on the first call of ``minimize``, so commands
+# that never search for a mode (predict, rul, model-select) run without it.
+# The mode search's differential evolution below is this module's own; only
+# the quasi-Newton polish is scipy's. Both stay module-level names because
+# the initialisation looks them up here at call time, which is where a
+# tracer or a test patches them.
 
 
 def minimize(*args, **kwargs):
     """:func:`scipy.optimize.minimize`, imported on the first call."""
     return _import_scipy("scipy.optimize").minimize(*args, **kwargs)
+
+
+# Differential evolution (Storn & Price 1997, J. Global Optim. 11:341) in
+# the one configuration the mode search uses: best1bin, a mutation scale
+# dithered in [0.5, 1) once per generation, crossover 0.7, a Latin-hypercube
+# start of 12 members per dimension, at most 60 generations, a stop when the
+# population energies' sd falls to 1e-10 of their mean, immediate updating,
+# and an L-BFGS-B polish. These are constants, not options: changing any of
+# them moves every chain started from the search.
+_DE_POPSIZE = 12
+_DE_MAXITER = 60
+_DE_TOL = 1e-10
+_DE_DITHER = (0.5, 1.0)
+_DE_CROSSOVER = 0.7
+
+
+@dataclass(frozen=True)
+class ModeSearchResult:
+    """Best point ``x`` and objective ``fun`` of a mode search; ``nfev``
+    counts the objective calls of the population, the trials and the
+    polish."""
+
+    x: np.ndarray
+    fun: float
+    nfev: int
+
+
+def differential_evolution(
+    objective: Callable[[np.ndarray], float], bounds, seed: int
+) -> ModeSearchResult:
+    """Minimise ``objective`` over the box ``bounds`` (a sequence of finite
+    ``(low, high)`` pairs with ``low < high``) by differential evolution,
+    then polish the best member with L-BFGS-B through :func:`minimize`.
+
+    This is scipy 1.17's ``differential_evolution(objective, bounds,
+    seed=seed, maxiter=60, popsize=12, tol=1e-10, polish=True)`` step for
+    step: the same draws from ``np.random.RandomState(seed)`` in the same
+    order, so the same ``x`` bytes, ``fun`` and ``nfev``. Each trial is
+    built in Python floats, whose add, subtract and multiply round as
+    numpy's element-wise ones do, at well under half of scipy's per-trial
+    overhead. Two calls are cheaper forms of scipy's with the same stream:
+    ``random_sample(k)`` for ``uniform(size=k)`` (both return the next ``k``
+    doubles unchanged) and ``randint(d, dtype=np.int32)`` for ``randint(d)``
+    (both reject masked 32-bit words until one is below ``d``).
+    """
+    lo, hi = np.array(bounds, dtype=float).T
+    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)) and np.all(lo < hi)):
+        raise ValueError("bounds must be finite (low, high) pairs with low < high")
+    d = lo.size
+    n = _DE_POPSIZE * d
+    rs = np.random.RandomState(seed)
+    centre, width = 0.5 * (lo + hi), np.fabs(lo - hi)
+
+    # Latin hypercube on the unit box: one draw per stratum and column, the
+    # strata then permuted column by column
+    strata = (1.0 / n) * rs.uniform(size=(n, d)) + np.linspace(0.0, 1.0, n, endpoint=False)[:, None]
+    unit = np.empty_like(strata)
+    for j in range(d):
+        unit[:, j] = strata[rs.permutation(range(n)), j]
+    energies = [float(objective(row)) for row in centre + (unit - 0.5) * width]
+    nfev = n
+    pop = unit.tolist()
+
+    def promote_best() -> None:
+        best = min(range(n), key=energies.__getitem__)
+        pop[0], pop[best] = pop[best], pop[0]
+        energies[0], energies[best] = energies[best], energies[0]
+
+    promote_best()
+    centre_l, width_l = centre.tolist(), width.tolist()
+    dims = range(d)
+    order = np.arange(n)  # shuffled in place for every trial, never reset
+    for _ in range(_DE_MAXITER):
+        scale = rs.uniform(*_DE_DITHER)
+        for c in range(n):
+            fill = int(rs.randint(d, dtype=np.int32))
+            rs.shuffle(order)
+            r0, r1, r2 = order[:3].tolist()
+            if r0 == c:
+                r0, r1 = r1, r2
+            elif r1 == c:
+                r1 = r2
+            cross = rs.random_sample(d).tolist()
+            best, a, b, current = pop[0], pop[r0], pop[r1], pop[c]
+            trial = [
+                best[j] + scale * (a[j] - b[j])
+                if cross[j] < _DE_CROSSOVER or j == fill
+                else current[j]
+                for j in dims
+            ]
+            outside = [j for j in dims if trial[j] > 1.0 or trial[j] < 0.0]
+            if outside:
+                for j, u in zip(outside, rs.random_sample(len(outside)).tolist()):
+                    trial[j] = u
+            energy = float(
+                objective(np.array([centre_l[j] + (trial[j] - 0.5) * width_l[j] for j in dims]))
+            )
+            nfev += 1
+            if energy <= energies[c]:
+                pop[c], energies[c] = trial, energy
+                if energy <= energies[0]:
+                    promote_best()
+        # numpy's pairwise sums, as scipy computes the stopping rule
+        e = np.array(energies)
+        if not np.isinf(e).any() and np.std(e) <= _DE_TOL * np.abs(np.mean(e)):
+            break
+
+    x, fun = centre + (np.array(pop[0]) - 0.5) * width, energies[0]
+    res = minimize(objective, x.copy(), method="L-BFGS-B", bounds=list(zip(lo, hi)))
+    nfev += res.nfev
+    if res.fun < fun and res.success and np.all(res.x <= hi) and np.all(lo <= res.x):
+        x, fun = res.x, float(res.fun)
+    return ModeSearchResult(x, fun, nfev)
 
 
 @dataclass(frozen=True)
@@ -207,8 +317,9 @@ def _find_init(target: TargetSpec, rng: np.random.Generator, first_guess: np.nda
     on thin ridges whose basin local search from random probes essentially
     never finds; a slice chain started off the ridge settles into a local
     mode hundreds of nats below the global one. A seeded global search
-    (differential evolution) followed by a quasi-Newton polish starts every
-    chain at the dominant mode deterministically.
+    (this module's :func:`differential_evolution`) followed by a
+    quasi-Newton polish (scipy's L-BFGS-B through :func:`minimize`) starts
+    every chain at the dominant mode deterministically.
     """
     best_x = np.array(first_guess, dtype=float)
     best_lp = float(target.log_target(best_x))
@@ -217,22 +328,20 @@ def _find_init(target: TargetSpec, rng: np.random.Generator, first_guess: np.nda
         if np.all(lo == hi):
             return np.array(lo)
         free = lo < hi
+        all_free = bool(free.all())
 
         def objective(xf: np.ndarray) -> float:
-            x = np.array(lo)
-            x[free] = xf
+            if all_free:
+                x = xf
+            else:
+                x = np.array(lo)
+                x[free] = xf
             lp = target.log_target(x)
             # -inf maps to a large finite value (DE squares objectives internally)
             return -lp if lp > -math.inf else 1e15
 
         result = differential_evolution(
-            objective,
-            bounds=list(zip(lo[free], hi[free])),
-            seed=int(rng.integers(0, 2**31 - 1)),
-            maxiter=60,
-            popsize=12,
-            tol=1e-10,
-            polish=True,
+            objective, list(zip(lo[free], hi[free])), seed=int(rng.integers(0, 2**31 - 1))
         )
         x = np.array(lo)
         x[free] = result.x
@@ -666,7 +775,7 @@ def update_many(
     itself from ``config``, so they run in worker processes (see
     :func:`_map_jobs`) with the serial loop's bytes."""
     # each update polishes its starts: imported once here, not once per
-    # forked worker (see differential_evolution above)
+    # forked worker (see minimize above)
     _import_scipy("scipy.optimize")
     return _map_jobs(
         lambda ds: update_current(ds, hyper, model, config, hyper_subsample), datasets
@@ -709,8 +818,8 @@ def fit_historical(
         job_cfg = config.replace(seed=subseed(config.seed, _TAG_STAGE1, i))
         return stage1_infer(ds, build_model(ds, family, nominals), stage1_bounds, job_cfg)
 
-    # each stage-1 job searches for a mode: imported once here, not once
-    # per forked worker (see differential_evolution above)
+    # each stage-1 job polishes its mode search: imported once here, not once
+    # per forked worker (see minimize above)
     _import_scipy("scipy.optimize")
     stage1_sets = _map_jobs(stage1_job, enumerate(datasets))
     hyper = stage2_infer(

@@ -130,15 +130,28 @@ def predict_trajectory(
     curves = model.predict_batch(rows[:, :-1], grid)
     if cfg.include_observation_noise:
         _perturb(curves, rows[:, -1], model.likelihood, np.random.default_rng(seed))
-    # order-statistic quantiles stay well defined when diverged samples put
-    # +inf into a column (linear interpolation would produce NaN there)
-    bands = np.quantile(curves, cfg.quantiles, axis=0, method="inverted_cdf")
     return PrognosisResult(
         config=cfg,
         grid=grid,
-        bands=bands,
+        bands=_quantile_bands(curves, cfg.quantiles),
         provenance={"n_samples": samples.n, "family": model.family, "seed": seed},
     )
+
+
+def _quantile_bands(curves: np.ndarray, quantiles) -> np.ndarray:
+    """``np.quantile(curves, quantiles, axis=0, method="inverted_cdf")``
+    from one column sort, done in place on ``curves``. That method returns
+    an order statistic whose rank depends only on the number of rows and
+    the level, so every column's bands are the same rows of the sorted
+    curves. Order statistics stay well defined when diverged samples put
+    +inf into a column (linear interpolation would give NaN there); a
+    column holding NaN, which the sort puts last, gets NaN bands as in
+    ``np.quantile``."""
+    ranks = np.quantile(np.arange(curves.shape[0]), quantiles, method="inverted_cdf")
+    curves.sort(axis=0)
+    bands = curves[ranks]
+    bands[:, np.isnan(curves[-1])] = np.nan
+    return bands
 
 
 def _perturb(curves: np.ndarray, sigma: np.ndarray, likelihood: str, rng) -> None:

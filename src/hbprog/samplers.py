@@ -268,7 +268,7 @@ def slice_sample(target: TargetSpec, init, config: SamplerConfig) -> SampleSet:
                 steps += 1
                 if steps > config.max_step_out:
                     raise SamplerError(
-                        f"slice step-out exceeded {config.max_step_out} doublings "
+                        f"slice step-out exceeded {config.max_step_out} steps "
                         f"expanding left on dim {d} (width={widths[d]:g}, level={logy:g})"
                     )
             steps = 0
@@ -277,7 +277,7 @@ def slice_sample(target: TargetSpec, init, config: SamplerConfig) -> SampleSet:
                 steps += 1
                 if steps > config.max_step_out:
                     raise SamplerError(
-                        f"slice step-out exceeded {config.max_step_out} doublings "
+                        f"slice step-out exceeded {config.max_step_out} steps "
                         f"expanding right on dim {d} (width={widths[d]:g}, level={logy:g})"
                     )
 

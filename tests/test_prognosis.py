@@ -107,6 +107,27 @@ class TestPredictTrajectory:
         # binomial tolerance: 0.95 +- 4 * sqrt(0.95 * 0.05 / 400)
         assert abs(inside - 0.95) < 4 * math.sqrt(0.95 * 0.05 / 400)
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 2000])
+    def test_bands_are_inverted_cdf_quantiles(self, n):
+        """The bands from one column sort equal ``np.quantile``'s
+        inverted-CDF ones, with ties, +inf and NaN in the columns."""
+        rng = np.random.default_rng(n)
+        curves = rng.lognormal(0.0, 1.0, (n, 7))
+        curves[:, 1] = 2.5
+        curves[:, 2] = rng.integers(0, 3, n)
+        curves[rng.random(n) < 0.3, 3] = np.inf
+        curves[0, 3] = np.inf
+        curves[:, 4] = np.inf
+        curves[n // 2, 5] = np.nan
+        curves[0, 6] = np.inf
+        curves[-1, 6] = np.nan
+        levels = (0.025, 0.1, 0.5, 0.9, 0.975)
+        bands = prognosis._quantile_bands(curves.copy(), levels)
+        np.testing.assert_array_equal(
+            bands, np.quantile(curves, levels, axis=0, method="inverted_cdf")
+        )
+        assert np.isnan(bands[:, 5:]).all()
+
     def test_diverged_sample_counts_toward_upper_band(self):
         cfg = PrognosisConfig(threshold=25.0, t_c=0.0, horizon=1e6)
         rows = np.array([[1.0, 1.05, 0.05], [1.5, 1.0, 0.05]])  # second diverges early

@@ -2,11 +2,12 @@
 the scipy modules its own path runs, when it first runs them.
 
 ``predict`` and ``rul`` never call scipy, so they start without it. The
-mode search calls ``scipy.optimize`` through two module-level wrappers in
-``hierarchy``, which perfbench's tracer patches by name. The callers whose
-jobs search for a mode import ``scipy.optimize`` before ``_map_jobs`` forks,
-so their workers inherit it; ``model-select`` runs TMCMC only and never
-loads it.
+mode search (``hierarchy.differential_evolution``, in-house) polishes its
+best point with ``scipy.optimize.minimize`` through the module-level
+wrapper ``hierarchy.minimize``; perfbench's tracer patches both names. The
+callers whose jobs search for a mode import ``scipy.optimize`` before
+``_map_jobs`` forks, so their workers inherit it; ``model-select`` runs
+TMCMC only and never loads it.
 """
 
 import json
