@@ -84,7 +84,7 @@ def _build_parser() -> _Parser:
         ("fit-current", "update the current unit under the hyper-sample mixture prior"),
         ("predict", "trajectory quantile bands from a persisted posterior"),
         ("rul", "remaining-useful-life distribution from a persisted posterior"),
-        ("model-select", "rank candidate families by hyper-level log-evidence"),
+        ("model-select", "rank candidate families by hierarchical log-evidence"),
         ("compare-prior", "single-level update under a literature prior"),
     ]:
         p = sub.add_parser(name, help=doc)
@@ -282,6 +282,9 @@ def cmd_model_select(cfg: RunConfig, args, out: Path) -> str:
         lines.append(",".join("" if rec[k] is None else str(rec[k]) for k in cols))
     atomic_write(out / "model_select.csv", "\n".join(lines) + "\n")
     best = table[0]
+    if best["error"] is not None:
+        # failed candidates rank last, in input order: here every one failed
+        raise RuntimeError(f"{path}: every candidate failed; {best['name']}: {best['error']}")
     return f"model-select: best {best['name']} (log-evidence {best['log_evidence']}) -> {path}"
 
 

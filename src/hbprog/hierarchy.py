@@ -59,7 +59,7 @@ _PILOT_FRACTION = 0.25
 
 
 # scipy.optimize is imported on the first call of ``minimize``, so commands
-# that never search for a mode (predict, rul, model-select) run without it.
+# that never search for a mode (predict, rul, any TMCMC fit) run without it.
 # The mode search's differential evolution below is this module's own; only
 # the quasi-Newton polish is scipy's. Both stay module-level names because
 # the initialisation looks them up here at call time, which is where a
@@ -254,13 +254,16 @@ class Dataset:
 @dataclass
 class HierarchyResult:
     """Bundle produced by the full historical fit: per-dataset stage-1
-    sample sets, the hyper-posterior sample set, and (for TMCMC stage 2) the
-    model log-evidence."""
+    sample sets and the hyper-posterior sample set. A TMCMC fit also
+    carries the family's log-evidence, its standard error and the summed
+    data part of it (see :func:`fit_historical`)."""
 
     stage1: tuple[SampleSet, ...]
     hyper: SampleSet
     log_evidence: float | None
     fingerprint: str
+    log_evidence_se: float | None = None
+    data_log_evidence: float | None = None
 
     def __post_init__(self):
         self.stage1 = tuple(self.stage1)
@@ -456,14 +459,52 @@ def stage1_infer(
     return out
 
 
-def _box_logpdf_batch(lower: np.ndarray, upper: np.ndarray, log_const: float):
-    """Uniform log-density on a box, for a batch of points ``[n, d]``."""
+def _tmcmc_on_box(
+    lower: np.ndarray, upper: np.ndarray, log_prior_const: float, loglik: Callable,
+    labels: tuple, name: str, config: SamplerConfig,
+) -> SampleSet:
+    """TMCMC from the uniform prior on the box [lower, upper], whose
+    log-density inside is ``log_prior_const``, to the posterior under the
+    batch log-likelihood ``loglik``. The returned set carries the evidence
+    of that update."""
 
-    def logpdf(x: np.ndarray) -> np.ndarray:
+    def sample_prior(rng: np.random.Generator, n: int) -> np.ndarray:
+        return rng.uniform(lower, upper, size=(n, len(lower)))
+
+    def prior_logpdf(x: np.ndarray) -> np.ndarray:
         outside = np.any((x < lower) | (x > upper), axis=1)
-        return np.where(outside, -np.inf, log_const)
+        return np.where(outside, -np.inf, log_prior_const)
 
-    return logpdf
+    tempered = TemperedTarget(
+        len(lower), sample_prior, prior_logpdf, loglik, labels, name=name, vectorized=True
+    )
+    return tmcmc(tempered, config)
+
+
+def _stage1_tmcmc(
+    dataset: Dataset, model: DegradationModel, bounds, config: SamplerConfig
+) -> SampleSet:
+    """Stage-1 posterior via TMCMC over the uniform box, which also yields
+    the dataset's marginal likelihood under that prior.
+
+    Runs with a generous move count per tempering stage: degradation
+    posteriors ride thin correlated ridges, and particle diversity there
+    directly controls the variance of the evidence estimate (measured
+    several-nat swings at 3 moves vs ~1 nat at 8).
+    """
+    config = config.replace(tmcmc_moves=max(config.tmcmc_moves, 8))
+    lower = np.asarray(bounds[0], dtype=float)
+    upper = np.asarray(bounds[1], dtype=float)
+
+    def loglik(x: np.ndarray) -> np.ndarray:
+        return dataset_loglik_batch(model, dataset, x[:, :-1], x[:, -1])
+
+    out = _tmcmc_on_box(
+        lower, upper, float(-np.sum(np.log(upper - lower))), loglik,
+        model.theta_labels + ("sigma",), f"stage1:{dataset.unit_id}", config,
+    )
+    out.provenance.update(unit_id=dataset.unit_id, family=model.family, stage="stage1")
+    return out
 
 
 def stage2_infer(
@@ -510,15 +551,9 @@ def stage2_infer(
         init = _find_init(target, rng, 0.5 * (lower + upper))
         out = slice_sample(target, init, config.replace(seed=seed))
     else:
-
-        def sample_prior(rng: np.random.Generator, n: int) -> np.ndarray:
-            return rng.uniform(lower, upper, size=(n, len(lower)))
-
-        prior_logpdf = _box_logpdf_batch(lower, upper, log_prior_const)
-        tempered = TemperedTarget(
-            len(lower), sample_prior, prior_logpdf, loglik, labels, name="stage2", vectorized=True
+        out = _tmcmc_on_box(
+            lower, upper, log_prior_const, loglik, labels, "stage2", config.replace(seed=seed)
         )
-        out = tmcmc(tempered, config.replace(seed=seed))
 
     out.provenance.update(
         stage="stage2",
@@ -807,8 +842,23 @@ def fit_historical(
     """Run the complete historical workflow: independent stage-1 jobs (one
     derived seed each, so results do not depend on execution order; they run
     in worker processes, see :func:`_map_jobs`), then the stage-2
-    hyper-posterior. ``stage1_thin`` caps the per-dataset samples forwarded
-    to stage 2."""
+    hyper-posterior, both by ``sampler``. ``stage1_thin`` caps the
+    per-dataset samples forwarded to stage 2.
+
+    With ``sampler="tmcmc"`` the result carries the full hierarchical
+    evidence
+
+        log p(data | family) = sum_i [log Z_i + log V_i] + log Z_hyper,
+
+    its data part (the sum) and its standard error (from the runs' summed
+    variances). Z_i is the dataset evidence under the normalized uniform
+    prior, V_i the prior box volume (so Z_i * V_i integrates the bare
+    likelihood) and Z_hyper the evidence of the pooled hyper target. The
+    pooled target drops the Z_i * V_i factors as constants in the
+    hyperparameters, but they differ across families, and ranking on
+    Z_hyper alone systematically favors lower-dimensional families
+    regardless of fit.
+    """
     if not datasets:
         raise ValueError("at least one historical dataset is required")
     config = config or SamplerConfig()
@@ -816,20 +866,31 @@ def fit_historical(
     def stage1_job(job: tuple[int, Dataset]) -> SampleSet:
         i, ds = job
         job_cfg = config.replace(seed=subseed(config.seed, _TAG_STAGE1, i))
-        return stage1_infer(ds, build_model(ds, family, nominals), stage1_bounds, job_cfg)
+        infer = _stage1_tmcmc if sampler == "tmcmc" else stage1_infer
+        return infer(ds, build_model(ds, family, nominals), stage1_bounds, job_cfg)
 
-    # each stage-1 job polishes its mode search: imported once here, not once
-    # per forked worker (see minimize above)
-    _import_scipy("scipy.optimize")
+    if sampler != "tmcmc":
+        # each slice stage-1 job polishes its mode search: imported once
+        # here, not once per forked worker (see minimize above); TMCMC
+        # searches for no mode and never loads it
+        _import_scipy("scipy.optimize")
     stage1_sets = _map_jobs(stage1_job, enumerate(datasets))
     hyper = stage2_infer(
         _forward_stage1(stage1_sets, stage1_thin), hyper_bounds, case, config, sampler, sigma_trunc
     )
+    log_ev = log_ev_se = data_log_ev = None
+    if sampler == "tmcmc":
+        lower = np.asarray(stage1_bounds[0], dtype=float)
+        upper = np.asarray(stage1_bounds[1], dtype=float)
+        log_volume = float(np.sum(np.log(upper - lower)))
+        data_log_ev = data_var = 0.0
+        for ss in stage1_sets:
+            data_log_ev += ss.log_evidence + log_volume
+            data_var += ss.log_evidence_se**2
+        log_ev = data_log_ev + hyper.log_evidence
+        log_ev_se = float(math.sqrt(data_var + hyper.log_evidence_se**2))
     return HierarchyResult(
-        stage1=tuple(stage1_sets),
-        hyper=hyper,
-        log_evidence=hyper.log_evidence,
-        fingerprint=config_fingerprint(config),
+        tuple(stage1_sets), hyper, log_ev, config_fingerprint(config), log_ev_se, data_log_ev
     )
 
 
@@ -843,48 +904,10 @@ class Candidate:
     nominals: tuple | None = None
     sigma_trunc: float = 0.4
     name: str | None = None
-    model_factory: Callable[[Dataset], DegradationModel] | None = None
 
     @property
     def label(self) -> str:
         return self.name or self.family
-
-
-def _stage1_tmcmc(
-    dataset: Dataset, model: DegradationModel, bounds, config: SamplerConfig
-) -> SampleSet:
-    """Stage-1 posterior via TMCMC over the uniform box, which also yields
-    the dataset's marginal likelihood under that prior.
-
-    Runs with a generous move count per tempering stage: degradation
-    posteriors ride thin correlated ridges, and particle diversity there
-    directly controls the variance of the evidence estimate (measured
-    several-nat swings at 3 moves vs ~1 nat at 8).
-    """
-    config = config.replace(tmcmc_moves=max(config.tmcmc_moves, 8))
-    lower = np.asarray(bounds[0], dtype=float)
-    upper = np.asarray(bounds[1], dtype=float)
-    log_prior_const = float(-np.sum(np.log(upper - lower)))
-
-    def sample_prior(rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.uniform(lower, upper, size=(n, len(lower)))
-
-    def loglik(x: np.ndarray) -> np.ndarray:
-        return dataset_loglik_batch(model, dataset, x[:, :-1], x[:, -1])
-
-    labels = model.theta_labels + ("sigma",)
-    tempered = TemperedTarget(
-        len(lower),
-        sample_prior,
-        _box_logpdf_batch(lower, upper, log_prior_const),
-        loglik,
-        labels,
-        name=f"stage1:{dataset.unit_id}",
-        vectorized=True,
-    )
-    out = tmcmc(tempered, config)
-    out.provenance.update(unit_id=dataset.unit_id, family=model.family, stage="stage1")
-    return out
 
 
 def model_select(
@@ -896,21 +919,10 @@ def model_select(
 ) -> list[dict]:
     """Rank candidate families by model evidence.
 
-    Each candidate runs the full pipeline under its own derived seed:
-    stage 1 per dataset via TMCMC (yielding the per-dataset marginal
-    likelihood of the uniform-prior update) and stage 2 via TMCMC (yielding
-    the hyper-level evidence of the pooled target). The ranking key is the
-    full hierarchical evidence
-
-        log p(data | family) = sum_i [log Z_i + log V_i] + log Z_hyper,
-
-    where Z_i is the dataset evidence under the normalized uniform prior,
-    V_i the prior box volume (so Z_i * V_i integrates the bare likelihood)
-    and Z_hyper the evidence of the pooled hyper target. The pooled target
-    drops the Z_i * V_i factors as constants in the hyperparameters, but
-    they differ across candidate families, and ranking on Z_hyper alone
-    systematically favors lower-dimensional families regardless of fit.
-    Both are reported per candidate.
+    Each candidate runs :func:`fit_historical` by TMCMC under its own
+    derived seed, and the ranking key is the full hierarchical evidence
+    that fit reports. The hyper-level and data parts are reported per
+    candidate beside it.
 
     A failing candidate is marked failed and ranked last; the ranking
     proceeds over the rest. The candidates run in worker processes (see
@@ -936,39 +948,20 @@ def model_select(
             "result": None,
         }
         try:
-            lower = np.asarray(cand.stage1_bounds[0], dtype=float)
-            upper = np.asarray(cand.stage1_bounds[1], dtype=float)
-            log_volume = float(np.sum(np.log(upper - lower)))
-            stage1_sets = []
-            data_log_ev = 0.0
-            data_var = 0.0
-            for i, ds in enumerate(datasets):
-                model = (
-                    cand.model_factory(ds)
-                    if cand.model_factory is not None
-                    else build_model(ds, cand.family, cand.nominals)
-                )
-                job_cfg = cand_cfg.replace(seed=subseed(cand_cfg.seed, _TAG_STAGE1, i))
-                ss = _stage1_tmcmc(ds, model, cand.stage1_bounds, job_cfg)
-                data_log_ev += ss.log_evidence + log_volume
-                data_var += ss.log_evidence_se**2
-                stage1_sets.append(ss)
-            hyper = stage2_infer(
-                _forward_stage1(stage1_sets, stage1_thin),
-                cand.hyper_bounds, case, cand_cfg, "tmcmc", cand.sigma_trunc,
-            )
-            total = data_log_ev + hyper.log_evidence
-            record["log_evidence"] = total
-            record["log_evidence_se"] = float(
-                math.sqrt(data_var + hyper.log_evidence_se**2)
-            )
-            record["hyper_log_evidence"] = hyper.log_evidence
-            record["data_log_evidence"] = data_log_ev
-            record["result"] = HierarchyResult(
-                tuple(stage1_sets), hyper, total, config_fingerprint(cand_cfg)
+            result = fit_historical(
+                datasets, cand.stage1_bounds, cand.hyper_bounds, case, cand_cfg, "tmcmc",
+                cand.sigma_trunc, cand.family, cand.nominals, stage1_thin,
             )
         except (SamplerError, ValueError, ArithmeticError) as exc:
             record["error"] = f"{type(exc).__name__}: {exc}"
+            return record
+        record.update(
+            log_evidence=result.log_evidence,
+            log_evidence_se=result.log_evidence_se,
+            hyper_log_evidence=result.hyper.log_evidence,
+            data_log_evidence=result.data_log_evidence,
+            result=result,
+        )
         return record
 
     records = _map_jobs(candidate_job, enumerate(candidates))

@@ -658,17 +658,17 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> tuple[list[Dataset], d
 
 
 def _true_eol(model, theta, spec: SyntheticSpec) -> float | None:
+    """The unit's end of life from cycle 0, or None when it never fails
+    within the horizon (or a battery fleet has no threshold)."""
     threshold = spec.threshold
     if spec.family == "paris":
         threshold = threshold if threshold is not None else spec.geometry.a_f
-        try:
-            return float(model.cycles_to_failure(theta, a_f=threshold))
-        except Exception:
-            return None
-    if threshold is None:
+        horizon = MAX_HORIZON
+    elif threshold is None:
         return None
-    # first crossing in cycles 1 .. 20 * (last observed cycle) + 99, at most 2^53
-    horizon = min(20 * int(spec.cycles[-1]) + 99, MAX_HORIZON)
+    else:
+        # first crossing in cycles 1 .. 20 * (last observed cycle) + 99, at most 2^53
+        horizon = min(20 * int(spec.cycles[-1]) + 99, MAX_HORIZON)
     t_eol, censored = end_of_life(theta, model, PrognosisConfig(threshold, 0.0, horizon))
     return None if censored else t_eol
 

@@ -5,7 +5,7 @@ from scipy.special import logsumexp
 from scipy.stats import norm, truncnorm
 
 from hbprog.hierarchy import Dataset
-from hbprog.models import CrackGeometry, DegradationModel, LoadingSpec
+from hbprog.models import FAMILIES, CrackGeometry, DegradationModel, LoadingSpec
 from hbprog.targets import HyperParameters
 from hbprog.io import SyntheticSpec, generate_synthetic
 
@@ -36,6 +36,13 @@ class ConstantCapacity(DegradationModel):
         if not self.admissible(theta):
             return np.full(k.shape, np.inf)
         return np.full(k.shape, 2.0 * float(theta[0]))
+
+
+@pytest.fixture
+def const_family(monkeypatch):
+    """``batt-const`` registered as a model family for one test, so a
+    candidate can name it; forked workers inherit the registration."""
+    monkeypatch.setitem(FAMILIES, ConstantCapacity.family, ConstantCapacity)
 
 CRACK_PSI = HyperParameters(
     mu0=[1.0, 1.05], sd0=[0.08, 0.02], mu_sigma=0.08, sd_sigma=0.03, sigma_trunc=0.2

@@ -190,6 +190,30 @@ class TestModelSelectCommand:
         assert (tmp_path / "model_select.csv").exists()
 
 
+    def test_every_candidate_failing_is_numerical_failure(self, tmp_path, capsys):
+        """Two candidates whose sigma box [1e-300, 2e-300] collapses the
+        tempering: the ranking is still written, and the run exits 3 with
+        an error record naming the first candidate's error."""
+        config_dict = json.loads(json.dumps(BASE_CONFIG))
+        box = {"lower": [0.6, 0.8, 1e-300], "upper": [1.6, 1.3, 2e-300]}
+        config_dict["candidates"] = [
+            {**BASE_CANDIDATE, "name": name, "stage1_bounds": box} for name in ("first", "second")
+        ]
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(config_dict))
+        assert main(["synth", "--config", str(config), "--out", str(tmp_path / "data")]) == 0
+        assert main(["model-select", "--config", str(config), "--out", str(tmp_path)]) == 3
+        table = json.loads((tmp_path / "model_select.json").read_text())["ranking"]
+        assert [r["name"] for r in table] == ["first", "second"]
+        assert all(r["log_evidence"] is None and r["error"] for r in table)
+        assert (tmp_path / "model_select.csv").exists()
+        record = json.loads((tmp_path / "error.json").read_text())
+        assert record["error"] == "RuntimeError"
+        assert record["message"].endswith(f"first: {table[0]['error']}")
+        assert table[0]["error"].startswith("SamplerError: ")
+        assert json.loads(capsys.readouterr().err.strip().splitlines()[-1]) == record
+
+
 def _drop_upper(bounds):
     del bounds["upper"]
 

@@ -22,7 +22,7 @@ from hbprog.hierarchy import (
     update_current,
 )
 from hbprog.models import BatteryDoubleModel, DegradationModel, ParisCrackModel
-from hbprog.samplers import SampleSet, SamplerConfig
+from hbprog.samplers import SampleSet, SamplerConfig, subseed
 from hbprog.targets import HyperParameters, HyperPriorBounds
 
 from conftest import (
@@ -30,7 +30,6 @@ from conftest import (
     CRACK_BOUNDS,
     CRACK_PSI,
     GEOMETRY,
-    ConstantCapacity,
     make_dataset,
 )
 
@@ -382,17 +381,51 @@ class TestModelSelect:
                 c_b,
                 HyperPriorBounds.battery_default(1),
                 sigma_trunc=0.4,
-                model_factory=lambda ds: ConstantCapacity(),
             ),
         ]
 
-    def test_true_family_beats_constant_dummy(self):
+    def test_true_family_beats_constant_dummy(self, const_family):
         fleet = self._battery_fleet(31)
         records = model_select(
             fleet, self._candidates(), SamplerConfig(n_samples=400, seed=0), stage1_thin=150
         )
         assert records[0]["family"] == "batt-double"
         assert records[0]["log_evidence"] > records[1]["log_evidence"]
+
+    def test_candidate_record_is_a_tmcmc_fit_historical(self):
+        """Each candidate's record holds what ``fit_historical`` by TMCMC
+        returns at the candidate's derived seed: the same stage-1 and hyper
+        bytes, evidence, standard error and data evidence. Records are
+        matched by name, as ``model_select`` sorts them."""
+        fleet = self._battery_fleet(31)
+        cfg = SamplerConfig(n_samples=300, seed=4)
+        single_b = (np.array([0.05] * 3 + [1e-4]), np.array([1.8] * 3 + [0.4]))
+        cands = [
+            Candidate("batt-single", single_b, HyperPriorBounds.battery_default(3), name="one"),
+            self._candidates()[0],
+        ]
+        records = {r["name"]: r for r in model_select(fleet, cands, cfg, stage1_thin=100)}
+        for j, cand in enumerate(cands):
+            fit = fit_historical(
+                fleet, cand.stage1_bounds, cand.hyper_bounds,
+                config=cfg.replace(seed=subseed(cfg.seed, hierarchy._TAG_SELECT, j)),
+                sampler="tmcmc", sigma_trunc=cand.sigma_trunc, family=cand.family,
+                nominals=cand.nominals, stage1_thin=100,
+            )
+            record = records[cand.label]
+            assert record["error"] is None
+            for a, b in zip(fit.stage1, record["result"].stage1, strict=True):
+                assert a.samples.tobytes() == b.samples.tobytes()
+                assert (a.log_evidence, a.log_evidence_se) == (b.log_evidence, b.log_evidence_se)
+            assert fit.hyper.samples.tobytes() == record["result"].hyper.samples.tobytes()
+            assert fit.log_evidence_se is not None
+            assert (
+                fit.log_evidence, fit.log_evidence_se, fit.data_log_evidence,
+                fit.hyper.log_evidence, fit.fingerprint,
+            ) == (
+                record["log_evidence"], record["log_evidence_se"], record["data_log_evidence"],
+                record["hyper_log_evidence"], record["result"].fingerprint,
+            )
 
     def test_duplicate_candidates_agree(self, crack_fleet):
         fleet, _ = crack_fleet

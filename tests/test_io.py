@@ -21,7 +21,7 @@ from hbprog.io import (
     save_prognosis,
     save_sample_set,
 )
-from hbprog.models import BatteryDoubleModel, CrackGeometry, LoadingSpec
+from hbprog.models import BatteryDoubleModel, CrackGeometry, LoadingSpec, ParisCrackModel
 from hbprog.prognosis import PrognosisConfig, rul_distribution
 from hbprog.samplers import SampleSet, SamplerConfig, config_fingerprint
 from hbprog.targets import HyperParameters, HyperPriorBounds
@@ -304,6 +304,17 @@ class TestGenerateSynthetic:
             assert len(unit["theta"]) == 2
             assert unit["sigma"] > 0
             assert unit["eol"] is None or unit["eol"] > 0
+
+    def test_error_inside_the_model_propagates(self, monkeypatch):
+        """A programming error in the crack inversion (here a TypeError)
+        reaches the caller; it does not read as a unit that never fails."""
+
+        def broken(model, theta, a_f=None):
+            raise TypeError("broken inversion")
+
+        monkeypatch.setattr(ParisCrackModel, "cycles_to_failure", broken)
+        with pytest.raises(TypeError, match="broken inversion"):
+            generate_synthetic(self._spec(), seed=5)
 
     def test_battery_generation(self):
         psi = HyperParameters(

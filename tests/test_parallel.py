@@ -33,7 +33,7 @@ from hbprog.models import CrackDivergedError, NoFailureError
 from hbprog.samplers import SampleSet, SamplerConfig, SamplerError
 from hbprog.targets import HyperParameters, HyperPriorBounds
 
-from conftest import CRACK_BOUNDS, ConstantCapacity
+from conftest import CRACK_BOUNDS
 
 
 def with_workers(monkeypatch, n):
@@ -118,9 +118,9 @@ def _battery_fleet(seed):
     return generate_synthetic(spec, seed=seed)[0]
 
 
-def test_model_select_independent_of_worker_count(monkeypatch):
-    """TMCMC candidates, one built by a ``model_factory`` lambda, which
-    reaches the workers by fork, not by pickling."""
+def test_model_select_independent_of_worker_count(monkeypatch, const_family):
+    """TMCMC candidates, one of a family registered only in this process,
+    which reaches the workers by fork, not by pickling."""
     fleet = _battery_fleet(31)
     candidates = [
         Candidate(
@@ -132,7 +132,6 @@ def test_model_select_independent_of_worker_count(monkeypatch):
             "batt-const",
             (np.array([0.05, 1e-4]), np.array([1.8, 0.4])),
             HyperPriorBounds.battery_default(1),
-            model_factory=lambda ds: ConstantCapacity(),
         ),
     ]
     cfg = SamplerConfig(n_samples=300, seed=0)

@@ -6,8 +6,8 @@ mode search (``hierarchy.differential_evolution``, in-house) polishes its
 best point with ``scipy.optimize.minimize`` through the module-level
 wrapper ``hierarchy.minimize``; perfbench's tracer patches both names. The
 callers whose jobs search for a mode import ``scipy.optimize`` before
-``_map_jobs`` forks, so their workers inherit it; ``model-select`` runs
-TMCMC only and never loads it.
+``_map_jobs`` forks, so their workers inherit it; ``model-select`` and
+``fit-historical --sampler tmcmc`` run TMCMC only and never load it.
 """
 
 import json
@@ -259,6 +259,27 @@ def test_command_loads_the_scipy_modules_readme_lists(battery_run, tmp_path, com
     )
     expected = sorted(table[command])
     assert proc.stdout.splitlines()[-1] == f"{expected} {bool(expected)}"
+
+
+def test_tmcmc_fit_historical_runs_without_scipy_optimize(battery_run, tmp_path):
+    """``fit-historical --sampler tmcmc`` in a fresh interpreter on one
+    CPU searches for no mode: it loads ``scipy.special`` (the population
+    densities of stage 2) but never ``scipy.optimize``."""
+    shutil.copytree(battery_run / "data", tmp_path / "data")
+    (tmp_path / "run.json").write_text(json.dumps(TINY_BATTERY))
+    proc = run_fresh(
+        "import sys\n"
+        "import hbprog.hierarchy as hierarchy\n"
+        "from hbprog.cli import main\n"
+        "hierarchy._available_cpus = lambda: 1\n"
+        "argv = ['fit-historical', '--config', 'run.json', '--out', '.', '--sampler', 'tmcmc']\n"
+        "assert main(argv) == 0\n"
+        f"print({LOADED_SCIPY})\n",
+        cwd=tmp_path,
+    )
+    loaded = proc.stdout.splitlines()[-1]
+    assert "'scipy.special'" in loaded and "scipy.optimize" not in loaded, loaded
+    assert "log-evidence" in proc.stdout
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="_map_jobs forks its workers")
