@@ -421,6 +421,26 @@ def _in_box(lower: np.ndarray, upper: np.ndarray) -> Callable[[list], bool]:
     return inside
 
 
+def _stage1_box(dataset: Dataset, model: DegradationModel, bounds, sampler: str):
+    """The checked ``(lower, upper)`` arrays of a stage-1 uniform prior box
+    over (theta..., sigma) for ``sampler``, and their labels."""
+    if len(dataset) == 0:
+        raise ValueError("stage-1 inference requires a nonempty dataset")
+    lower = np.asarray(bounds[0], dtype=float)
+    upper = np.asarray(bounds[1], dtype=float)
+    labels = model.theta_labels + ("sigma",)
+    if lower.shape != (len(labels),) or upper.shape != (len(labels),):
+        raise ValueError(f"bounds must cover {len(labels)} components (theta..., sigma)")
+    if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
+        raise ValueError("stage-1 bounds must be finite")
+    # a Metropolis move never leaves a zero-width component (slice pins it)
+    if sampler == "tmcmc":
+        for name, lo, hi in zip(labels, lower, upper):
+            if not lo < hi:
+                raise ValueError(f"TMCMC needs lower < upper; stage-1 bound {name!r} is [{lo:g}, {hi:g}]")
+    return lower, upper, labels
+
+
 def stage1_infer(
     dataset: Dataset,
     model: DegradationModel,
@@ -430,15 +450,7 @@ def stage1_infer(
     """Per-dataset posterior over (theta..., sigma) under a uniform prior on
     the given box: best-of-probes initialization, pilot run, then whitened
     slice sampling."""
-    if len(dataset) == 0:
-        raise ValueError("stage-1 inference requires a nonempty dataset")
-    lower = np.asarray(bounds[0], dtype=float)
-    upper = np.asarray(bounds[1], dtype=float)
-    dim = model.n_theta + 1
-    if lower.shape != (dim,) or upper.shape != (dim,):
-        raise ValueError(f"bounds must cover {dim} components (theta..., sigma)")
-    if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
-        raise ValueError("stage-1 bounds must be finite")
+    lower, upper, labels = _stage1_box(dataset, model, bounds, "slice")
     inside = _in_box(lower, upper)
 
     def log_target(x: np.ndarray) -> float:
@@ -447,8 +459,7 @@ def stage1_infer(
             return -math.inf
         return dataset_loglik(model, dataset, x[:-1], xl[-1])
 
-    labels = model.theta_labels + ("sigma",)
-    target = TargetSpec(dim, log_target, lower, upper, labels, name=f"stage1:{dataset.unit_id}")
+    target = TargetSpec(len(labels), log_target, lower, upper, labels, name=f"stage1:{dataset.unit_id}")
     rng = np.random.default_rng(subseed(config.seed, _TAG_STAGE1, 0xF17))
     init = _find_init(target, rng, 0.5 * (lower + upper))
     if np.all(lower == upper):
@@ -460,20 +471,21 @@ def stage1_infer(
 
 
 def _tmcmc_on_box(
-    lower: np.ndarray, upper: np.ndarray, log_prior_const: float, loglik: Callable,
-    labels: tuple, name: str, config: SamplerConfig,
+    lower: np.ndarray, upper: np.ndarray, loglik: Callable, labels: tuple, name: str,
+    config: SamplerConfig,
 ) -> SampleSet:
     """TMCMC from the uniform prior on the box [lower, upper], whose
-    log-density inside is ``log_prior_const``, to the posterior under the
-    batch log-likelihood ``loglik``. The returned set carries the evidence
-    of that update."""
+    log-density inside is -sum(log(upper - lower)), to the posterior under
+    the batch log-likelihood ``loglik``. The returned set carries the
+    evidence of that update."""
+    log_density = float(-np.sum(np.log(upper - lower)))
 
     def sample_prior(rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.uniform(lower, upper, size=(n, len(lower)))
 
     def prior_logpdf(x: np.ndarray) -> np.ndarray:
         outside = np.any((x < lower) | (x > upper), axis=1)
-        return np.where(outside, -np.inf, log_prior_const)
+        return np.where(outside, -np.inf, log_density)
 
     tempered = TemperedTarget(
         len(lower), sample_prior, prior_logpdf, loglik, labels, name=name, vectorized=True
@@ -492,19 +504,22 @@ def _stage1_tmcmc(
     directly controls the variance of the evidence estimate (measured
     several-nat swings at 3 moves vs ~1 nat at 8).
     """
+    lower, upper, labels = _stage1_box(dataset, model, bounds, "tmcmc")
     config = config.replace(tmcmc_moves=max(config.tmcmc_moves, 8))
-    lower = np.asarray(bounds[0], dtype=float)
-    upper = np.asarray(bounds[1], dtype=float)
 
     def loglik(x: np.ndarray) -> np.ndarray:
         return dataset_loglik_batch(model, dataset, x[:, :-1], x[:, -1])
 
-    out = _tmcmc_on_box(
-        lower, upper, float(-np.sum(np.log(upper - lower))), loglik,
-        model.theta_labels + ("sigma",), f"stage1:{dataset.unit_id}", config,
-    )
+    out = _tmcmc_on_box(lower, upper, loglik, labels, f"stage1:{dataset.unit_id}", config)
     out.provenance.update(unit_id=dataset.unit_id, family=model.family, stage="stage1")
     return out
+
+
+def _check_choices(case: str, sampler: str) -> None:
+    if case not in ("diag", "corr"):
+        raise ValueError("case must be 'diag' or 'corr'")
+    if sampler not in ("slice", "tmcmc"):
+        raise ValueError("sampler must be 'slice' or 'tmcmc'")
 
 
 def stage2_infer(
@@ -524,21 +539,18 @@ def stage2_infer(
     """
     if not stage1:
         raise ValueError("at least one stage-1 sample set is required")
-    if case not in ("diag", "corr"):
-        raise ValueError("case must be 'diag' or 'corr'")
+    _check_choices(case, sampler)
     config = config or SamplerConfig()
     correlated = case == "corr"
-    if sampler not in ("slice", "tmcmc"):
-        raise ValueError("sampler must be 'slice' or 'tmcmc'")
     make_target = _stage2_target if sampler == "slice" else _stage2_target_batch
     loglik, n_theta = make_target(stage1, bounds, correlated, sigma_trunc)
     lower = bounds.lower(correlated)
     upper = bounds.upper(correlated)
     labels = HyperParameters.labels(n_theta, correlated)
-    log_prior_const = bounds.log_prior_const(correlated)
     seed = subseed(config.seed, _TAG_STAGE2)
 
     if sampler == "slice":
+        log_prior_const = bounds.log_prior_const(correlated)
         inside = _in_box(lower, upper)
 
         def log_target(vec: np.ndarray) -> float:
@@ -551,9 +563,7 @@ def stage2_infer(
         init = _find_init(target, rng, 0.5 * (lower + upper))
         out = slice_sample(target, init, config.replace(seed=seed))
     else:
-        out = _tmcmc_on_box(
-            lower, upper, log_prior_const, loglik, labels, "stage2", config.replace(seed=seed)
-        )
+        out = _tmcmc_on_box(lower, upper, loglik, labels, "stage2", config.replace(seed=seed))
 
     out.provenance.update(
         stage="stage2",
@@ -861,6 +871,7 @@ def fit_historical(
     """
     if not datasets:
         raise ValueError("at least one historical dataset is required")
+    _check_choices(case, sampler)
     config = config or SamplerConfig()
 
     def stage1_job(job: tuple[int, Dataset]) -> SampleSet:

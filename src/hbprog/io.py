@@ -194,14 +194,6 @@ def _positive(value) -> float:
     return value
 
 
-def _widths(value) -> tuple[float, ...]:
-    """A slice width > 0, or a nonempty list of them (one per dimension)."""
-    widths = _numbers(value) if isinstance(value, list) else (_number(value),)
-    if not widths or not min(widths) > 0:
-        raise ValueError(f"must be a number > 0 or a nonempty list of them, got {value!r}")
-    return widths
-
-
 def _integer(value, low: int) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"must be an integer, got {value!r}")
@@ -677,12 +669,11 @@ def _true_eol(model, theta, spec: SyntheticSpec) -> float | None:
 #: :class:`~hbprog.samplers.SamplerConfig`
 SAMPLER = {
     "kind": (_choice("slice", "tmcmc"), "slice"),
-    **dict.fromkeys(("n_samples", "thinning", "max_shrink"), (_count, None)),
+    **dict.fromkeys(("n_samples", "thinning"), (_count, None)),
     **dict.fromkeys(("seed", "max_step_out", "tmcmc_moves"), (_natural, None)),
-    **dict.fromkeys(("tmcmc_target_cov", "tmcmc_proposal_scale"), (_positive, None)),
+    "tmcmc_target_cov": (_positive, None),
     "burn_in": (_number, None),
-    "slice_width": (_optional(_widths), None),
-    "tmcmc_stage_size": (_optional(_count), None),
+    "slice_width": (_optional(_positive), None),
 }
 
 #: an evenly spaced grid of cycles, the arguments of :func:`numpy.linspace`
@@ -759,14 +750,20 @@ RUN = {
 }
 
 
-def _stage1_box(bounds: dict, key: str, family: str | None):
-    """The ``(lower, upper)`` arrays of the stage-1 prior box read at ``key``."""
+def _stage1_box(bounds: dict, key: str, family: str | None, sampler: str):
+    """The ``(lower, upper)`` arrays of the stage-1 prior box read at ``key``
+    for ``sampler``; TMCMC cannot sample an entry with lower == upper."""
     lower, upper = np.asarray(bounds["lower"]), np.asarray(bounds["upper"])
     dim = FAMILIES[family].n_theta + 1 if family else lower.size
     for side, arr in (("lower", lower), ("upper", upper)):
         _length(arr, dim, f"{key}.{side}", "config", "entries (theta..., sigma)")
     if np.any(lower > upper):
         raise DataFormatError(f"config: field {key!r}: lower exceeds upper")
+    collapsed = np.flatnonzero(lower == upper)
+    if sampler == "tmcmc" and collapsed.size:
+        raise DataFormatError(
+            f"config: field {key!r}: entry {collapsed[0]} has lower == upper, which TMCMC cannot sample"
+        )
     return lower, upper
 
 
@@ -873,8 +870,9 @@ class RunConfig:
     def stage1_bounds(self):
         """The ``(lower, upper)`` arrays of the stage-1 prior box; with a
         known ``family`` each holds one entry per model parameter plus one
-        for sigma."""
-        return _stage1_box(self._lazy("stage1_bounds", STAGE1_BOUNDS), "stage1_bounds", self.family)
+        for sigma, and with ``sampler.kind`` tmcmc no entry is collapsed."""
+        bounds = self._lazy("stage1_bounds", STAGE1_BOUNDS)
+        return _stage1_box(bounds, "stage1_bounds", self.family, self.sampler_kind)
 
     def hyper_bounds(self) -> HyperPriorBounds:
         """The uniform hyper-prior box; with a known ``family`` it bounds
@@ -893,7 +891,10 @@ class RunConfig:
             out.append(
                 Candidate(
                     family=family,
-                    stage1_bounds=_stage1_box(cand["stage1_bounds"], f"{key}.stage1_bounds", family),
+                    # model selection samples every candidate by TMCMC
+                    stage1_bounds=_stage1_box(
+                        cand["stage1_bounds"], f"{key}.stage1_bounds", family, "tmcmc"
+                    ),
                     hyper_bounds=_hyper_box(cand["hyper_bounds"], f"{key}.hyper_bounds", family, self.case),
                     nominals=_nominals(cand["nominals"], family, f"{key}.nominals", "config"),
                     sigma_trunc=cand["sigma_trunc"] or self.sigma_trunc,

@@ -94,28 +94,31 @@ class TemperedTarget:
     vectorized: bool = False
 
 
+# shrinkage tries per slice update, and the TMCMC proposal scale on the
+# weighted particle covariance (Ching & Chen 2007's beta)
+_MAX_SHRINK = 200
+_TMCMC_PROPOSAL_SCALE = 0.2
+
+
 @dataclass(frozen=True)
 class SamplerConfig:
     """Settings shared by both samplers.
 
-    ``slice_width`` overrides the per-dimension initial slice width; by
+    ``slice_width`` is one initial slice width for every dimension; by
     default bounded dimensions use a tenth of their range and unbounded ones
-    use 1.0. TMCMC settings: ``tmcmc_stage_size`` particles per stage
-    (defaults to ``n_samples``), ``tmcmc_target_cov`` is the coefficient of
-    variation of incremental weights used to pick each tempering step.
+    use 1.0. TMCMC runs ``n_samples`` particles per stage, picks each
+    tempering step so the incremental weights' coefficient of variation is
+    ``tmcmc_target_cov`` and makes ``tmcmc_moves`` Metropolis sweeps.
     """
 
     n_samples: int = 5000
     burn_in: float = 0.2
     thinning: int = 1
     seed: int = 0
-    slice_width: tuple | float | None = None
+    slice_width: float | None = None
     max_step_out: int = 200
-    max_shrink: int = 200
-    tmcmc_stage_size: int | None = None
     tmcmc_target_cov: float = 1.0
     tmcmc_moves: int = 3
-    tmcmc_proposal_scale: float = 0.2
 
     def __post_init__(self):
         if self.n_samples < 1:
@@ -200,7 +203,7 @@ class SampleSet:
 
 def _resolve_widths(target: TargetSpec, config: SamplerConfig) -> np.ndarray:
     if config.slice_width is not None:
-        w = np.broadcast_to(np.asarray(config.slice_width, float), (target.dim,)).copy()
+        w = np.full(target.dim, float(config.slice_width))
     else:
         span = target.upper - target.lower
         w = np.where(np.isfinite(span), span / 10.0, 1.0)
@@ -281,7 +284,7 @@ def slice_sample(target: TargetSpec, init, config: SamplerConfig) -> SampleSet:
                         f"expanding right on dim {d} (width={widths[d]:g}, level={logy:g})"
                     )
 
-            for _ in range(config.max_shrink):
+            for _ in range(_MAX_SHRINK):
                 prop = rng.uniform(left, right)
                 lp_prop = f(d, prop)
                 if lp_prop > logy:
@@ -294,7 +297,7 @@ def slice_sample(target: TargetSpec, init, config: SamplerConfig) -> SampleSet:
                     right = prop
             else:
                 raise SamplerError(
-                    f"slice shrinkage failed after {config.max_shrink} tries on dim {d}"
+                    f"slice shrinkage failed after {_MAX_SHRINK} tries on dim {d}"
                 )
         if it >= n_burn and (it - n_burn) % keep_every == keep_every - 1:
             out[kept] = x
@@ -379,7 +382,7 @@ def tmcmc(target: TemperedTarget, config: SamplerConfig) -> SampleSet:
     likelihood rows evaluated.
     """
     rng = np.random.default_rng(config.seed)
-    n = config.tmcmc_stage_size or config.n_samples
+    n = config.n_samples
     dim = target.dim
     prior_logpdf = _batched(target.prior_logpdf, target.vectorized, "prior log-density")
     log_likelihood = _batched(target.log_likelihood, target.vectorized, "log-likelihood")
@@ -421,7 +424,7 @@ def tmcmc(target: TemperedTarget, config: SamplerConfig) -> SampleSet:
         mu = weights @ particles
         centered = particles - mu
         cov_w = (weights[:, None] * centered).T @ centered
-        prop_cov = config.tmcmc_proposal_scale**2 * cov_w
+        prop_cov = _TMCMC_PROPOSAL_SCALE**2 * cov_w
         prop_cov[np.diag_indices(dim)] += 1e-12
         chol = np.linalg.cholesky(prop_cov)
 

@@ -213,6 +213,22 @@ class TestModelSelectCommand:
         assert table[0]["error"].startswith("SamplerError: ")
         assert json.loads(capsys.readouterr().err.strip().splitlines()[-1]) == record
 
+    def test_collapsed_candidate_box_is_data_error(self, tmp_path, capsys):
+        """Model selection samples every candidate by TMCMC, which cannot
+        move a component whose bounds coincide: the config is rejected
+        before any data is read."""
+        config_dict = json.loads(json.dumps(BASE_CONFIG))
+        box = {"lower": [0.6, 0.8, 1e-3], "upper": [1.6, 0.8, 0.2]}
+        config_dict["candidates"] = [BASE_CANDIDATE, {**BASE_CANDIDATE, "stage1_bounds": box}]
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(config_dict))
+        assert main(["model-select", "--config", str(config), "--out", str(tmp_path)]) == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "DataFormatError"
+        assert "'candidates[1].stage1_bounds'" in record["message"]
+        assert json.loads((tmp_path / "error.json").read_text()) == record
+        assert not (tmp_path / "model_select.json").exists()
+
 
 def _drop_upper(bounds):
     del bounds["upper"]

@@ -21,6 +21,7 @@ from hbprog.hierarchy import (
     stage2_infer,
     update_current,
 )
+from hbprog.io import SyntheticSpec, generate_synthetic
 from hbprog.models import BatteryDoubleModel, DegradationModel, ParisCrackModel
 from hbprog.samplers import SampleSet, SamplerConfig, subseed
 from hbprog.targets import HyperParameters, HyperPriorBounds
@@ -470,6 +471,73 @@ class TestModelSelect:
     def test_too_few_candidates_rejected(self):
         with pytest.raises(ValueError):
             model_select([], [self._candidates()[0]], SamplerConfig(seed=0))
+
+
+class TestFitHistoricalInputs:
+    """Inputs ``fit_historical`` rejects before any stage-1 work. The jobs
+    run in this process, so the fixture sees every likelihood row and every
+    ``stage1_infer`` call."""
+
+    BOX = (np.array([0.05] * 4 + [1e-4]), np.array([1.8] * 4 + [0.4]))
+
+    @pytest.fixture
+    def fleet(self):
+        psi = HyperParameters(
+            mu0=[1.0] * 4, sd0=[0.03] * 4, mu_sigma=0.015, sd_sigma=0.005, sigma_trunc=0.4
+        )
+        spec = SyntheticSpec(
+            family="batt-double", psi=psi, n_units=3, cycles=np.arange(1, 81, 4), threshold=1.4
+        )
+        return generate_synthetic(spec, seed=31)[0]
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        monkeypatch.setattr(hierarchy, "_available_cpus", lambda: 1)
+        counts = {"rows": 0, "stage1_infer": 0}
+        batch, infer = hierarchy.dataset_loglik_batch, hierarchy.stage1_infer
+
+        def dataset_loglik_batch(model, dataset, theta, sigma):
+            counts["rows"] += len(theta)
+            return batch(model, dataset, theta, sigma)
+
+        def stage1_infer(*args):
+            counts["stage1_infer"] += 1
+            return infer(*args)
+
+        monkeypatch.setattr(hierarchy, "dataset_loglik_batch", dataset_loglik_batch)
+        monkeypatch.setattr(hierarchy, "stage1_infer", stage1_infer)
+        return counts
+
+    def _fit(self, fleet, box, **kw):
+        return fit_historical(
+            fleet, box, HyperPriorBounds.battery_default(4),
+            config=SamplerConfig(n_samples=100, seed=0), **kw,
+        )
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda lo, hi, fleet: ((lo[:-1], hi[:-1]), fleet), "must cover 5 components"),
+            (lambda lo, hi, fleet: ((lo, np.r_[hi[:-1], np.inf]), fleet), "must be finite"),
+            (lambda lo, hi, fleet: ((lo, hi), [fleet[0].truncate(0)] + fleet[1:]), "nonempty"),
+            (lambda lo, hi, fleet: ((lo, np.r_[hi[:1], lo[1], hi[2:]]), fleet), "'theta2' is [0.05, 0.05]"),
+        ],
+        ids=["wrong-length", "infinite-bound", "empty-dataset", "collapsed-dimension"],
+    )
+    def test_tmcmc_box_rejected_before_any_likelihood_row(self, fleet, counts, edit, message):
+        box, datasets = edit(*self.BOX, fleet)
+        with pytest.raises(ValueError) as info:
+            self._fit(datasets, box, sampler="tmcmc", family="batt-double")
+        assert message in str(info.value)
+        assert counts["rows"] == 0
+
+    @pytest.mark.parametrize(
+        "kw", [{"sampler": "TMCMC"}, {"case": "full"}], ids=["sampler", "case"]
+    )
+    def test_bad_choice_rejected_before_stage1(self, fleet, counts, kw):
+        with pytest.raises(ValueError, match=next(iter(kw))):
+            self._fit(fleet, self.BOX, **kw)
+        assert counts["stage1_infer"] == 0
 
 
 class TestDeterminismAndData:

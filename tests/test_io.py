@@ -437,6 +437,17 @@ class TestRunConfig:
         assert spec.cycles.size == 13
         assert spec.psi.sigma_trunc == 0.2
 
+    def test_collapsed_stage1_box_rejected_only_under_tmcmc(self):
+        """The slice sampler pins a component with lower == upper; TMCMC
+        cannot move it, so its box must be open in every entry."""
+        raw = self._config_dict()
+        raw["stage1_bounds"]["upper"][1] = raw["stage1_bounds"]["lower"][1]
+        lo, hi = RunConfig(raw).stage1_bounds()
+        assert lo[1] == hi[1]
+        raw["sampler"]["kind"] = "tmcmc"
+        with pytest.raises(DataFormatError, match="'stage1_bounds': entry 1 has lower == upper"):
+            RunConfig(raw).stage1_bounds()
+
     def test_readme_example_reads(self, tmp_path):
         """README's run-config example loads, and every section reader
         accepts it."""
