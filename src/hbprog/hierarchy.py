@@ -24,6 +24,7 @@ from hbprog.models import (
     DegradationModel,
     LoadingSpec,
     ParisCrackModel,
+    ignore_float_errors,
 )
 from hbprog.samplers import (
     SampleSet,
@@ -56,6 +57,11 @@ _TAG_STAGE1, _TAG_STAGE2, _TAG_CURRENT, _TAG_SELECT, _TAG_CLASSICAL = 1, 2, 3, 4
 
 # length of the whitening pilot run, as a fraction of the final run (at least 100 draws)
 _PILOT_FRACTION = 0.25
+
+# Each sampling stage (stage1_infer, stage2_infer, update_current,
+# classical_update) runs its whole mode search and chain under one
+# ``ignore_float_errors``: numpy's divide, overflow and invalid errors are
+# ignored once per stage, not once or twice per log-target evaluation.
 
 
 # scipy.optimize is imported on the first call of ``minimize``, so commands
@@ -441,6 +447,7 @@ def _stage1_box(dataset: Dataset, model: DegradationModel, bounds, sampler: str)
     return lower, upper, labels
 
 
+@ignore_float_errors()
 def stage1_infer(
     dataset: Dataset,
     model: DegradationModel,
@@ -522,6 +529,7 @@ def _check_choices(case: str, sampler: str) -> None:
         raise ValueError("sampler must be 'slice' or 'tmcmc'")
 
 
+@ignore_float_errors()
 def stage2_infer(
     stage1: Sequence[SampleSet],
     bounds: HyperPriorBounds,
@@ -610,6 +618,7 @@ def sample_mixture_prior(hyper: SampleSet, n: int, seed: int) -> SampleSet:
     )
 
 
+@ignore_float_errors()
 def update_current(
     current: Dataset | None,
     hyper: SampleSet,
@@ -696,6 +705,7 @@ class ClassicalPrior:
             raise ValueError("sigma_mu and sigma_sd must be given together")
 
 
+@ignore_float_errors()
 def classical_update(
     current: Dataset,
     prior: ClassicalPrior,

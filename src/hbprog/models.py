@@ -9,6 +9,8 @@ values, which keeps all inference targets on comparable scales.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 from dataclasses import dataclass
 
@@ -26,6 +28,31 @@ BATT_SINGLE_NOMINALS = (2.0, -1.0, -100.0)
 BATT_DOUBLE_NOMINALS = (1.92, -0.02, -0.003, -0.05)
 
 SQRT_PI = math.sqrt(math.pi)
+
+#: True inside :func:`ignore_float_errors`. The scalar hot entry points
+#: (:func:`hbprog.targets.dataset_loglik`, the models' curves) read it, about
+#: 30 ns, and skip the ``np.errstate`` they would otherwise open, whose enter
+#: and exit cost about 0.8 us per call.
+FLOAT_ERRORS_IGNORED = contextvars.ContextVar("hbprog_float_errors_ignored", default=False)
+
+
+@contextlib.contextmanager
+def ignore_float_errors():
+    """numpy's divide, overflow and invalid floating-point errors ignored in
+    the block, with :data:`FLOAT_ERRORS_IGNORED` set, so the hot entry points
+    called in it open no error state of their own.
+
+    Each sampling stage runs its whole search and chain under one (it also
+    decorates functions); an entry point called on its own enters one
+    itself. The entry points trust the variable, so code in the block must
+    not call them under a stricter error state of its own.
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        token = FLOAT_ERRORS_IGNORED.set(True)
+        try:
+            yield
+        finally:
+            FLOAT_ERRORS_IGNORED.reset(token)
 
 
 class CrackDivergedError(ArithmeticError):
@@ -205,38 +232,40 @@ def _profile_raw(
     band the exact exponential solution ``a0 * exp(C * (ds*sqrt(pi))^2 * dn)``
     is used. A zero rate (log C underflowing exp, the C = 0 surrogate) gives
     a0 at every cycle.
+
+    A curve overflowing to +inf warns of nothing: inside
+    :func:`ignore_float_errors` (every sampling stage) this opens no error
+    state; called on its own it enters one.
     """
+    if not FLOAT_ERRORS_IGNORED.get():
+        with ignore_float_errors():
+            return _profile_raw(m, log_c, a0, log_a0, n0, log_ds, n_cycles)
     # N - 0.0 is N itself, so the common n0 = 0 needs no copy
     dn = n_cycles - n0 if n0 else n_cycles
-    with np.errstate(over="ignore"):
-        if abs(m - 2.0) < PARIS_M_TOL:
-            try:
-                rate = math.exp(log_c + 2.0 * log_ds)
-            except OverflowError:
-                # infinite rate: instant divergence everywhere except dn = 0
-                return np.where(dn == 0.0, a0, np.where(dn > 0.0, np.inf, 0.0))
-            return a0 * np.exp(rate * dn)
-        e = 1.0 - m / 2.0
-        log_scale = log_c + m * log_ds - e * log_a0
+    if abs(m - 2.0) < PARIS_M_TOL:
         try:
-            scale = e * math.exp(log_scale)
+            rate = math.exp(log_c + 2.0 * log_ds)
         except OverflowError:
-            scale = e * math.inf
-        if math.isfinite(scale):
-            r = scale * dn
-        else:
             # infinite rate: instant divergence everywhere except dn = 0
-            with np.errstate(invalid="ignore"):
-                r = np.where(dn == 0.0, 0.0, scale * dn)
-        # in floating point 1 + r > 0 exactly when r > -1, so the divergence
-        # test needs no 1 + r array
-        if r.min() > -1.0:
-            return a0 * np.exp(np.log1p(r) / e)
-        diverged = r <= -1.0
-        a = np.where(
-            diverged, np.inf, a0 * np.exp(np.log1p(np.where(diverged, 0.0, r)) / e)
-        )
-    return a
+            return np.where(dn == 0.0, a0, np.where(dn > 0.0, np.inf, 0.0))
+        return a0 * np.exp(rate * dn)
+    e = 1.0 - m / 2.0
+    log_scale = log_c + m * log_ds - e * log_a0
+    try:
+        scale = e * math.exp(log_scale)
+    except OverflowError:
+        scale = e * math.inf
+    if math.isfinite(scale):
+        r = scale * dn
+    else:
+        # infinite rate: instant divergence everywhere except dn = 0
+        r = np.where(dn == 0.0, 0.0, scale * dn)
+    # in floating point 1 + r > 0 exactly when r > -1, so the divergence
+    # test needs no 1 + r array
+    if np.minimum.reduce(r) > -1.0:
+        return a0 * np.exp(np.log1p(r) / e)
+    diverged = r <= -1.0
+    return np.where(diverged, np.inf, a0 * np.exp(np.log1p(np.where(diverged, 0.0, r)) / e))
 
 
 def _profile_rows(
@@ -487,6 +516,38 @@ def cycles_to_failure(
 
 _TINY = np.finfo(float).tiny
 
+_NO_ERROR_STATE = contextlib.nullcontext()
+
+
+def _curve_error_state():
+    """The error state a battery curve evaluates in, so an overflowing
+    exponential gives +inf without a warning: none of its own inside
+    :func:`ignore_float_errors`, else one ignoring overflow and invalid."""
+    if FLOAT_ERRORS_IGNORED.get():
+        return _NO_ERROR_STATE
+    return np.errstate(over="ignore", invalid="ignore")
+
+
+#: below this argument exp rounds to exactly 0: e^-746 is under half the
+#: smallest subnormal, 2^-1075 = e^-745.13
+_EXP_ZERO_BELOW = -746.0
+
+
+def _exp_in_place(x: np.ndarray) -> None:
+    """``np.exp(x, out=x)`` with the same bytes. When an argument falls
+    below ``_EXP_ZERO_BELOW`` the exact 0 of each such one is written, not
+    computed: numpy's exp takes a slow path on arguments that underflow,
+    and on the battery horizon scan most e^(dk) arguments do (about 10 ns
+    an element against 0.5). ``initial`` lets the minimum take an empty
+    array."""
+    if np.minimum.reduce(x, axis=None, initial=0.0) < _EXP_ZERO_BELOW:
+        np.exp(x, out=x, where=x >= _EXP_ZERO_BELOW)
+        # every exp is >= 0, so what stays below is a skipped argument (a
+        # NaN is neither, and stays NaN)
+        x[x < _EXP_ZERO_BELOW] = 0.0
+    else:
+        np.exp(x, out=x)
+
 
 def _exp_max(e0: np.ndarray, e1: np.ndarray) -> np.ndarray:
     """The larger of an exponential's values at the two ends of a cycle
@@ -533,7 +594,7 @@ class BatterySingleModel(DegradationModel):
         c0, a, b = (t[:, j, None] * nom[j] for j in range(3))
         # in place, so a batch holds one [n, len] array; same values as
         # c0 + a * exp(b / k)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with _curve_error_state():
             q = b / k
             np.exp(q, out=q)
             q *= a
@@ -596,12 +657,14 @@ class BatteryDoubleModel(DegradationModel):
         a, b, c, d = (t[:, j, None] * nom[j] for j in range(4))
         # in place, so a batch holds two [n, len] arrays; same values as
         # a * exp(b * k) + c * exp(d * k)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with _curve_error_state():
             q = b * k
             np.exp(q, out=q)
             q *= a
+            # the fast-fading term, whose arguments underflow over a long
+            # horizon
             second = d * k
-            np.exp(second, out=second)
+            _exp_in_place(second)
             second *= c
             q += second
         q[~ok] = np.inf

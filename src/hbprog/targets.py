@@ -29,6 +29,8 @@ from typing import Sequence
 
 import numpy as np
 
+from hbprog.models import FLOAT_ERRORS_IGNORED, ignore_float_errors
+
 LOG_TWO_PI = math.log(2.0 * math.pi)
 
 
@@ -62,10 +64,10 @@ def logsumexp(a) -> float:
     tolerance and maps all -inf input to -inf without NaN.
     """
     a = np.asarray(a, dtype=float)
-    m = a.max() if a.size else -math.inf
+    m = np.maximum.reduce(a) if a.size else -math.inf
     if not math.isfinite(m):
         return float(m)
-    return float(m + math.log(np.exp(a - m).sum()))
+    return float(m + math.log(np.add.reduce(np.exp(a - m))))
 
 
 def segment_logsumexp(
@@ -89,6 +91,9 @@ def segment_logsumexp(
     if all_finite:
         # every segment holds its maximum, so each sum is >= 1
         return np.log(sums) + smax
+    # an all -inf segment sums to 0, whose log divides by zero
+    if FLOAT_ERRORS_IGNORED.get():
+        return np.where(finite, np.log(sums) + safe, smax)
     with np.errstate(divide="ignore"):
         return np.where(finite, np.log(sums) + safe, smax)
 
@@ -386,12 +391,12 @@ def _stage2_rows(stage1: Sequence, bounds, correlated, sigma_trunc):
             if tiny:
                 quad[np.isnan(quad) & np.isinf(z).any(axis=1)] = np.inf
         else:
-            quad = np.square(z, out=z).sum(axis=1)
+            quad = np.add.reduce(np.square(z, out=z), axis=1)
         del z  # release the scratch before the segment sums allocate theirs
         rows = offset - 0.5 * quad
         if sigma_mask is not None:
             rows += sigma_mask
-        return (segment_logsumexp(rows, starts, counts) - log_counts).sum(axis=1)
+        return np.add.reduce(segment_logsumexp(rows, starts, counts) - log_counts, axis=1)
 
     return row_pass, n_theta, base_const, stacked.shape[0]
 
@@ -454,8 +459,10 @@ def _stage2_target(stage1: Sequence, bounds, correlated, sigma_trunc):
     add-reduce, ``z_trunc`` goes through scipy's ``ndtr``, and ``1 -
     rho^2`` is ``1.0 - rho * rho`` (numpy squares an array, where
     Python's float ``**`` calls libm's ``pow``). Only a vector with an sd
-    below ``_TINY_SD``, which the sd scan finds, runs its row pass under
-    an ``np.errstate`` that ignores z's overflow, as the batch form does.
+    below ``_TINY_SD``, which the sd scan finds, can overflow z; outside
+    :func:`~hbprog.models.ignore_float_errors` (the sampling stages run
+    under one) its row pass runs under an ``np.errstate`` that ignores the
+    overflow, as the batch form does.
     """
     ndtr = _import_scipy("scipy.special").ndtr
     row_pass, n_theta, base_const, _ = _stage2_rows(stage1, bounds, correlated, sigma_trunc)
@@ -479,14 +486,17 @@ def _stage2_target(stage1: Sequence, bounds, correlated, sigma_trunc):
             rho = vec[None, -1:]
         # the batch form's add-reduce over the same k contiguous floats
         # (Python's sum() of floats is compensated from 3.12 on)
-        offset = base_const - float(np.log(vec[k : 2 * k]).sum()) - float(np.log(z_trunc))
+        offset = (
+            base_const - float(np.add.reduce(np.log(vec[k : 2 * k]))) - float(np.log(z_trunc))
+        )
         if correlated:
             offset -= 0.5 * float(np.log(1.0 - r * r))
         block = (vec[None, :k], vec[None, k : 2 * k], rho, offset)
-        if min(sd) < _TINY_SD:
+        tiny = min(sd) < _TINY_SD
+        if tiny and not FLOAT_ERRORS_IGNORED.get():
             with np.errstate(over="ignore", invalid="ignore"):
                 return float(row_pass(*block, True)[0])
-        return float(row_pass(*block)[0])
+        return float(row_pass(*block, tiny)[0])
 
     return loglik, n_theta
 
@@ -541,7 +551,7 @@ def _mixture_kernel(hyper_mat: np.ndarray, n_theta: int, correlated: bool, sigma
         if correlated:
             quad = (z[:, 0] ** 2 - 2.0 * rho * z[:, 0] * z[:, 1] + z[:, 1] ** 2) * inv_one_m_rho2
         else:
-            quad = (z * z).sum(axis=1)
+            quad = np.add.reduce(z * z, axis=1)
         zs = (x[n_theta] - mu_s) * inv_sd_s
         rows = const - 0.5 * (quad + zs * zs)
         return logsumexp(rows) - log_ns
@@ -626,19 +636,25 @@ def dataset_loglik(model, dataset, theta: np.ndarray, sigma: float) -> float:
     non-positive prediction makes the summed total NaN or -inf, which is
     returned as -inf. ``log y`` and the data-only constant come from the
     :class:`~hbprog.hierarchy.Dataset`.
+
+    It warns of nothing. Inside :func:`~hbprog.models.ignore_float_errors`,
+    which every sampling stage runs under, it and the model's curve open no
+    ``np.errstate``; called on its own it enters one, for both.
     """
+    if not FLOAT_ERRORS_IGNORED.get():
+        with ignore_float_errors():
+            return dataset_loglik(model, dataset, theta, sigma)
     if not (sigma > 0 and math.isfinite(sigma)):
         return -math.inf
     preds = model.predict(theta, dataset.cycles_float)
     if model.likelihood == "lognormal":
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            zeta2 = np.log1p((sigma / preds) ** 2)
-            dev = dataset.log_values - np.log(preds) + 0.5 * zeta2
-            total = float(
-                dataset.lognormal_const
-                - 0.5 * np.log(zeta2).sum()
-                - (dev**2 / (2.0 * zeta2)).sum()
-            )
+        zeta2 = np.log1p((sigma / preds) ** 2)
+        dev = dataset.log_values - np.log(preds) + 0.5 * zeta2
+        total = float(
+            dataset.lognormal_const
+            - 0.5 * np.add.reduce(np.log(zeta2))
+            - np.add.reduce(dev**2 / (2.0 * zeta2))
+        )
     elif model.likelihood == "gaussian":
         try:
             two_var = 2.0 * sigma**2
@@ -647,10 +663,6 @@ def dataset_loglik(model, dataset, theta: np.ndarray, sigma: float) -> float:
             # form. (sigma * sigma would not raise, but it differs from
             # libm's pow in the last bit for about 1 sigma in 1,250.)
             two_var = math.inf
-        if two_var == 0.0:
-            # sigma**2 underflowed: the total would be -inf, or NaN on a
-            # perfect fit, and numpy would warn of a division by zero
-            return -math.inf
         r = dataset.values - preds
         total = float(-0.5 * r.size * (LOG_TWO_PI + 2.0 * math.log(sigma)) - (r @ r) / two_var)
     else:

@@ -44,6 +44,23 @@ def const_family(monkeypatch):
     candidate can name it; forked workers inherit the registration."""
     monkeypatch.setitem(FAMILIES, ConstantCapacity.family, ConstantCapacity)
 
+
+@pytest.fixture
+def errstate_entries(monkeypatch):
+    """``np.errstate`` replaced, for one test, by a subclass that counts
+    its entries in ``entries``."""
+
+    class Counting(np.errstate):
+        entries = 0
+
+        def __enter__(self):
+            Counting.entries += 1
+            return super().__enter__()
+
+    monkeypatch.setattr(np, "errstate", Counting)
+    return Counting
+
+
 CRACK_PSI = HyperParameters(
     mu0=[1.0, 1.05], sd0=[0.08, 0.02], mu_sigma=0.08, sd_sigma=0.03, sigma_trunc=0.2
 )

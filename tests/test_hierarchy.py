@@ -23,7 +23,7 @@ from hbprog.hierarchy import (
 )
 from hbprog.io import SyntheticSpec, generate_synthetic
 from hbprog.models import BatteryDoubleModel, DegradationModel, ParisCrackModel
-from hbprog.samplers import SampleSet, SamplerConfig, subseed
+from hbprog.samplers import SampleSet, SamplerConfig, SamplerError, subseed
 from hbprog.targets import HyperParameters, HyperPriorBounds
 
 from conftest import (
@@ -538,6 +538,72 @@ class TestFitHistoricalInputs:
         with pytest.raises(ValueError, match=next(iter(kw))):
             self._fit(fleet, self.BOX, **kw)
         assert counts["stage1_infer"] == 0
+
+
+def _crack_hyper(mu_theta1=1.0):
+    """A 40-draw diagonal crack hyper set around ``CRACK_PSI``, with the
+    population mean of theta1 at ``mu_theta1``."""
+    rng = np.random.default_rng(9)
+    centre = np.array([mu_theta1, 1.05, 0.08, 0.08, 0.02, 0.03])
+    return SampleSet(
+        centre * (1.0 + 0.01 * rng.standard_normal((40, 6))),
+        HyperParameters.labels(2, False),
+        {"n_theta": 2, "correlated": False, "sigma_trunc": 0.2},
+    )
+
+
+class TestFloatErrorState:
+    """A sampling stage enters one numpy error state for its whole search
+    and chain, not one per log-target evaluation, and leaves the caller's
+    state as it found it, on return and on a raised SamplerError."""
+
+    #: a caller's error state unlike numpy's default
+    OUTER = dict(divide="raise", over="raise", invalid="raise", under="ignore")
+
+    def _entries(self, counting, run) -> int:
+        """``np.errstate`` entries made by ``run()``, which must leave the
+        caller's error state unchanged."""
+        with np.errstate(**self.OUTER):
+            before = np.geterr()
+            counting.entries = 0
+            run()
+            assert np.geterr() == before
+        return counting.entries
+
+    def test_entries_do_not_grow_with_the_chain(self, errstate_entries, crack_fleet):
+        fleet, _ = crack_fleet
+        unit, hyper = fleet[0], _crack_hyper()
+        model = build_model(unit)
+        counts = {}
+        for n in (50, 100):
+            cfg = SamplerConfig(n_samples=n, seed=3)
+            counts["stage1", n] = self._entries(
+                errstate_entries, lambda: stage1_infer(unit, model, CRACK_BOUNDS, cfg)
+            )
+            counts["current", n] = self._entries(
+                errstate_entries, lambda: update_current(unit, hyper, model, cfg)
+            )
+        assert counts["stage1", 50] == counts["stage1", 100]
+        assert counts["current", 50] == counts["current", 100]
+
+    def test_state_restored_on_sampler_error(self, crack_fleet):
+        fleet, _ = crack_fleet
+        unit = fleet[0]
+        model = build_model(unit)
+        cfg = SamplerConfig(n_samples=50, seed=3)
+        # theta1 <= 0 everywhere in the box: no curve, so no finite point
+        no_curve = (np.array([-1.0, 0.8, 1e-3]), np.array([-0.5, 1.3, 0.2]))
+        # every mixture-prior draw has theta1 near -1
+        far_hyper = _crack_hyper(mu_theta1=-1.0)
+        for run in (
+            lambda: stage1_infer(unit, model, no_curve, cfg),
+            lambda: update_current(unit, far_hyper, model, cfg),
+        ):
+            with np.errstate(**self.OUTER):
+                before = np.geterr()
+                with pytest.raises(SamplerError, match="no finite log-target point"):
+                    run()
+                assert np.geterr() == before
 
 
 class TestDeterminismAndData:

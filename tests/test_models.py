@@ -1,6 +1,7 @@
 """Degradation model families: closed forms against independent oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from hbprog.models import (
     LoadingSpec,
     NoFailureError,
     ParisCrackModel,
+    _exp_in_place,
     crack_length,
     cycles_to_failure,
     equivalent_stress,
@@ -224,6 +226,44 @@ class TestBatteryDouble:
         with pytest.raises(ValueError):
             DOUBLE.predict([1.0, 1.0, 1.0, 1.0], -1)
 
+    def test_exp_in_place_keeps_the_bytes_of_exp(self):
+        """Arguments over -800...10, the boundary near -745.13 below which
+        exp rounds to 0 and the cut at -746 each way, give exp's bytes."""
+        edge = -745.1332191019411  # the least argument whose exp is not 0
+        args = np.concatenate([
+            np.linspace(-800.0, 10.0, 100_001),
+            edge + np.linspace(-1e-9, 1e-9, 201),
+            [np.nextafter(edge, -np.inf), edge, np.nextafter(edge, 0.0), -745.13],
+            [np.nextafter(-746.0, -np.inf), -746.0, np.nextafter(-746.0, 0.0)],
+            [-np.inf, np.nan, 0.0, -0.0],
+        ])
+        assert np.exp(np.nextafter(edge, -np.inf)) == 0.0 < np.exp(edge)
+        for x in (args, args[1:].reshape(4, -1), args[args > -746.0], args[:0]):
+            got = x.copy()
+            _exp_in_place(got)
+            assert got.tobytes() == np.exp(x).tobytes()
+
+    def test_horizon_curves_match_the_unmasked_form(self):
+        """battery-prognosis-shaped rows, most of whose e^(dk) arguments
+        underflow, give the bytes of the plain in-place form."""
+        rng = np.random.default_rng(3)
+        theta = np.column_stack([
+            rng.normal(1.0, 0.01, 300), np.exp(rng.normal(0.0, 0.6, 300)),
+            rng.normal(1.0, 0.05, 300), rng.normal(1.0, 0.05, 300),
+        ])
+        model = BatteryDoubleModel((1.92, -3e-5, -0.003, -0.05))
+        k = np.linspace(2000.0, 30000.0, 101)
+        a, b, c, d = (theta[:, j, None] * model.nominals[j] for j in range(4))
+        assert np.mean(d * k < -746.0) > 0.4
+        want = b * k
+        np.exp(want, out=want)
+        want *= a
+        second = d * k
+        np.exp(second, out=second)
+        second *= c
+        want += second
+        assert model.predict_batch(theta, k).tobytes() == want.tobytes()
+
 
 class TestDeterminism:
     def test_bit_identical_reevaluation(self):
@@ -250,6 +290,20 @@ class TestModelContracts:
         out = model.predict(np.array([1.5, 1.0]), np.array([0.0, 100.0, 5e4]))
         assert np.isfinite(out[:2]).all()
         assert np.isinf(out[2])
+
+    def test_paris_overflowing_curve_is_silent(self):
+        """m just under 2, outside the exponential band, grows the crack
+        by exp(log1p(r) / e) with e = 5e-7, which overflows to +inf at large
+        dn: both curve forms give +inf there and warn of nothing."""
+        model = ParisCrackModel(GEO, CONST)
+        theta = np.array([(2.0 - 1e-6) / 2.0, 1.0])
+        cycles = np.array([0.0, 1e4, 1e7, 1e8])
+        with np.errstate(divide="warn", over="warn", invalid="warn"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            one = model.predict(theta, cycles)
+            rows = model.predict_batch(np.stack([theta, theta]), cycles)
+        for curve in (one, *rows):
+            assert np.isfinite(curve[:2]).all() and np.isinf(curve[2:]).all()
 
     def test_inadmissible_theta_gives_inf(self):
         model = ParisCrackModel(GEO, CONST)

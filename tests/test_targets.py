@@ -10,7 +10,12 @@ from scipy.special import logsumexp as scipy_logsumexp
 from scipy.stats import norm
 
 from hbprog.hierarchy import _mixture_kernel, _stage2_target
-from hbprog.models import BatterySingleModel, ParisCrackModel
+from hbprog.models import (
+    BatteryDoubleModel,
+    BatterySingleModel,
+    ParisCrackModel,
+    ignore_float_errors,
+)
 from hbprog.samplers import SampleSet
 from hbprog.targets import (
     HyperParameters,
@@ -454,3 +459,28 @@ class TestNoNaNs:
         preds = model.predict(theta, data.cycles_float)
         want = float(np.sum(lognormal_loglik(data.values, preds, 0.05)))
         assert dataset_loglik(model, data, theta, 0.05) == pytest.approx(want, rel=1e-12)
+
+
+class TestFloatErrorState:
+    @pytest.mark.parametrize("family", ["paris", "batt-single", "batt-double"])
+    def test_dataset_loglik_error_states(self, errstate_entries, family):
+        """Each family's scalar log-likelihood enters one ``np.errstate``
+        called on its own (two before the sampling stages shared theirs) and
+        none inside :func:`ignore_float_errors`, with the same bytes."""
+        if family == "paris":
+            model = ParisCrackModel(GEOMETRY, CONST_LOADING)
+            data = make_dataset([0, 8000, 16000], [1.0, 1.4, 2.1])
+            theta = np.array([1.0, 1.05])
+        else:
+            model = BatterySingleModel() if family == "batt-single" else BatteryDoubleModel()
+            data = make_dataset(
+                [1, 10, 20], [1.99, 1.95, 1.90], family=family, loading=None, geometry=None
+            )
+            theta = np.ones(model.n_theta)
+        alone = dataset_loglik(model, data, theta, 0.05)
+        assert errstate_entries.entries == 1
+        with ignore_float_errors():
+            errstate_entries.entries = 0
+            inside = [dataset_loglik(model, data, theta * s, 0.05) for s in (1.0, 0.5, -1.0)]
+            assert errstate_entries.entries == 0
+        assert math.isfinite(alone) and inside[0] == alone and inside[2] == -math.inf
