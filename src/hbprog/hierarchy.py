@@ -10,8 +10,10 @@ module.
 
 from __future__ import annotations
 
+import gc
 import math
 import os
+import sys
 import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -42,7 +44,6 @@ from hbprog.targets import (
     HyperParameters,
     HyperPriorBounds,
     _decode_hyper_meta,
-    _import_scipy,
     _mixture_kernel,
     _stage2_target,
     _stage2_target_batch,
@@ -64,17 +65,38 @@ _PILOT_FRACTION = 0.25
 # ignored once per stage, not once or twice per log-target evaluation.
 
 
-# scipy.optimize is imported on the first call of ``minimize``, so commands
-# that never search for a mode (predict, rul, any TMCMC fit) run without it.
+# scipy.optimize, the only scipy module the package uses, is imported on the
+# first call of ``minimize``, so commands that never search for a mode
+# (predict, rul, synth, any TMCMC fit) run without scipy.
 # The mode search's differential evolution below is this module's own; only
 # the quasi-Newton polish is scipy's. Both stay module-level names because
 # the initialisation looks them up here at call time, which is where a
 # tracer or a test patches them.
 
 
+def _import_optimize():
+    """``scipy.optimize``, imported on its first use rather than with the
+    package.
+
+    Cyclic garbage collection is paused for the import: loading scipy
+    allocates tens of thousands of long-lived objects and no garbage, and
+    the collections those allocations set off cost each command that loads
+    it about 10 ms.
+    """
+    if "scipy.optimize" not in sys.modules:
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            import scipy.optimize  # noqa: F401
+        finally:
+            if enabled:
+                gc.enable()
+    return sys.modules["scipy.optimize"]
+
+
 def minimize(*args, **kwargs):
     """:func:`scipy.optimize.minimize`, imported on the first call."""
-    return _import_scipy("scipy.optimize").minimize(*args, **kwargs)
+    return _import_optimize().minimize(*args, **kwargs)
 
 
 # Differential evolution (Storn & Price 1997, J. Global Optim. 11:341) in
@@ -831,7 +853,7 @@ def update_many(
     :func:`_map_jobs`) with the serial loop's bytes."""
     # each update polishes its starts: imported once here, not once per
     # forked worker (see minimize above)
-    _import_scipy("scipy.optimize")
+    _import_optimize()
     return _map_jobs(
         lambda ds: update_current(ds, hyper, model, config, hyper_subsample), datasets
     )
@@ -894,7 +916,7 @@ def fit_historical(
         # each slice stage-1 job polishes its mode search: imported once
         # here, not once per forked worker (see minimize above); TMCMC
         # searches for no mode and never loads it
-        _import_scipy("scipy.optimize")
+        _import_optimize()
     stage1_sets = _map_jobs(stage1_job, enumerate(datasets))
     hyper = stage2_infer(
         _forward_stage1(stage1_sets, stage1_thin), hyper_bounds, case, config, sampler, sigma_trunc
@@ -947,9 +969,9 @@ def model_select(
 
     A failing candidate is marked failed and ranked last; the ranking
     proceeds over the rest. The candidates run in worker processes (see
-    :func:`_map_jobs`). TMCMC searches for no mode, so no scipy module is
-    imported before they fork: each job loads ``scipy.special`` when it
-    builds its stage-2 target.
+    :func:`_map_jobs`). TMCMC searches for no mode, and the population
+    densities are the package's own, so neither the parent nor a job loads
+    any scipy module.
     """
     if len(candidates) < 2:
         raise ValueError("model selection requires at least two candidates")

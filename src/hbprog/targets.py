@@ -12,18 +12,13 @@ vectors, one row x a fixed hyper set); the public densities are views of them.
 
 All functions return -inf (never NaN) for out-of-support input.
 
-``scipy.special`` is imported by the functions that call it (see
-:func:`_import_scipy`), not with the module, so commands that never evaluate
-these densities (``predict``, ``rul``) start without it; the target builders
-look ``ndtr`` up once, when they build their closures.
+The standard normal CDF and quantile (:func:`ndtr`, :func:`ndtri`) are
+Cephes' and return scipy's bytes, so no scipy module is loaded here.
 """
 
 from __future__ import annotations
 
-import gc
-import importlib
 import math
-import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -34,26 +29,236 @@ from hbprog.models import FLOAT_ERRORS_IGNORED, ignore_float_errors
 LOG_TWO_PI = math.log(2.0 * math.pi)
 
 
-def _import_scipy(name: str):
-    """The scipy module ``name`` (``"scipy.special"``, ``"scipy.optimize"``),
-    imported on its first use rather than with the package.
+# The standard normal CDF and quantile: Moshier's Cephes rational
+# approximations (Methods and Programs for Mathematical Functions, 1989,
+# after Cody 1969, Math. Comp. 23:631), as scipy's ndtr and ndtri evaluate
+# them. Both keep Cephes' coefficient tables, branch limits and Horner
+# order, with every * and + rounded on its own, so they return scipy's
+# bytes (tests/test_normal.py checks them against it). exp and log are
+# libm's, per element through ``math``: numpy's SIMD ``np.exp`` and ``np.log``
+# differ from libm in the last bit for some arguments.
 
-    Cyclic garbage collection is paused for the import: loading scipy
-    allocates tens of thousands of long-lived objects and no garbage, and
-    the collections those allocations set off cost each command that loads
-    it about 10 ms.
+_SQRT1_2 = 0.70710678118654752440
+#: log(DBL_MAX): exp(-z^2) of a larger z^2 underflows
+_MAXLOG = 7.09782712893383996732e2
+
+# erfc(x) = exp(-x^2) P(x) / Q(x) on 1 <= x < 8, exp(-x^2) R(x) / S(x) from
+# 8. Every denominator table (Q, S, U and ndtri's) leaves out its leading
+# coefficient, 1 (Cephes' p1evl)
+_NDTR_P = (
+    2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+    4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+    9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2,
+)
+_NDTR_Q = (
+    1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+    9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+    1.65666309194161350182e3, 5.57535340817727675546e2,
+)
+_NDTR_R = (
+    5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+    6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0,
+)
+_NDTR_S = (
+    2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+    1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0,
+)
+# erf(x) = x T(x^2) / U(x^2) on |x| < 1
+_NDTR_T = (
+    9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+    7.00332514112805075473e3, 5.55923013010394962768e4,
+)
+_NDTR_U = (
+    3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+    2.26290000613890934246e4, 4.92673942608635921086e4,
+)
+
+_S2PI = 2.50662827463100050242e0
+#: exp(-2): ndtri's central interval is (exp(-2), 1 - exp(-2))
+_EXPM2 = 0.13533528323661269189
+
+# ndtri: y + y w P0(w) / Q0(w), w = (y - 1/2)^2, on the central interval
+_NDTRI_P0 = (
+    -5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+    1.39312609387279679503e1, -1.23916583867381258016e0,
+)
+_NDTRI_Q0 = (
+    1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+    -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+    1.59056225126211695515e1, -1.18331621121330003142e0,
+)
+# the tails, in r = 1 / sqrt(-2 log y): P1 / Q1 for sqrt(-2 log y) < 8,
+# P2 / Q2 from 8
+_NDTRI_P1 = (
+    4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+    4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+    -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4,
+)
+_NDTRI_Q1 = (
+    1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+    1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+    -3.80806407691578277194e-2, -9.33259480895457427372e-4,
+)
+_NDTRI_P2 = (
+    3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+    1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+    3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9,
+)
+_NDTRI_Q2 = (
+    6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+    2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+    2.89247864745380683936e-6, 6.79019408009981274425e-9,
+)
+
+
+def _polevl(x: np.ndarray, coef: tuple) -> np.ndarray:
+    """Cephes' ``polevl``: the polynomial with coefficients ``coef``
+    (highest power first) at ``x``, by Horner's rule."""
+    ans = x * coef[0]
+    ans += coef[1]
+    for c in coef[2:]:
+        ans *= x
+        ans += c
+    return ans
+
+
+def _p1evl(x: np.ndarray, coef: tuple) -> np.ndarray:
+    """Cephes' ``p1evl``: :func:`_polevl` with an implied leading
+    coefficient of 1."""
+    ans = x + coef[0]
+    for c in coef[1:]:
+        ans *= x
+        ans += c
+    return ans
+
+
+def _libm(fn, x: np.ndarray) -> np.ndarray:
+    """``fn`` (``math.exp``, ``math.log``) applied to each element of a 1-d
+    array."""
+    return np.fromiter(map(fn, x.tolist()), float, x.size)
+
+
+def _ndtr_float(a: float) -> float:
+    """:func:`ndtr` of one Python float, with the Horner steps written out:
+    a few hundred nanoseconds, where the array form costs tens of
+    microseconds at this size."""
+    x = a * _SQRT1_2
+    z = -x if x < 0.0 else x
+    if z < 1.0:
+        t0, t1, t2, t3, t4 = _NDTR_T
+        u0, u1, u2, u3, u4 = _NDTR_U
+        w = x * x
+        erf = (
+            x
+            * ((((t0 * w + t1) * w + t2) * w + t3) * w + t4)
+            / (((((w + u0) * w + u1) * w + u2) * w + u3) * w + u4)
+        )
+        if z < _SQRT1_2:
+            return 0.5 + 0.5 * erf
+        # erfc(z) = 1 - erf(z), and erf(z) = |erf(x)|
+        y = 0.5 * (1.0 - (-erf if erf < 0.0 else erf))
+    else:
+        w = z * z
+        if w <= _MAXLOG:
+            if z < 8.0:
+                p0, p1, p2, p3, p4, p5, p6, p7, p8 = _NDTR_P
+                q0, q1, q2, q3, q4, q5, q6, q7 = _NDTR_Q
+                p = (((((((p0 * z + p1) * z + p2) * z + p3) * z + p4) * z + p5) * z + p6) * z + p7) * z + p8
+                q = (((((((z + q0) * z + q1) * z + q2) * z + q3) * z + q4) * z + q5) * z + q6) * z + q7
+            else:
+                r0, r1, r2, r3, r4, r5 = _NDTR_R
+                s0, s1, s2, s3, s4, s5 = _NDTR_S
+                p = ((((r0 * z + r1) * z + r2) * z + r3) * z + r4) * z + r5
+                q = (((((z + s0) * z + s1) * z + s2) * z + s3) * z + s4) * z + s5
+            y = 0.5 * (math.exp(-w) * p / q)
+        elif z != z:
+            return math.nan
+        else:
+            y = 0.0
+    return 1.0 - y if x > 0.0 else y
+
+
+def _ndtr_array(a: np.ndarray) -> np.ndarray:
+    """:func:`ndtr` of a 1-d array, evaluating only the branches present."""
+    x = a * _SQRT1_2
+    z = np.abs(x)
+    y = np.zeros(x.shape)  # 0.5 erfc(|x|); stays 0 where exp(-x^2) underflows
+    low = np.flatnonzero(z < 1.0)
+    if low.size:
+        v = x[low]
+        w = v * v
+        erf = v * _polevl(w, _NDTR_T) / _p1evl(w, _NDTR_U)
+        # erfc(|x|) = 1 - erf(|x|), and erf(|x|) = |erf(x)|
+        y[low] = 0.5 * (1.0 - np.abs(erf))
+    # |x| >= 64 underflows for certain, and leaving it out keeps x^2 finite
+    for lo, hi, p, q in ((1.0, 8.0, _NDTR_P, _NDTR_Q), (8.0, 64.0, _NDTR_R, _NDTR_S)):
+        tail = np.flatnonzero((z >= lo) & (z < hi))
+        if tail.size:
+            v = z[tail]
+            w = v * v
+            keep = w <= _MAXLOG
+            if not keep.all():
+                tail, v, w = tail[keep], v[keep], w[keep]
+            y[tail] = 0.5 * (_libm(math.exp, -w) * _polevl(v, p) / _p1evl(v, q))
+    out = np.where(x > 0, 1.0 - y, y)
+    if low.size:
+        near = z[low] < _SQRT1_2
+        out[low[near]] = 0.5 + 0.5 * erf[near]
+    nan = np.isnan(z)
+    if nan.any():
+        out[nan] = np.nan
+    return out
+
+
+def ndtr(a):
+    """Standard normal CDF, with the bytes of scipy's ``ndtr``.
+
+    A Python float gives a float; an array gives an array of its shape
+    (a numpy scalar for 0-d input). NaN gives NaN, -inf 0 and +inf 1.
     """
-    module = sys.modules.get(name)
-    if module is None:
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            module = importlib.import_module(name)
-        finally:
-            if enabled:
-                gc.enable()
-    return module
+    if isinstance(a, float):
+        return _ndtr_float(float(a))
+    a = np.asarray(a, dtype=float)
+    return _ndtr_array(a.reshape(-1)).reshape(a.shape)[()]
 
+
+def ndtri(y0):
+    """Standard normal quantile, the inverse of :func:`ndtr`, with the bytes
+    of scipy's ``ndtri`` (a NaN's payload aside).
+
+    Maps 0 to -inf and 1 to +inf; input outside [0, 1], or NaN, gives NaN.
+    Returns an array of the input's shape (a numpy scalar for 0-d input).
+    """
+    y0 = np.asarray(y0, dtype=float)
+    shape = y0.shape
+    y0 = y0.reshape(-1)
+    out = np.full(y0.shape, np.nan)
+    out[y0 == 0.0] = -np.inf
+    out[y0 == 1.0] = np.inf
+    inside = (y0 > 0.0) & (y0 < 1.0)
+    # the upper tail is reflected onto the lower one and keeps its sign
+    upper = y0 > 1.0 - _EXPM2
+    y = np.where(upper, 1.0 - y0, y0)
+    central = inside & (y > _EXPM2)
+    if central.any():
+        # as in Cephes, the sign is not flipped here, reflected or not
+        v = y[central] - 0.5
+        w = v * v
+        out[central] = (v + v * (w * _polevl(w, _NDTRI_P0) / _p1evl(w, _NDTRI_Q0))) * _S2PI
+    tail = np.flatnonzero(inside & ~central)
+    if tail.size:
+        s = np.sqrt(-2.0 * _libm(math.log, y[tail]))
+        x0 = s - _libm(math.log, s) / s
+        r = 1.0 / s
+        near = s < 8.0
+        x1 = np.empty(s.shape)
+        for sel, p, q in ((near, _NDTRI_P1, _NDTRI_Q1), (~near, _NDTRI_P2, _NDTRI_Q2)):
+            if sel.any():
+                u = r[sel]
+                x1[sel] = u * _polevl(u, p) / _p1evl(u, q)
+        x = x0 - x1
+        out[tail] = np.where(upper[tail], x, -x)
+    return out.reshape(shape)[()]
 
 def logsumexp(a) -> float:
     """Shift-stable log of the summed exponentials of a 1-d array.
@@ -143,12 +348,18 @@ def gaussian_loglik(y, pred, sigma):
 
 def trunc_normal_logpdf(x, mu, sd, lo, hi):
     """Log-density of a Gaussian(mu, sd) truncated to (lo, hi), including the
-    normalization constant."""
+    normalization constant.
+
+    A mean below ``lo`` takes the mass in the upper-tail form
+    Phi(-alpha) - Phi(-beta): far below, Phi(beta) - Phi(alpha) is 1 - 1.
+    """
     if not sd > 0:
         raise ValueError("truncated normal requires sd > 0")
-    ndtr = _import_scipy("scipy.special").ndtr
     x = np.asarray(x, dtype=float)
-    z = ndtr((hi - mu) / sd) - ndtr((lo - mu) / sd)
+    if mu < lo:
+        z = ndtr((mu - lo) / sd) - ndtr((mu - hi) / sd)
+    else:
+        z = ndtr((hi - mu) / sd) - ndtr((lo - mu) / sd)
     if not z > 0:
         return np.full(x.shape, -np.inf) if x.ndim else -math.inf
     core = -0.5 * LOG_TWO_PI - math.log(sd) - (x - mu) ** 2 / (2.0 * sd**2) - math.log(z)
@@ -157,11 +368,23 @@ def trunc_normal_logpdf(x, mu, sd, lo, hi):
 
 
 def trunc_normal_ppf(q, mu, sd, lo, hi):
-    """Quantile function of the truncated Gaussian; used for ancestral draws."""
-    special = _import_scipy("scipy.special")
-    a = special.ndtr((lo - mu) / sd)
-    b = special.ndtr((hi - mu) / sd)
-    return mu + sd * special.ndtri(a + np.asarray(q, dtype=float) * (b - a))
+    """Quantile function of the truncated Gaussian; used for ancestral draws.
+
+    ``q``, ``mu`` and ``sd`` broadcast. An element whose mean is below
+    ``lo`` is drawn in the upper tail, x = mu - sd Phi^-1(Phi(-alpha) -
+    q (Phi(-alpha) - Phi(-beta))), as :func:`trunc_normal_logpdf` takes
+    its mass.
+    """
+    q = np.asarray(q, dtype=float)
+    a = ndtr((lo - mu) / sd)
+    b = ndtr((hi - mu) / sd)
+    x = mu + sd * ndtri(a + q * (b - a))
+    below = np.asarray(mu < lo)
+    if below.any():
+        sa = ndtr((mu - lo) / sd)
+        sb = ndtr((mu - hi) / sd)
+        x = np.where(below, mu - sd * ndtri(sa - q * (sa - sb)), x)[()]
+    return x
 
 
 @dataclass(frozen=True)
@@ -408,7 +631,6 @@ def _stage2_target_batch(stage1: Sequence, bounds, correlated, sigma_trunc):
     at most ``STAGE2_CHUNK_ROWS`` stacked rows x vectors through the row
     pass of :func:`_stage2_rows`.
     """
-    ndtr = _import_scipy("scipy.special").ndtr
     row_pass, n_theta, base_const, n_rows = _stage2_rows(stage1, bounds, correlated, sigma_trunc)
     block = max(1, STAGE2_CHUNK_ROWS // n_rows)
 
@@ -417,9 +639,12 @@ def _stage2_target_batch(stage1: Sequence, bounds, correlated, sigma_trunc):
         mu = vecs[:, : n_theta + 1]
         sd = vecs[:, n_theta + 1 : 2 * n_theta + 2]
         mu_s, sd_s = mu[:, -1], sd[:, -1]
-        out = np.empty(vecs.shape[0])
+        p = vecs.shape[0]
+        out = np.empty(p)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            z_trunc = ndtr((sigma_trunc - mu_s) / sd_s) - ndtr(-mu_s / sd_s)
+            # both CDF arguments of every vector in one call
+            cdf = ndtr(np.concatenate([(sigma_trunc - mu_s) / sd_s, -mu_s / sd_s]))
+            z_trunc = cdf[:p] - cdf[p:]
             # vectors with sd <= 0, |rho| >= 1 or no truncation mass get
             # -inf. A call with no valid vector stops here; otherwise all
             # are evaluated, so no vector's value depends on which others
@@ -436,7 +661,7 @@ def _stage2_target_batch(stage1: Sequence, bounds, correlated, sigma_trunc):
             if correlated:
                 offset -= 0.5 * np.log(1.0 - rho**2)
             tiny = correlated and np.count_nonzero(sd < _TINY_SD) > 0
-            for lo in range(0, vecs.shape[0], block):
+            for lo in range(0, p, block):
                 b = slice(lo, lo + block)
                 r = rho[b, None] if correlated else None
                 out[b] = row_pass(mu[b], sd[b], r, offset[b, None], tiny)
@@ -456,27 +681,34 @@ def _stage2_target(stage1: Sequence, bounds, correlated, sigma_trunc):
     the vector, with no ``np.errstate``. Four choices keep the batch
     form's bits: logs go through ``np.log`` (``math.log`` differs in the
     last bit for some inputs), the sd logs are summed by numpy's
-    add-reduce, ``z_trunc`` goes through scipy's ``ndtr``, and ``1 -
-    rho^2`` is ``1.0 - rho * rho`` (numpy squares an array, where
-    Python's float ``**`` calls libm's ``pow``). Only a vector with an sd
-    below ``_TINY_SD``, which the sd scan finds, can overflow z; outside
-    :func:`~hbprog.models.ignore_float_errors` (the sampling stages run
-    under one) its row pass runs under an ``np.errstate`` that ignores the
-    overflow, as the batch form does.
+    add-reduce, ``z_trunc`` comes from :func:`ndtr`, whose float and
+    array forms agree to the bit, and ``1 - rho^2`` is ``1.0 - rho * rho``
+    (numpy squares an array, where Python's float ``**`` calls libm's
+    ``pow``). ``z_trunc`` and its log are kept for the last (mu_sigma,
+    sd_sigma) pair: a slice step along any other coordinate reuses them.
+    Only a vector with an sd below ``_TINY_SD``, which the sd scan finds,
+    can overflow z; outside :func:`~hbprog.models.ignore_float_errors` (the
+    sampling stages run under one) its row pass runs under an
+    ``np.errstate`` that ignores the overflow, as the batch form does.
     """
-    ndtr = _import_scipy("scipy.special").ndtr
     row_pass, n_theta, base_const, _ = _stage2_rows(stage1, bounds, correlated, sigma_trunc)
     k = n_theta + 1
+    # (mu_sigma, sd_sigma) -> log z_trunc, None where z_trunc is not > 0
+    memo_key, memo_log_z = None, None
 
     def loglik(vec: np.ndarray) -> float:
+        nonlocal memo_key, memo_log_z
         v = vec.tolist()
         sd = v[k : 2 * k]
         for s in sd:
             if not s > 0:
                 return -math.inf
-        mu_s, sd_s = v[n_theta], sd[-1]
-        z_trunc = float(ndtr((sigma_trunc - mu_s) / sd_s) - ndtr(-mu_s / sd_s))
-        if not z_trunc > 0:
+        key = (v[n_theta], sd[-1])
+        if key != memo_key:
+            mu_s, sd_s = key
+            z_trunc = _ndtr_float((sigma_trunc - mu_s) / sd_s) - _ndtr_float(-mu_s / sd_s)
+            memo_key, memo_log_z = key, float(np.log(z_trunc)) if z_trunc > 0 else None
+        if memo_log_z is None:
             return -math.inf
         rho = None
         if correlated:
@@ -486,9 +718,7 @@ def _stage2_target(stage1: Sequence, bounds, correlated, sigma_trunc):
             rho = vec[None, -1:]
         # the batch form's add-reduce over the same k contiguous floats
         # (Python's sum() of floats is compensated from 3.12 on)
-        offset = (
-            base_const - float(np.add.reduce(np.log(vec[k : 2 * k]))) - float(np.log(z_trunc))
-        )
+        offset = base_const - float(np.add.reduce(np.log(vec[k : 2 * k]))) - memo_log_z
         if correlated:
             offset -= 0.5 * float(np.log(1.0 - r * r))
         block = (vec[None, :k], vec[None, k : 2 * k], rho, offset)
@@ -516,7 +746,6 @@ def _mixture_kernel(hyper_mat: np.ndarray, n_theta: int, correlated: bool, sigma
     unchecked, to ``logsumexp_s hier(row | psi_s) - log N_s`` in a few
     array passes.
     """
-    ndtr = _import_scipy("scipy.special").ndtr
     mu = hyper_mat[:, :n_theta]
     sd = hyper_mat[:, n_theta + 1 : 2 * n_theta + 1]
     mu_s = hyper_mat[:, n_theta]

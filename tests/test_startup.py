@@ -1,13 +1,14 @@
 """Start-up: importing the CLI loads no scipy module, and each command loads
 the scipy modules its own path runs, when it first runs them.
 
-``predict`` and ``rul`` never call scipy, so they start without it. The
-mode search (``hierarchy.differential_evolution``, in-house) polishes its
-best point with ``scipy.optimize.minimize`` through the module-level
-wrapper ``hierarchy.minimize``; perfbench's tracer patches both names. The
-callers whose jobs search for a mode import ``scipy.optimize`` before
-``_map_jobs`` forks, so their workers inherit it; ``model-select`` and
-``fit-historical --sampler tmcmc`` run TMCMC only and never load it.
+The normal CDF and quantile are the package's own, so ``synth``,
+``predict`` and ``rul`` never load scipy. The mode search
+(``hierarchy.differential_evolution``, in-house) polishes its best point
+with ``scipy.optimize.minimize`` through the module-level wrapper
+``hierarchy.minimize``; perfbench's tracer patches both names. The callers
+whose jobs search for a mode import ``scipy.optimize`` before ``_map_jobs``
+forks, so their workers inherit it; ``model-select`` and ``fit-historical
+--sampler tmcmc`` run TMCMC only and load no scipy module at all.
 """
 
 import json
@@ -263,8 +264,8 @@ def test_command_loads_the_scipy_modules_readme_lists(battery_run, tmp_path, com
 
 def test_tmcmc_fit_historical_runs_without_scipy_optimize(battery_run, tmp_path):
     """``fit-historical --sampler tmcmc`` in a fresh interpreter on one
-    CPU searches for no mode: it loads ``scipy.special`` (the population
-    densities of stage 2) but never ``scipy.optimize``."""
+    CPU searches for no mode and evaluates the population densities with
+    the package's own normal CDF: it loads no scipy module."""
     shutil.copytree(battery_run / "data", tmp_path / "data")
     (tmp_path / "run.json").write_text(json.dumps(TINY_BATTERY))
     proc = run_fresh(
@@ -277,16 +278,15 @@ def test_tmcmc_fit_historical_runs_without_scipy_optimize(battery_run, tmp_path)
         f"print({LOADED_SCIPY})\n",
         cwd=tmp_path,
     )
-    loaded = proc.stdout.splitlines()[-1]
-    assert "'scipy.special'" in loaded and "scipy.optimize" not in loaded, loaded
+    assert proc.stdout.splitlines()[-1] == "[]", proc.stdout
     assert "log-evidence" in proc.stdout
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="_map_jobs forks its workers")
 def test_model_select_fans_out_without_scipy_optimize(battery_run, tmp_path):
     """``model-select`` on the tiny two-candidate fleet, fanned out to two
-    workers: the parent loads no scipy module, and each worker, at the end
-    of its stage 2, holds ``scipy.special`` but not ``scipy.optimize``."""
+    workers: neither the parent nor a worker, at the end of its stage 2,
+    holds any scipy module."""
     shutil.copytree(battery_run / "data", tmp_path / "data")
     (tmp_path / "run.json").write_text(json.dumps(TINY_BATTERY))
     proc = run_fresh(
@@ -310,6 +310,5 @@ def test_model_select_fans_out_without_scipy_optimize(battery_run, tmp_path):
     workers = sorted(tmp_path.glob("worker-*.json"))
     assert len(workers) == 2 and f"worker-{parent}.json" not in [w.name for w in workers]
     for path in workers:
-        loaded = json.loads(path.read_text())
-        assert "scipy.special" in loaded and "scipy.optimize" not in loaded, (path.name, loaded)
+        assert json.loads(path.read_text()) == [], path.name
     assert json.loads((tmp_path / "model_select.json").read_text())["ranking"][0]["error"] is None
