@@ -6,6 +6,13 @@ built on those draws. The hyper samples then act as a mixture prior when
 updating the current unit. A classical single-level update (Gaussian priors
 on the physical parameters) and evidence-ranked model selection complete the
 module.
+
+Every sampling stage is its support test, prior and likelihood plus one call
+of the private runner :func:`_run_stage`, which builds the target, picks the
+start and the sampler, and records the stage. Each stage function runs its
+mode search and chain under one ``ignore_float_errors``: numpy's divide,
+overflow and invalid errors are ignored once per stage, not once or twice per
+log-target evaluation.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ import math
 import os
 import sys
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -58,11 +65,6 @@ _TAG_STAGE1, _TAG_STAGE2, _TAG_CURRENT, _TAG_SELECT, _TAG_CLASSICAL = 1, 2, 3, 4
 
 # length of the whitening pilot run, as a fraction of the final run (at least 100 draws)
 _PILOT_FRACTION = 0.25
-
-# Each sampling stage (stage1_infer, stage2_infer, update_current,
-# classical_update) runs its whole mode search and chain under one
-# ``ignore_float_errors``: numpy's divide, overflow and invalid errors are
-# ignored once per stage, not once or twice per log-target evaluation.
 
 
 # scipy.optimize, the only scipy module the package uses, is imported on the
@@ -265,18 +267,7 @@ class Dataset:
     def truncate(self, t_c: float) -> "Dataset":
         """Copy keeping only measurements at cycles <= t_c."""
         keep = self.cycles <= t_c
-        return Dataset(
-            self.unit_id,
-            self.cycles[keep].copy(),
-            self.values[keep].copy(),
-            self.family,
-            self.units,
-            self.loading,
-            self.geometry,
-            self.threshold,
-            self.nominals,
-            self.note,
-        )
+        return replace(self, cycles=self.cycles[keep], values=self.values[keep])
 
 
 @dataclass
@@ -317,21 +308,28 @@ def build_model(dataset: Dataset, family: str | None = None, nominals=None) -> D
     return cls(tuple(nominals)) if nominals else cls()
 
 
+def _negated(log_target: Callable[[np.ndarray], float]) -> Callable[[np.ndarray], float]:
+    """The mode searches' objective, -log_target, with -inf mapped to a
+    large finite value (DE takes the sd of its population's objectives)."""
+
+    def objective(x: np.ndarray) -> float:
+        lp = log_target(x)
+        return -lp if lp > -math.inf else 1e15
+
+    return objective
+
+
 def _polish_inits(target: TargetSpec, starts: list[np.ndarray], best_pair):
     """Local optimization from several starts; returns the overall best
     point. Degradation posteriors sit on thin ridges whose basin a random
     probe essentially never hits, so the probes are polished with a bounded
     quasi-Newton search before any chain is started."""
     best_lp, best_x = best_pair
-    lo, hi = target.lower, target.upper
     opt_bounds = [
         (None if not math.isfinite(l) else l, None if not math.isfinite(h) else h)
-        for l, h in zip(lo, hi)
+        for l, h in zip(target.lower, target.upper)
     ]
-    def objective(x: np.ndarray) -> float:
-        lp = target.log_target(x)
-        return -lp if lp > -math.inf else 1e15
-
+    objective = _negated(target.log_target)
     for x0 in starts:
         res = minimize(objective, x0, method="L-BFGS-B", bounds=opt_bounds, options={"maxiter": 200})
         lp = float(target.log_target(res.x))
@@ -359,20 +357,16 @@ def _find_init(target: TargetSpec, rng: np.random.Generator, first_guess: np.nda
         if np.all(lo == hi):
             return np.array(lo)
         free = lo < hi
-        all_free = bool(free.all())
+        log_target = target.log_target
+        if not free.all():
 
-        def objective(xf: np.ndarray) -> float:
-            if all_free:
-                x = xf
-            else:
+            def log_target(xf: np.ndarray) -> float:
                 x = np.array(lo)
                 x[free] = xf
-            lp = target.log_target(x)
-            # -inf maps to a large finite value (DE squares objectives internally)
-            return -lp if lp > -math.inf else 1e15
+                return target.log_target(x)
 
         result = differential_evolution(
-            objective, list(zip(lo[free], hi[free])), seed=int(rng.integers(0, 2**31 - 1))
+            _negated(log_target), list(zip(lo[free], hi[free])), seed=int(rng.integers(0, 2**31 - 1))
         )
         x = np.array(lo)
         x[free] = result.x
@@ -400,8 +394,7 @@ def _slice_whitened(target: TargetSpec, init: np.ndarray, config: SamplerConfig)
     """
     n_pilot = max(100, int(_PILOT_FRACTION * config.n_samples))
     pilot = slice_sample(target, init, config.replace(n_samples=n_pilot, seed=subseed(config.seed, 0x9107)))
-    cov = np.cov(pilot.samples, rowvar=False)
-    cov = np.atleast_2d(cov)
+    cov = np.atleast_2d(np.cov(pilot.samples, rowvar=False))
     scale = np.maximum(np.diag(cov), 1e-20)
     cov = cov + np.diag(1e-9 * scale + 1e-30)
     try:
@@ -413,25 +406,15 @@ def _slice_whitened(target: TargetSpec, init: np.ndarray, config: SamplerConfig)
     def log_target_w(u: np.ndarray) -> float:
         return target.log_target(center + chol @ u)
 
-    target_w = TargetSpec(
-        target.dim, log_target_w, labels=target.labels, name=target.name + ":whitened"
-    )
-    best = pilot.samples[-1]
-    init_w = np.linalg.solve(chol, best - center)
+    target_w = TargetSpec(target.dim, log_target_w, labels=target.labels, name=f"{target.name}:whitened")
+    init_w = np.linalg.solve(chol, pilot.samples[-1] - center)
     # log-flat directions (the error scale against a loose bound) can keep a
     # low slice level alive for hundreds of whitened widths; the expansion
     # budget must comfortably cover that
-    out_w = slice_sample(
-        target_w, init_w, config.replace(slice_width=2.0, max_step_out=5000)
-    )
-    samples = center + out_w.samples @ chol.T
-    provenance = dict(out_w.provenance)
-    provenance.update(
-        sampler="slice+whitened",
-        pilot_draws=n_pilot,
-        n_evals=pilot.provenance["n_evals"] + out_w.provenance["n_evals"],
-    )
-    return SampleSet(samples, target.labels, provenance)
+    out_w = slice_sample(target_w, init_w, config.replace(slice_width=2.0, max_step_out=5000))
+    provenance = dict(out_w.provenance, sampler="slice+whitened", pilot_draws=n_pilot)
+    provenance["n_evals"] += pilot.provenance["n_evals"]
+    return SampleSet(center + out_w.samples @ chol.T, target.labels, provenance)
 
 
 def _in_box(lower: np.ndarray, upper: np.ndarray) -> Callable[[list], bool]:
@@ -469,36 +452,6 @@ def _stage1_box(dataset: Dataset, model: DegradationModel, bounds, sampler: str)
     return lower, upper, labels
 
 
-@ignore_float_errors()
-def stage1_infer(
-    dataset: Dataset,
-    model: DegradationModel,
-    bounds: tuple[Sequence[float], Sequence[float]],
-    config: SamplerConfig,
-) -> SampleSet:
-    """Per-dataset posterior over (theta..., sigma) under a uniform prior on
-    the given box: best-of-probes initialization, pilot run, then whitened
-    slice sampling."""
-    lower, upper, labels = _stage1_box(dataset, model, bounds, "slice")
-    inside = _in_box(lower, upper)
-
-    def log_target(x: np.ndarray) -> float:
-        xl = x.tolist()
-        if not inside(xl):
-            return -math.inf
-        return dataset_loglik(model, dataset, x[:-1], xl[-1])
-
-    target = TargetSpec(len(labels), log_target, lower, upper, labels, name=f"stage1:{dataset.unit_id}")
-    rng = np.random.default_rng(subseed(config.seed, _TAG_STAGE1, 0xF17))
-    init = _find_init(target, rng, 0.5 * (lower + upper))
-    if np.all(lower == upper):
-        out = slice_sample(target, init, config)
-    else:
-        out = _slice_whitened(target, init, config)
-    out.provenance.update(unit_id=dataset.unit_id, family=model.family, stage="stage1")
-    return out
-
-
 def _tmcmc_on_box(
     lower: np.ndarray, upper: np.ndarray, loglik: Callable, labels: tuple, name: str,
     config: SamplerConfig,
@@ -522,6 +475,76 @@ def _tmcmc_on_box(
     return tmcmc(tempered, config)
 
 
+def _run_stage(
+    name: str, labels: tuple, lower: np.ndarray, upper: np.ndarray, density: Callable,
+    config: SamplerConfig, de_seed: int | None = None, window: tuple | None = None,
+    draws: np.ndarray | None = None, **provenance,
+) -> SampleSet:
+    """Sample the stage ``name`` (``stage`` or ``stage:unit_id``; the
+    provenance records both parts, then ``provenance``) over the support
+    [lower, upper].
+
+    Without ``de_seed`` or ``draws``, TMCMC runs from the uniform prior on
+    the support under the batch log-likelihood ``density`` (stage 1 with at
+    least 8 moves, see :func:`_stage1_tmcmc`). Otherwise ``density`` is the
+    scalar log-target and a slice chain, whitened except for stage 2 and a
+    fully pinned box, starts at the mode :func:`_find_init` finds from
+    ``de_seed`` over ``window`` (``(lower, upper, first_guess)``, by default
+    the support from its centre), or at the best of the rows ``draws`` once
+    :func:`_polish_inits` has polished the top three.
+    """
+    stage, has_unit, unit_id = name.partition(":")
+    if de_seed is None and draws is None:
+        if stage == "stage1":
+            config = config.replace(tmcmc_moves=max(config.tmcmc_moves, 8))
+        out = _tmcmc_on_box(lower, upper, density, labels, name, config)
+    else:
+        target = TargetSpec(len(labels), density, lower, upper, labels, name=name)
+        if draws is None:
+            lo, hi, guess = window or (lower, upper, 0.5 * (lower + upper))
+            search = replace(target, lower=lo, upper=hi)
+            init = _find_init(search, np.random.default_rng(de_seed), guess)
+        else:
+            scored = sorted(((density(x), x) for x in draws), key=lambda t: t[0], reverse=True)
+            best, init = _polish_inits(target, [row for _, row in scored[:3]], scored[0])
+            if not math.isfinite(best):
+                raise SamplerError("no finite log-target point found among mixture-prior draws")
+        if stage == "stage2" or np.all(lower == upper):
+            out = slice_sample(target, init, config)
+        else:
+            out = _slice_whitened(target, init, config)
+    out.provenance["stage"] = stage
+    if has_unit:
+        out.provenance["unit_id"] = unit_id
+    out.provenance.update(provenance)
+    return out
+
+
+@ignore_float_errors()
+def stage1_infer(
+    dataset: Dataset,
+    model: DegradationModel,
+    bounds: tuple[Sequence[float], Sequence[float]],
+    config: SamplerConfig,
+) -> SampleSet:
+    """Per-dataset posterior over (theta..., sigma) under a uniform prior on
+    the given box: mode-search initialization, pilot run, then whitened
+    slice sampling."""
+    lower, upper, labels = _stage1_box(dataset, model, bounds, "slice")
+    inside = _in_box(lower, upper)
+
+    def log_target(x: np.ndarray) -> float:
+        xl = x.tolist()
+        if not inside(xl):
+            return -math.inf
+        return dataset_loglik(model, dataset, x[:-1], xl[-1])
+
+    return _run_stage(
+        f"stage1:{dataset.unit_id}", labels, lower, upper, log_target, config,
+        de_seed=subseed(config.seed, _TAG_STAGE1, 0xF17), family=model.family,
+    )
+
+
 def _stage1_tmcmc(
     dataset: Dataset, model: DegradationModel, bounds, config: SamplerConfig
 ) -> SampleSet:
@@ -534,14 +557,13 @@ def _stage1_tmcmc(
     several-nat swings at 3 moves vs ~1 nat at 8).
     """
     lower, upper, labels = _stage1_box(dataset, model, bounds, "tmcmc")
-    config = config.replace(tmcmc_moves=max(config.tmcmc_moves, 8))
 
     def loglik(x: np.ndarray) -> np.ndarray:
         return dataset_loglik_batch(model, dataset, x[:, :-1], x[:, -1])
 
-    out = _tmcmc_on_box(lower, upper, loglik, labels, f"stage1:{dataset.unit_id}", config)
-    out.provenance.update(unit_id=dataset.unit_id, family=model.family, stage="stage1")
-    return out
+    return _run_stage(
+        f"stage1:{dataset.unit_id}", labels, lower, upper, loglik, config, family=model.family
+    )
 
 
 def _check_choices(case: str, sampler: str) -> None:
@@ -578,7 +600,7 @@ def stage2_infer(
     upper = bounds.upper(correlated)
     labels = HyperParameters.labels(n_theta, correlated)
     seed = subseed(config.seed, _TAG_STAGE2)
-
+    density, de_seed = loglik, None
     if sampler == "slice":
         log_prior_const = bounds.log_prior_const(correlated)
         inside = _in_box(lower, upper)
@@ -588,21 +610,18 @@ def stage2_infer(
                 return -math.inf
             return log_prior_const + loglik(vec)
 
-        target = TargetSpec(len(lower), log_target, lower, upper, labels, name="stage2")
-        rng = np.random.default_rng(subseed(seed, 0x1417))
-        init = _find_init(target, rng, 0.5 * (lower + upper))
-        out = slice_sample(target, init, config.replace(seed=seed))
-    else:
-        out = _tmcmc_on_box(lower, upper, loglik, labels, "stage2", config.replace(seed=seed))
-
-    out.provenance.update(
-        stage="stage2",
-        n_theta=n_theta,
-        correlated=correlated,
-        sigma_trunc=float(sigma_trunc),
+        density, de_seed = log_target, subseed(seed, 0x1417)
+    return _run_stage(
+        "stage2", labels, lower, upper, density, config.replace(seed=seed), de_seed=de_seed,
+        n_theta=n_theta, correlated=correlated, sigma_trunc=float(sigma_trunc),
         n_datasets=len(stage1),
     )
-    return out
+
+
+def _unit_labels(n_theta: int) -> tuple[str, ...]:
+    """``theta1..thetaK, sigma``, the labels of a unit's draws under the
+    mixture prior."""
+    return tuple(f"theta{j + 1}" for j in range(n_theta)) + ("sigma",)
 
 
 def sample_mixture_prior(hyper: SampleSet, n: int, seed: int) -> SampleSet:
@@ -625,11 +644,9 @@ def sample_mixture_prior(hyper: SampleSet, n: int, seed: int) -> SampleSet:
     mu_s = mat[idx, n_theta]
     sd_s = mat[idx, 2 * n_theta + 1]
     sigma = trunc_normal_ppf(rng.uniform(size=n), mu_s, sd_s, 0.0, sigma_trunc)
-    labels = tuple(f"theta{j + 1}" for j in range(n_theta)) + ("sigma",)
-    out = np.column_stack([theta, sigma])
     return SampleSet(
-        out,
-        labels,
+        np.column_stack([theta, sigma]),
+        _unit_labels(n_theta),
         {
             "sampler": "ancestral-mixture",
             "seed": seed,
@@ -685,23 +702,12 @@ def update_current(
 
     lower = np.concatenate([np.full(n_theta, -np.inf), [0.0]])
     upper = np.concatenate([np.full(n_theta, np.inf), [sigma_trunc]])
-    labels = tuple(f"theta{j + 1}" for j in range(n_theta)) + ("sigma",)
-    target = TargetSpec(
-        n_theta + 1, log_target, lower, upper, labels, name=f"current:{current.unit_id}"
+    draws = sample_mixture_prior(hyper, 200, subseed(seed, 0x5EED)).samples
+    return _run_stage(
+        f"current:{current.unit_id}", _unit_labels(n_theta), lower, upper, log_target,
+        config.replace(seed=seed), draws=draws, n_theta=n_theta, correlated=correlated,
+        sigma_trunc=sigma_trunc,
     )
-    draws = sample_mixture_prior(hyper, 200, subseed(seed, 0x5EED))
-    scored = sorted(
-        ((log_target(row), row) for row in draws.samples), key=lambda t: t[0], reverse=True
-    )
-    best, init = _polish_inits(target, [row for _, row in scored[:3]], scored[0])
-    if not math.isfinite(best):
-        raise SamplerError("no finite log-target point found among mixture-prior draws")
-    out = _slice_whitened(target, init, config.replace(seed=seed))
-    out.provenance.update(
-        stage="current", unit_id=current.unit_id, n_theta=n_theta,
-        correlated=correlated, sigma_trunc=sigma_trunc,
-    )
-    return out
 
 
 @dataclass(frozen=True)
@@ -749,38 +755,31 @@ def classical_update(
             return -math.inf
         lp = float(np.sum(-0.5 * ((x[:-1] - n_mu) / n_sd) ** 2))
         if prior.sigma_mu is not None:
-            lp += float(
-                trunc_normal_logpdf(sigma, prior.sigma_mu, prior.sigma_sd, s_lo, s_hi)
-            )
+            lp += float(trunc_normal_logpdf(sigma, prior.sigma_mu, prior.sigma_sd, s_lo, s_hi))
         return lp + dataset_loglik(model, current, x[:-1], sigma)
 
-    dim = model.n_theta + 1
     lower = np.concatenate([np.full(model.n_theta, -np.inf), [s_lo]])
     upper = np.concatenate([np.full(model.n_theta, np.inf), [s_hi]])
-    labels = model.theta_labels + ("sigma",)
-    target = TargetSpec(dim, log_target, lower, upper, labels, name=f"classical:{current.unit_id}")
     # Mode finding runs over a windowed box: the prior's +-8 sd range clipped
     # to the family's plausible dimensionless range. An effectively flat
     # prior (huge sds) would otherwise hide the likelihood ridge in an
     # astronomically larger search volume; the window only steers the
     # search, the sampled target is the full posterior.
-    p_lo = np.asarray(model.plausible_lo, dtype=float)
-    p_hi = np.asarray(model.plausible_hi, dtype=float)
-    theta_lo = np.maximum(n_mu - 8 * n_sd, p_lo)
-    theta_hi = np.minimum(n_mu + 8 * n_sd, p_hi)
+    wide_lo, wide_hi = n_mu - 8 * n_sd, n_mu + 8 * n_sd
+    theta_lo = np.maximum(wide_lo, np.asarray(model.plausible_lo, dtype=float))
+    theta_hi = np.minimum(wide_hi, np.asarray(model.plausible_hi, dtype=float))
     bad = theta_lo >= theta_hi
-    theta_lo[bad] = (n_mu - 8 * n_sd)[bad]
-    theta_hi[bad] = (n_mu + 8 * n_sd)[bad]
-    search_lo = np.concatenate([theta_lo, [s_lo]])
-    search_hi = np.concatenate([theta_hi, [s_hi]])
-    search_target = TargetSpec(dim, log_target, search_lo, search_hi, labels)
+    theta_lo, theta_hi = np.where(bad, wide_lo, theta_lo), np.where(bad, wide_hi, theta_hi)
+    window = (
+        np.concatenate([theta_lo, [s_lo]]),
+        np.concatenate([theta_hi, [s_hi]]),
+        np.concatenate([n_mu.clip(theta_lo, theta_hi), [0.5 * (s_lo + s_hi)]]),
+    )
     seed = subseed(config.seed, _TAG_CLASSICAL)
-    rng = np.random.default_rng(subseed(seed, 0x1417))
-    guess = np.concatenate([n_mu.clip(theta_lo, theta_hi), [0.5 * (s_lo + s_hi)]])
-    init = _find_init(search_target, rng, guess)
-    out = _slice_whitened(target, init, config.replace(seed=seed))
-    out.provenance.update(stage="classical", unit_id=current.unit_id)
-    return out
+    return _run_stage(
+        f"classical:{current.unit_id}", model.theta_labels + ("sigma",), lower, upper, log_target,
+        config.replace(seed=seed), de_seed=subseed(seed, 0x1417), window=window,
+    )
 
 
 # (fn, items) of the pool this process was forked to serve; None outside one

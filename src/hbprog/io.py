@@ -274,27 +274,34 @@ def _pairs(value) -> tuple[tuple[float, float], ...]:
 
 
 #: :class:`~hbprog.models.LoadingSpec`; its checks say which fields each
-#: mode needs, and :func:`_mode_fields` names a field of the other mode
+#: mode needs, and :func:`_crack_sections` names a field of the other mode
 LOADING = {
     "mode": _text,
     **dict.fromkeys(("delta_sigma", "delta_sigma1", "n1", "delta_sigma2", "n2"), (_number, None)),
 }
 
-
-def _mode_fields(loading: dict | None, where: str, key: str) -> None:
-    """Reject a field of the read :data:`LOADING` section at the dotted
-    ``key`` that its mode does not take, naming the field (an unknown mode
-    is left to :class:`~hbprog.models.LoadingSpec`)."""
-    if loading is None or loading["mode"] not in LOADING_FIELDS:
-        return
-    mode = loading["mode"]
-    for name, value in loading.items():
-        if value is not None and name not in ("mode", *LOADING_FIELDS[mode]):
-            raise DataFormatError(f"{where}: field '{key}.{name}': {mode} loading takes no {name}")
-
-
 #: :class:`~hbprog.models.CrackGeometry`
 GEOMETRY = {"a0": _number, "n0": _number, "a_f": _number}
+
+
+def _crack_sections(section: dict, where: str, prefix: str = "", required: bool = False) -> None:
+    """Build the read :data:`GEOMETRY` and :data:`LOADING` entries of
+    ``section`` in place; a bad field is named by its dotted key after
+    ``prefix``. A loading field that its mode does not take is rejected
+    first (an unknown mode is left to :class:`~hbprog.models.LoadingSpec`).
+    A missing entry stays None, or is an error when ``required``."""
+    loading = section["loading"]
+    mode = loading and loading["mode"]
+    if mode in LOADING_FIELDS:
+        for name, value in loading.items():
+            if value is not None and name not in ("mode", *LOADING_FIELDS[mode]):
+                key = f"{prefix}loading.{name}"
+                raise DataFormatError(f"{where}: field {key!r}: {mode} loading takes no {name}")
+    for key, cls in (("geometry", CrackGeometry), ("loading", LoadingSpec)):
+        if section[key] is not None:
+            section[key] = _build(cls, section[key], where, prefix + key)
+        elif required:
+            raise DataFormatError(f"{where}: missing field {prefix + key!r}")
 
 #: a dataset's ``<stem>.meta.json``; crack units need ``geometry`` and
 #: ``loading``
@@ -362,12 +369,7 @@ def load_dataset(path: Path | str) -> Dataset:
         raise DataFormatError(f"{path}:{lines[i]}: {kind} cycle index {int(cycles[i])}")
     where = str(meta_path)
     meta = _read(_read_json(meta_path), "", where, SIDECAR)
-    _mode_fields(meta["loading"], where, "loading")
-    for key, cls in (("geometry", CrackGeometry), ("loading", LoadingSpec)):
-        if meta[key] is not None:
-            meta[key] = _build(cls, meta[key], where, key)
-        elif meta["family"] == "paris":
-            raise DataFormatError(f"{where}: missing field {key!r}")
+    _crack_sections(meta, where, required=meta["family"] == "paris")
     _nominals(meta["nominals"], meta["family"], "nominals", where)
     return _build(Dataset, {**meta, "cycles": cycles.astype(np.int64), "values": values}, str(path))
 
@@ -948,10 +950,7 @@ class RunConfig:
             cycles = np.linspace(**_read(cycles, "synthetic.cycles", "config", LINSPACE))
         else:
             cycles = _convert(cycles, "synthetic.cycles", "config", _numbers)
-        _mode_fields(spec["loading"], "config", "synthetic.loading")
-        for key, cls in (("loading", LoadingSpec), ("geometry", CrackGeometry)):
-            if spec[key] is not None:
-                spec[key] = _build(cls, spec[key], "config", f"synthetic.{key}")
+        _crack_sections(spec, "config", "synthetic.")
         spec.update(
             family=family,
             psi=_build(HyperParameters, psi, "config", "synthetic.psi"),

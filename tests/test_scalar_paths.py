@@ -20,6 +20,7 @@ from scipy.special import ndtr
 
 import hbprog.hierarchy as hierarchy
 from hbprog.hierarchy import (
+    ClassicalPrior,
     Dataset,
     _mixture_kernel,
     _stage2_target,
@@ -40,9 +41,10 @@ from hbprog.models import (
     crack_length,
     cycles_to_failure,
 )
-from hbprog.samplers import SampleSet, SamplerConfig, TargetSpec
+from hbprog.samplers import SampleSet, SamplerConfig, TargetSpec, subseed
 from hbprog.targets import (
     LOG_TWO_PI,
+    HyperParameters,
     HyperPriorBounds,
     dataset_loglik,
     dataset_loglik_batch,
@@ -733,6 +735,82 @@ def test_whitened_slice_draws_match_reference_target(crack_fleet, monkeypatch):
     assert got.samples.tobytes() == want.samples.tobytes()
 
 
+def _capture_whitened(monkeypatch):
+    """``_slice_whitened`` patched to record the start it is called with,
+    and the unpatched function."""
+    captured = {}
+    run = hierarchy._slice_whitened
+    monkeypatch.setattr(
+        hierarchy, "_slice_whitened",
+        lambda target, init, config: captured.update(init=init) or run(target, init, config),
+    )
+    return captured, run
+
+
+def _hyper_set(correlated, n=40):
+    """A small hyper sample set around the crack population, with the
+    population metadata ``update_current`` reads."""
+    rng = np.random.default_rng(31 + correlated)
+    cols = [rng.normal(1.0, 0.02, n), rng.normal(1.05, 0.005, n), rng.uniform(0.06, 0.1, n),
+            rng.uniform(0.05, 0.1, n), rng.uniform(0.01, 0.03, n), rng.uniform(0.02, 0.04, n)]
+    if correlated:
+        cols.append(rng.uniform(-0.5, 0.5, n))
+    meta = {"n_theta": 2, "correlated": correlated, "sigma_trunc": 0.2}
+    return SampleSet(np.column_stack(cols), HyperParameters.labels(2, correlated), meta)
+
+
+@pytest.mark.parametrize("correlated", [False, True], ids=["diag", "corr"])
+def test_current_draws_match_reference_target(crack_fleet, monkeypatch, correlated):
+    """A short whitened slice run through the target of ``update_current``
+    and one through the reference mixture prior and likelihood draw the
+    same bytes."""
+    data = crack_fleet[0][5].truncate(16000)
+    model = build_model(data)
+    hyper = _hyper_set(correlated)
+    captured, run = _capture_whitened(monkeypatch)
+    got = hierarchy.update_current(data, hyper, model, SamplerConfig(n_samples=60, seed=7))
+
+    def ref_target(x):
+        sigma = float(x[-1])
+        if not 0.0 < sigma < 0.2:
+            return -math.inf
+        prior = ref_mixture(hyper.samples, 2, correlated, 0.2, x)
+        if prior == -math.inf:
+            return -math.inf
+        return prior + ref_loglik(model, data, x[:-1], sigma)
+
+    lower, upper = np.array([-np.inf, -np.inf, 0.0]), np.array([np.inf, np.inf, 0.2])
+    target = TargetSpec(3, ref_target, lower, upper, ("theta1", "theta2", "sigma"), name="current:ref")
+    config = SamplerConfig(n_samples=60, seed=subseed(7, hierarchy._TAG_CURRENT))
+    want = run(target, captured["init"], config)
+    assert got.samples.tobytes() == want.samples.tobytes()
+
+
+def test_classical_draws_match_reference_target(crack_fleet, monkeypatch):
+    """A short whitened slice run through the target of
+    ``classical_update`` and one through the reference Gaussian prior and
+    likelihood draw the same bytes."""
+    data = crack_fleet[0][5].truncate(16000)
+    model = build_model(data)
+    prior = ClassicalPrior(means=(2.1, -19.2), sds=(0.1, 0.1), sigma_bounds=(1e-3, 0.2))
+    captured, run = _capture_whitened(monkeypatch)
+    got = hierarchy.classical_update(data, prior, model, SamplerConfig(n_samples=60, seed=8))
+    n_mu, n_sd = model.normalize_gaussian(prior.means, prior.sds)
+
+    def ref_target(x):
+        sigma = float(x[-1])
+        if not 1e-3 < sigma < 0.2:
+            return -math.inf
+        lp = float(np.sum(-0.5 * ((x[:-1] - n_mu) / n_sd) ** 2))
+        return lp + ref_loglik(model, data, x[:-1], sigma)
+
+    lower, upper = np.array([-np.inf, -np.inf, 1e-3]), np.array([np.inf, np.inf, 0.2])
+    target = TargetSpec(3, ref_target, lower, upper, ("theta1", "theta2", "sigma"), name="classical:ref")
+    config = SamplerConfig(n_samples=60, seed=subseed(8, hierarchy._TAG_CLASSICAL))
+    want = run(target, captured["init"], config)
+    assert got.samples.tobytes() == want.samples.tobytes()
+
+
 def _stage1_sets(rng):
     return [
         SampleSet(np.column_stack([rng.normal(1, 0.05, n), rng.normal(1.05, 0.01, n),
@@ -795,7 +873,11 @@ def test_stage2_one_vector_form_keeps_draws_and_counts(monkeypatch):
 
 def test_box_checks_reject_each_coordinate(crack_fleet, monkeypatch):
     """The stage-1 and stage-2 slice targets return -inf as soon as any one
-    coordinate leaves the prior box, and a finite value inside it."""
+    coordinate leaves the prior box, and a finite value inside it. The
+    current-unit and classical targets leave theta unbounded and keep sigma
+    in an open interval: -inf on either bound, finite one ulp inside. For
+    those two the likelihood is replaced by 0, so that only the support
+    test decides (any likelihood is -inf at sigma = 5e-324)."""
 
     class Captured(Exception):
         pass
@@ -806,6 +888,7 @@ def test_box_checks_reject_each_coordinate(crack_fleet, monkeypatch):
         targets.append(target)
         raise Captured
 
+    find_init = hierarchy._find_init
     monkeypatch.setattr(hierarchy, "_find_init", capture)
     data = crack_fleet[0][0]
     config = SamplerConfig(n_samples=10, seed=1)
@@ -819,8 +902,26 @@ def test_box_checks_reject_each_coordinate(crack_fleet, monkeypatch):
     ]
     with pytest.raises(Captured):
         hierarchy.stage2_infer(sets, HyperPriorBounds.crack_default(), "diag", config)
-    assert [t.name.split(":")[0] for t in targets] == ["stage1", "stage2"]
-    for target in targets:
+    # the targets that are sampled, after their starts are found
+    monkeypatch.setattr(hierarchy, "_find_init", find_init)
+    monkeypatch.setattr(hierarchy, "_slice_whitened", capture)
+    monkeypatch.setattr(hierarchy, "dataset_loglik", lambda model, data, theta, sigma: 0.0)
+    model = build_model(data)
+    with pytest.raises(Captured):
+        hierarchy.update_current(data, _hyper_set(False), model, config)
+    prior = ClassicalPrior(means=(2.0, -19.5), sds=(0.2, 0.4), sigma_bounds=(1e-3, 0.15))
+    with pytest.raises(Captured):
+        hierarchy.classical_update(data, prior, model, config)
+    assert [t.name.split(":")[0] for t in targets] == ["stage1", "stage2", "current", "classical"]
+    for target, (s_lo, s_hi) in zip(targets[2:], [(0.0, 0.2), prior.sigma_bounds]):
+        assert np.all(target.lower[:-1] == -np.inf) and np.all(target.upper[:-1] == np.inf)
+        assert (target.lower[-1], target.upper[-1]) == (s_lo, s_hi)
+        for theta in ([1.0, 1.05], [-1e3, 1e3], [1e3, -1e3]):
+            for sigma, finite in ((s_lo, False), (np.nextafter(s_lo, 1.0), True),
+                                  (np.nextafter(s_hi, 0.0), True), (s_hi, False)):
+                lp = target.log_target(np.array([*theta, sigma]))
+                assert math.isfinite(lp) == finite and lp != math.inf, (target.name, theta, sigma)
+    for target in targets[:2]:
         mid = 0.5 * (target.lower + target.upper)
         assert math.isfinite(target.log_target(mid))
         for j in range(target.dim):
