@@ -34,8 +34,8 @@ print("\n== TMCMC on the conjugate model mu ~ N(0,1), y=1 | mu ~ N(mu,1) ==")
 target = TemperedTarget(
     dim=1,
     sample_prior=lambda rng, n: rng.standard_normal((n, 1)),
-    prior_logpdf=lambda x: -0.5 * float(x[0]) ** 2 - 0.5 * math.log(2 * math.pi),
-    log_likelihood=lambda x: -0.5 * (1.0 - float(x[0])) ** 2 - 0.5 * math.log(2 * math.pi),
+    prior_logpdf=lambda x: -0.5 * x[:, 0] ** 2 - 0.5 * math.log(2 * math.pi),
+    log_likelihood=lambda x: -0.5 * (1.0 - x[:, 0]) ** 2 - 0.5 * math.log(2 * math.pi),
     labels=("mu",),
     name="conjugate",
 )

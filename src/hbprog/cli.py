@@ -46,7 +46,7 @@ from hbprog.io import (
 from hbprog.models import FAMILIES
 from hbprog.prognosis import predict_trajectory, rul_distribution
 from hbprog.samplers import SamplerError
-from hbprog.targets import HyperRowError
+from hbprog.targets import HyperRowError, _decode_hyper_meta
 
 
 class UsageError(Exception):
@@ -110,12 +110,29 @@ def _load_current(cfg: RunConfig) -> tuple:
     return dataset, dataset.truncate(cfg.cutoff), cfg.cutoff
 
 
-def _check_fits(dataset, path: Path, family: str | None) -> None:
+def _fit_family(cfg: RunConfig, paths: list[Path]) -> None:
+    """Fix the fitted family of a config that names none (see
+    :meth:`~hbprog.io.RunConfig.set_family`): the one family that the
+    sidecar of every dataset at ``paths`` names. A sidecar naming another
+    is a :class:`DataFormatError` naming the first such file."""
+    if cfg.family is not None:
+        return
+    first = load_dataset(paths[0]).family
+    for path in paths[1:]:
+        family = load_dataset(path).family
+        if family != first:
+            raise DataFormatError(
+                f"{_meta_path(path)}: family {family!r} differs from {first!r} in "
+                f"{_meta_path(paths[0])}; the config's 'family' must say which to fit"
+            )
+    cfg.set_family(first)
+
+
+def _check_fits(dataset, path: Path, family: str) -> None:
     """Raise a :class:`DataFormatError` naming the file and the family when
     the dataset does not fit the fitted family: its first cycle lies below
     the family's domain (an empty dataset has no first cycle and passes),
     or a crack family's sidecar lacks the geometry or the loading."""
-    family = family or dataset.family
     lowest = FAMILIES[family].min_cycle
     if len(dataset) and dataset.cycles[0] < lowest:
         raise DataFormatError(
@@ -157,6 +174,7 @@ def cmd_synth(cfg: RunConfig, args, out: Path) -> str:
 
 
 def cmd_fit_historical(cfg: RunConfig, args, out: Path) -> str:
+    _fit_family(cfg, cfg.historical_paths())
     stage1_bounds, hyper_bounds = cfg.stage1_bounds(), cfg.hyper_bounds()
     datasets = _load_historical(cfg, [cfg.family])
     result = fit_historical(
@@ -183,26 +201,25 @@ def cmd_fit_historical(cfg: RunConfig, args, out: Path) -> str:
 
 def _check_hyper(hyper, stem: Path, model) -> None:
     """Raise a :class:`DataFormatError` naming the hyper manifest when its
-    population metadata does not describe the fitted family or the set's
-    columns (a mean and a spread per parameter and for sigma, plus rho
-    when correlated)."""
-    n_theta, correlated = hyper.provenance["n_theta"], hyper.provenance["correlated"]
+    population metadata does not describe the fitted family, or the set
+    fails the library's shape check."""
+    n_theta = hyper.provenance["n_theta"]
     manifest = stem.with_suffix(".json")
     if n_theta != model.n_theta:
         raise DataFormatError(
             f"{manifest}: field 'provenance.n_theta': {n_theta} parameters, but family "
             f"{model.family!r} has {model.n_theta}"
         )
-    if hyper.dim != 2 * n_theta + 2 + correlated:
-        raise DataFormatError(
-            f"{manifest}: fields 'provenance.n_theta' and 'provenance.correlated' describe "
-            f"{2 * n_theta + 2 + correlated} columns, but {stem.with_suffix('.csv')} has {hyper.dim}"
-        )
+    try:
+        _decode_hyper_meta(hyper)
+    except ValueError as exc:
+        raise DataFormatError(f"{manifest}: {exc}") from None
 
 
 def cmd_fit_current(cfg: RunConfig, args, out: Path) -> str:
     hyper_stem = Path(args.hyper) if args.hyper else out / "hyper"
     hyper = load_sample_set(hyper_stem, HYPER_PROVENANCE)
+    _fit_family(cfg, [cfg.current_path()])
     dataset, truncated, t_c = _load_current(cfg)
     _check_fits(dataset, cfg.current_path(), cfg.family)
     model = build_model(dataset, cfg.family, cfg.nominals)
@@ -224,6 +241,7 @@ def cmd_fit_current(cfg: RunConfig, args, out: Path) -> str:
 def _posterior_and_model(cfg: RunConfig, args, out: Path):
     stem = Path(args.posterior) if args.posterior else out / "current_posterior"
     samples = load_sample_set(stem, POSTERIOR_PROVENANCE)
+    _fit_family(cfg, [cfg.current_path()])
     if "t_c" in samples.provenance:
         dataset, t_c = load_dataset(cfg.current_path()), float(samples.provenance["t_c"])
     else:
@@ -289,6 +307,7 @@ def cmd_model_select(cfg: RunConfig, args, out: Path) -> str:
 
 
 def cmd_compare_prior(cfg: RunConfig, args, out: Path) -> str:
+    _fit_family(cfg, [cfg.current_path()])
     prior = cfg.literature_prior()
     dataset, truncated, t_c = _load_current(cfg)
     _check_fits(dataset, cfg.current_path(), cfg.family)

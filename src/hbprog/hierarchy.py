@@ -9,8 +9,8 @@ module.
 
 Every sampling stage is its support test, prior and likelihood plus one call
 of the private runner :func:`_run_stage`, which builds the target, picks the
-start and the sampler, and records the stage. Each stage function runs its
-mode search and chain under one ``ignore_float_errors``: numpy's divide,
+start and the sampler, and records the stage. The runner runs the mode
+search and the sampler under one ``ignore_float_errors``: numpy's divide,
 overflow and invalid errors are ignored once per stage, not once or twice per
 log-target evaluation.
 """
@@ -292,12 +292,15 @@ def build_model(dataset: Dataset, family: str | None = None, nominals=None) -> D
     """Construct the degradation model a dataset's metadata describes.
 
     ``family``/``nominals`` override the dataset's own (used when fitting a
-    candidate family to data generated under another).
+    candidate family to data generated under another). The dataset's
+    nominals apply only to its own family; another family without
+    ``nominals`` takes its defaults.
     """
     family = family or dataset.family
     if family not in FAMILIES:
         raise ValueError(f"unknown model family {family!r}")
-    nominals = nominals if nominals is not None else dataset.nominals
+    if nominals is None and family == dataset.family:
+        nominals = dataset.nominals
     if family == "paris":
         if dataset.geometry is None or dataset.loading is None:
             raise ValueError(f"dataset {dataset.unit_id!r} lacks crack geometry/loading metadata")
@@ -408,10 +411,7 @@ def _slice_whitened(target: TargetSpec, init: np.ndarray, config: SamplerConfig)
 
     target_w = TargetSpec(target.dim, log_target_w, labels=target.labels, name=f"{target.name}:whitened")
     init_w = np.linalg.solve(chol, pilot.samples[-1] - center)
-    # log-flat directions (the error scale against a loose bound) can keep a
-    # low slice level alive for hundreds of whitened widths; the expansion
-    # budget must comfortably cover that
-    out_w = slice_sample(target_w, init_w, config.replace(slice_width=2.0, max_step_out=5000))
+    out_w = slice_sample(target_w, init_w, config.replace(slice_width=2.0))
     provenance = dict(out_w.provenance, sampler="slice+whitened", pilot_draws=n_pilot)
     provenance["n_evals"] += pilot.provenance["n_evals"]
     return SampleSet(center + out_w.samples @ chol.T, target.labels, provenance)
@@ -469,10 +469,7 @@ def _tmcmc_on_box(
         outside = np.any((x < lower) | (x > upper), axis=1)
         return np.where(outside, -np.inf, log_density)
 
-    tempered = TemperedTarget(
-        len(lower), sample_prior, prior_logpdf, loglik, labels, name=name, vectorized=True
-    )
-    return tmcmc(tempered, config)
+    return tmcmc(TemperedTarget(len(lower), sample_prior, prior_logpdf, loglik, labels, name), config)
 
 
 def _run_stage(
@@ -491,28 +488,30 @@ def _run_stage(
     fully pinned box, starts at the mode :func:`_find_init` finds from
     ``de_seed`` over ``window`` (``(lower, upper, first_guess)``, by default
     the support from its centre), or at the best of the rows ``draws`` once
-    :func:`_polish_inits` has polished the top three.
+    :func:`_polish_inits` has polished the top three. The search and the
+    sampler run under one :func:`~hbprog.models.ignore_float_errors`.
     """
     stage, has_unit, unit_id = name.partition(":")
-    if de_seed is None and draws is None:
-        if stage == "stage1":
-            config = config.replace(tmcmc_moves=max(config.tmcmc_moves, 8))
-        out = _tmcmc_on_box(lower, upper, density, labels, name, config)
-    else:
-        target = TargetSpec(len(labels), density, lower, upper, labels, name=name)
-        if draws is None:
-            lo, hi, guess = window or (lower, upper, 0.5 * (lower + upper))
-            search = replace(target, lower=lo, upper=hi)
-            init = _find_init(search, np.random.default_rng(de_seed), guess)
+    with ignore_float_errors():
+        if de_seed is None and draws is None:
+            if stage == "stage1":
+                config = config.replace(tmcmc_moves=max(config.tmcmc_moves, 8))
+            out = _tmcmc_on_box(lower, upper, density, labels, name, config)
         else:
-            scored = sorted(((density(x), x) for x in draws), key=lambda t: t[0], reverse=True)
-            best, init = _polish_inits(target, [row for _, row in scored[:3]], scored[0])
-            if not math.isfinite(best):
-                raise SamplerError("no finite log-target point found among mixture-prior draws")
-        if stage == "stage2" or np.all(lower == upper):
-            out = slice_sample(target, init, config)
-        else:
-            out = _slice_whitened(target, init, config)
+            target = TargetSpec(len(labels), density, lower, upper, labels, name=name)
+            if draws is None:
+                lo, hi, guess = window or (lower, upper, 0.5 * (lower + upper))
+                search = replace(target, lower=lo, upper=hi)
+                init = _find_init(search, np.random.default_rng(de_seed), guess)
+            else:
+                scored = sorted(((density(x), x) for x in draws), key=lambda t: t[0], reverse=True)
+                best, init = _polish_inits(target, [row for _, row in scored[:3]], scored[0])
+                if not math.isfinite(best):
+                    raise SamplerError("no finite log-target point found among mixture-prior draws")
+            if stage == "stage2" or np.all(lower == upper):
+                out = slice_sample(target, init, config)
+            else:
+                out = _slice_whitened(target, init, config)
     out.provenance["stage"] = stage
     if has_unit:
         out.provenance["unit_id"] = unit_id
@@ -520,7 +519,6 @@ def _run_stage(
     return out
 
 
-@ignore_float_errors()
 def stage1_infer(
     dataset: Dataset,
     model: DegradationModel,
@@ -573,7 +571,6 @@ def _check_choices(case: str, sampler: str) -> None:
         raise ValueError("sampler must be 'slice' or 'tmcmc'")
 
 
-@ignore_float_errors()
 def stage2_infer(
     stage1: Sequence[SampleSet],
     bounds: HyperPriorBounds,
@@ -657,7 +654,6 @@ def sample_mixture_prior(hyper: SampleSet, n: int, seed: int) -> SampleSet:
     )
 
 
-@ignore_float_errors()
 def update_current(
     current: Dataset | None,
     hyper: SampleSet,
@@ -671,8 +667,6 @@ def update_current(
     ancestral sampling. ``hyper_subsample`` caps the number of mixture
     components for speed (uniform thinning of the hyper set).
     """
-    if hyper.n == 0:
-        raise ValueError("hyper sample set must be nonempty")
     n_theta, correlated, sigma_trunc = _decode_hyper_meta(hyper)
     if current is not None and len(current) and current.family != model.family:
         raise ValueError(
@@ -733,7 +727,6 @@ class ClassicalPrior:
             raise ValueError("sigma_mu and sigma_sd must be given together")
 
 
-@ignore_float_errors()
 def classical_update(
     current: Dataset,
     prior: ClassicalPrior,

@@ -153,12 +153,17 @@ def _length(values, n: int, key: str, where: str, what: str = "entries") -> None
         raise DataFormatError(f"{where}: field {key!r} must have {n} {what}, got {len(values)}")
 
 
-def _nominals(values, family: str | None, key: str, where: str):
-    """Nominal-value overrides, one per parameter of ``family`` when it is
-    known, or None for the model's own."""
-    if values is not None and family:
+def _nominals(values, family: str, key: str, where: str):
+    """Nominal-value overrides, one per parameter of ``family``, or None for
+    the model's own."""
+    if values is not None:
         _length(values, FAMILIES[family].n_theta, key, where)
     return values
+
+
+def _default_sigma_trunc(family: str) -> float:
+    """The population sigma truncation of a config that sets none."""
+    return 0.2 if family == "paris" else 0.4
 
 
 def _json_bool(value) -> bool:
@@ -672,7 +677,7 @@ def _true_eol(model, theta, spec: SyntheticSpec) -> float | None:
 SAMPLER = {
     "kind": (_choice("slice", "tmcmc"), "slice"),
     **dict.fromkeys(("n_samples", "thinning"), (_count, None)),
-    **dict.fromkeys(("seed", "max_step_out", "tmcmc_moves"), (_natural, None)),
+    **dict.fromkeys(("seed", "tmcmc_moves"), (_natural, None)),
     "tmcmc_target_cov": (_positive, None),
     "burn_in": (_number, None),
     "slice_width": (_optional(_positive), None),
@@ -736,7 +741,6 @@ DATASETS = {"historical": (_paths, None), "current": (_path, None)}
 #: section when a command asks for it.
 RUN = {
     "family": (_optional(_family), None),
-    "likelihood": (_optional(_text), None),
     "seed": (_natural, 0),
     "case": (_choice("diag", "corr"), "diag"),
     "sigma_trunc": (_positive, None),
@@ -752,13 +756,13 @@ RUN = {
 }
 
 
-def _stage1_box(bounds: dict, key: str, family: str | None, sampler: str):
-    """The ``(lower, upper)`` arrays of the stage-1 prior box read at ``key``
-    for ``sampler``; TMCMC cannot sample an entry with lower == upper."""
+def _stage1_box(bounds: dict, key: str, family: str, sampler: str):
+    """The ``(lower, upper)`` arrays of the stage-1 prior box of ``family``
+    read at ``key`` for ``sampler``; TMCMC cannot sample an entry with
+    lower == upper."""
     lower, upper = np.asarray(bounds["lower"]), np.asarray(bounds["upper"])
-    dim = FAMILIES[family].n_theta + 1 if family else lower.size
     for side, arr in (("lower", lower), ("upper", upper)):
-        _length(arr, dim, f"{key}.{side}", "config", "entries (theta..., sigma)")
+        _length(arr, FAMILIES[family].n_theta + 1, f"{key}.{side}", "config", "entries (theta..., sigma)")
     if np.any(lower > upper):
         raise DataFormatError(f"config: field {key!r}: lower exceeds upper")
     collapsed = np.flatnonzero(lower == upper)
@@ -769,11 +773,10 @@ def _stage1_box(bounds: dict, key: str, family: str | None, sampler: str):
     return lower, upper
 
 
-def _hyper_box(bounds: dict, key: str, family: str | None, case: str) -> HyperPriorBounds:
-    """The hyper-prior box read at ``key``; the correlated case samples rho,
-    so its box must bound it."""
-    if family:
-        _length(bounds["mu_theta"], FAMILIES[family].n_theta, f"{key}.mu_theta", "config", "pairs")
+def _hyper_box(bounds: dict, key: str, family: str, case: str) -> HyperPriorBounds:
+    """The hyper-prior box of ``family`` read at ``key``; the correlated
+    case samples rho, so its box must bound it."""
+    _length(bounds["mu_theta"], FAMILIES[family].n_theta, f"{key}.mu_theta", "config", "pairs")
     if case == "corr" and bounds["rho"] is None:
         raise DataFormatError(f"config: missing field '{key}.rho'")
     return _build(HyperPriorBounds, bounds, "config", key)
@@ -788,25 +791,24 @@ class RunConfig:
     the dotted field. Dataset paths resolve relative to the config file. The
     fingerprint covers the whole document with the command-line flags
     applied, and is embedded in every artifact the run writes.
+
+    The fields that depend on the fitted family (``nominals``,
+    ``sigma_trunc``'s default and the sections that hold one entry per
+    parameter) are read against ``family``: the config's own, or the one
+    :meth:`set_family` fixes when the config names none.
     """
 
     def __init__(self, raw: dict, base_dir: Path | None = None):
         self.raw = raw
         self.base_dir = Path(base_dir) if base_dir is not None else Path.cwd()
         top = _read(raw, "", "config", RUN)
-        self.family = top["family"]
-        likelihood = top["likelihood"]
-        if self.family and likelihood:
-            expected = FAMILIES[self.family].likelihood
-            if likelihood != expected:
-                raise DataFormatError(
-                    f"family {self.family!r} pairs with the {expected} likelihood, not {likelihood!r}"
-                )
         self.seed = top["seed"]
         self.case = top["case"]
-        self.sigma_trunc = top["sigma_trunc"] or (0.2 if self.family == "paris" else 0.4)
         self.cutoff = top["cutoff"]
-        self.nominals = _nominals(top["nominals"], self.family, "nominals", "config")
+        self._top = top
+        self.family = self.nominals = self.sigma_trunc = None
+        if top["family"]:
+            self.set_family(top["family"])
         self.stage1_thin = top["stage1_thin"]
         self.hyper_subsample = top["hyper_subsample"]
         sampler = raw.get("sampler", {})
@@ -842,6 +844,19 @@ class RunConfig:
                 raw["sampler"] = section
         return cls(raw, path.parent)
 
+    def set_family(self, family: str) -> None:
+        """Fix the fitted family: the top-level ``nominals`` must hold one
+        number per parameter of it, and ``sigma_trunc`` defaults to
+        :func:`_default_sigma_trunc` of it."""
+        self.nominals = _nominals(self._top["nominals"], family, "nominals", "config")
+        self.sigma_trunc = self._top["sigma_trunc"] or _default_sigma_trunc(family)
+        self.family = family
+
+    def _family(self) -> str:
+        """The fitted family, which a section with one entry per parameter
+        is read against."""
+        return self._required(self.family, "family")
+
     def _lazy(self, key: str, convert):
         """The top-level field ``key`` a command needs, read by ``convert``."""
         if key not in self.raw:
@@ -870,16 +885,17 @@ class RunConfig:
         return self.resolve(self._required(self._current, "datasets.current"))
 
     def stage1_bounds(self):
-        """The ``(lower, upper)`` arrays of the stage-1 prior box; with a
-        known ``family`` each holds one entry per model parameter plus one
-        for sigma, and with ``sampler.kind`` tmcmc no entry is collapsed."""
+        """The ``(lower, upper)`` arrays of the stage-1 prior box; each
+        holds one entry per parameter of ``family`` plus one for sigma, and
+        with ``sampler.kind`` tmcmc no entry is collapsed."""
         bounds = self._lazy("stage1_bounds", STAGE1_BOUNDS)
-        return _stage1_box(bounds, "stage1_bounds", self.family, self.sampler_kind)
+        return _stage1_box(bounds, "stage1_bounds", self._family(), self.sampler_kind)
 
     def hyper_bounds(self) -> HyperPriorBounds:
-        """The uniform hyper-prior box; with a known ``family`` it bounds
-        one mean and one spread per model parameter."""
-        return _hyper_box(self._lazy("hyper_bounds", HYPER_BOUNDS), "hyper_bounds", self.family, self.case)
+        """The uniform hyper-prior box: one mean and one spread per
+        parameter of ``family``."""
+        bounds = self._lazy("hyper_bounds", HYPER_BOUNDS)
+        return _hyper_box(bounds, "hyper_bounds", self._family(), self.case)
 
     def candidates(self) -> list[Candidate]:
         """The ``candidates`` section for model selection, one
@@ -899,7 +915,9 @@ class RunConfig:
                     ),
                     hyper_bounds=_hyper_box(cand["hyper_bounds"], f"{key}.hyper_bounds", family, self.case),
                     nominals=_nominals(cand["nominals"], family, f"{key}.nominals", "config"),
-                    sigma_trunc=cand["sigma_trunc"] or self.sigma_trunc,
+                    sigma_trunc=(
+                        cand["sigma_trunc"] or self._top["sigma_trunc"] or _default_sigma_trunc(family)
+                    ),
                     name=cand["name"],
                 )
             )
@@ -907,10 +925,10 @@ class RunConfig:
 
     def literature_prior(self) -> ClassicalPrior:
         """The ``literature_prior`` section: Gaussian means and sds of the
-        physical parameters (one per parameter of ``family`` when it is set)
-        and the error-scale prior."""
+        physical parameters (one per parameter of ``family``) and the
+        error-scale prior."""
         prior = self._lazy("literature_prior", LITERATURE_PRIOR)
-        n_theta = FAMILIES[self.family].n_theta if self.family else len(prior["means"])
+        n_theta = FAMILIES[self._family()].n_theta
         for name in ("means", "sds"):
             _length(prior[name], n_theta, f"literature_prior.{name}", "config")
         return _build(ClassicalPrior, prior, "config", "literature_prior")
@@ -944,7 +962,8 @@ class RunConfig:
         family = spec["family"] or self.family
         if family is None:
             raise DataFormatError("config: missing field 'synthetic.family'")
-        psi = {**spec["psi"], "sigma_trunc": spec["psi"]["sigma_trunc"] or self.sigma_trunc}
+        sigma_trunc = spec["psi"]["sigma_trunc"] or self._top["sigma_trunc"]
+        psi = {**spec["psi"], "sigma_trunc": sigma_trunc or _default_sigma_trunc(family)}
         cycles = spec["cycles"]
         if isinstance(cycles, dict):
             cycles = np.linspace(**_read(cycles, "synthetic.cycles", "config", LINSPACE))

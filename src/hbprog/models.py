@@ -42,10 +42,11 @@ def ignore_float_errors():
     the block, with :data:`FLOAT_ERRORS_IGNORED` set, so the hot entry points
     called in it open no error state of their own.
 
-    Each sampling stage runs its whole search and chain under one (it also
-    decorates functions); an entry point called on its own enters one
-    itself. The entry points trust the variable, so code in the block must
-    not call them under a stricter error state of its own.
+    The stage runner (:func:`hbprog.hierarchy._run_stage`) runs each
+    sampling stage's whole search and chain under one; an entry point
+    called on its own enters one itself. The entry points trust the
+    variable, so code in the block must not call them under a stricter
+    error state of its own.
     """
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         token = FLOAT_ERRORS_IGNORED.set(True)
@@ -361,6 +362,15 @@ class DegradationModel:
         """
         return None
 
+    def _nominals(self, nominals) -> tuple[float, ...]:
+        """``nominals`` as floats, one per parameter of the family."""
+        values = tuple(float(v) for v in nominals)
+        if len(values) != self.n_theta:
+            raise ValueError(
+                f"family {self.family!r} takes {self.n_theta} nominals, got {len(values)}"
+            )
+        return values
+
     def normalize_gaussian(self, means, sds):
         """Map independent Gaussians on physical parameters to the
         dimensionless parameterization (exact linear rescaling)."""
@@ -392,7 +402,7 @@ class ParisCrackModel(DegradationModel):
     ):
         self.geometry = geometry
         self.loading = loading
-        self.m0, self.log_c0 = float(nominals[0]), float(nominals[1])
+        self.m0, self.log_c0 = self._nominals(nominals)
         self.nominal_scales = (self.m0, self.log_c0)
         self._log_a0 = math.log(geometry.a0)
         self._log_ds = _log_ds(loading, None) if loading.mode == "constant" else None
@@ -571,7 +581,7 @@ class BatterySingleModel(DegradationModel):
     min_cycle = 1.0
 
     def __init__(self, nominals: tuple[float, float, float] = BATT_SINGLE_NOMINALS):
-        self.nominals = tuple(float(v) for v in nominals)
+        self.nominals = self._nominals(nominals)
         self.nominal_scales = self.nominals
 
     def _rows_ok(self, t: np.ndarray) -> np.ndarray:
@@ -629,7 +639,7 @@ class BatteryDoubleModel(DegradationModel):
     plausible_hi = (3.0, 3.0, 3.0, 3.0)
 
     def __init__(self, nominals: tuple[float, float, float, float] = BATT_DOUBLE_NOMINALS):
-        self.nominals = tuple(float(v) for v in nominals)
+        self.nominals = self._nominals(nominals)
         self.nominal_scales = self.nominals
 
     def _rows_ok(self, t: np.ndarray) -> np.ndarray:

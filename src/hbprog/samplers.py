@@ -78,24 +78,26 @@ class TargetSpec:
 class TemperedTarget:
     """Prior-sampler / log-likelihood pair consumed by :func:`tmcmc`.
 
-    With ``vectorized=False`` the prior log-density and the log-likelihood
-    map one point ``[dim]`` to a float. With ``vectorized=True`` both map a
-    batch ``[n, dim]`` to ``[n]``, so the sampler evaluates a whole particle
-    population per call. Either way -inf marks an impossible point, and a
-    NaN log-likelihood rejects a proposal.
+    The prior log-density and the log-likelihood map a batch ``[n, dim]``
+    to ``[n]``, so the sampler evaluates a whole particle population per
+    call. -inf marks an impossible point, and a NaN log-likelihood rejects a
+    proposal.
     """
 
     dim: int
     sample_prior: Callable[[np.random.Generator, int], np.ndarray]
-    prior_logpdf: Callable[[np.ndarray], float | np.ndarray]
-    log_likelihood: Callable[[np.ndarray], float | np.ndarray]
+    prior_logpdf: Callable[[np.ndarray], np.ndarray]
+    log_likelihood: Callable[[np.ndarray], np.ndarray]
     labels: tuple[str, ...] | None = None
     name: str = "tempered"
-    vectorized: bool = False
 
 
-# shrinkage tries per slice update, and the TMCMC proposal scale on the
-# weighted particle covariance (Ching & Chen 2007's beta)
+# step-out and shrinkage tries per slice update, and the TMCMC proposal
+# scale on the weighted particle covariance (Ching & Chen 2007's beta). The
+# step-out budget only decides when a runaway expansion raises; log-flat
+# directions (the error scale against a loose bound) can keep a low slice
+# level alive for hundreds of whitened widths, and it covers that
+_MAX_STEP_OUT = 5000
 _MAX_SHRINK = 200
 _TMCMC_PROPOSAL_SCALE = 0.2
 
@@ -116,7 +118,6 @@ class SamplerConfig:
     thinning: int = 1
     seed: int = 0
     slice_width: float | None = None
-    max_step_out: int = 200
     tmcmc_target_cov: float = 1.0
     tmcmc_moves: int = 3
 
@@ -269,18 +270,18 @@ def slice_sample(target: TargetSpec, init, config: SamplerConfig) -> SampleSet:
             while left > lo[d] and f(d, left) > logy:
                 left = max(left - widths[d], lo[d])
                 steps += 1
-                if steps > config.max_step_out:
+                if steps > _MAX_STEP_OUT:
                     raise SamplerError(
-                        f"slice step-out exceeded {config.max_step_out} steps "
+                        f"slice step-out exceeded {_MAX_STEP_OUT} steps "
                         f"expanding left on dim {d} (width={widths[d]:g}, level={logy:g})"
                     )
             steps = 0
             while right < hi[d] and f(d, right) > logy:
                 right = min(right + widths[d], hi[d])
                 steps += 1
-                if steps > config.max_step_out:
+                if steps > _MAX_STEP_OUT:
                     raise SamplerError(
-                        f"slice step-out exceeded {config.max_step_out} steps "
+                        f"slice step-out exceeded {_MAX_STEP_OUT} steps "
                         f"expanding right on dim {d} (width={widths[d]:g}, level={logy:g})"
                     )
 
@@ -350,13 +351,12 @@ def _choose_dbeta(loglik: np.ndarray, beta: float, target_cov: float) -> float:
     return db
 
 
-def _batched(fn: Callable, vectorized: bool, what: str) -> Callable[[np.ndarray], np.ndarray]:
-    """Batch form ``[n, dim] -> [n]`` of a log-density; a scalar one is
-    lifted to apply row by row."""
-    rows = fn if vectorized else (lambda x: [float(fn(row)) for row in x])
+def _batched(fn: Callable, what: str) -> Callable[[np.ndarray], np.ndarray]:
+    """The batch log-density ``fn`` with its result checked to be one
+    float per row."""
 
     def batch(x: np.ndarray) -> np.ndarray:
-        out = np.asarray(rows(x), dtype=float)
+        out = np.asarray(fn(x), dtype=float)
         if out.shape != (x.shape[0],):
             raise SamplerError(f"{what} returned shape {out.shape} for {x.shape[0]} rows")
         return out
@@ -377,15 +377,14 @@ def tmcmc(target: TemperedTarget, config: SamplerConfig) -> SampleSet:
 
     The prior draws, the resampled particles and each Metropolis sweep are
     evaluated as one batch; the likelihood only sees proposals with a
-    finite prior. Scalar and vectorized forms of the same target give
-    identical results. ``n_loglik_rows`` in the provenance counts the
-    likelihood rows evaluated.
+    finite prior. ``n_loglik_rows`` in the provenance counts the likelihood
+    rows evaluated.
     """
     rng = np.random.default_rng(config.seed)
     n = config.n_samples
     dim = target.dim
-    prior_logpdf = _batched(target.prior_logpdf, target.vectorized, "prior log-density")
-    log_likelihood = _batched(target.log_likelihood, target.vectorized, "log-likelihood")
+    prior_logpdf = _batched(target.prior_logpdf, "prior log-density")
+    log_likelihood = _batched(target.log_likelihood, "log-likelihood")
 
     particles = np.asarray(target.sample_prior(rng, n), dtype=float)
     if particles.shape != (n, dim):

@@ -832,11 +832,26 @@ def hyper_posterior_logtarget(psi: HyperParameters, stage1, bounds: HyperPriorBo
 
 
 def _decode_hyper_meta(hyper_samples) -> tuple[int, bool, float]:
+    """``(n_theta, correlated, sigma_trunc)`` of a hyper sample set, read
+    from its provenance. The set must hold at least one row, and a mean and
+    a spread per parameter and for sigma (plus rho when correlated) in each:
+    a ValueError says which fails."""
     prov = getattr(hyper_samples, "provenance", None) or {}
     try:
-        return int(prov["n_theta"]), bool(prov["correlated"]), float(prov["sigma_trunc"])
+        n_theta, correlated = int(prov["n_theta"]), bool(prov["correlated"])
+        sigma_trunc = float(prov["sigma_trunc"])
     except KeyError as exc:
         raise ValueError(f"hyper sample set lacks population metadata {exc} in its provenance") from exc
+    n, dim = np.shape(hyper_samples.samples)
+    if n == 0:
+        raise ValueError("hyper sample set must be nonempty")
+    columns = len(HyperParameters.labels(n_theta, correlated))
+    if dim != columns:
+        raise ValueError(
+            f"fields 'provenance.n_theta' and 'provenance.correlated' describe {columns} "
+            f"columns, but the set has {dim}"
+        )
+    return n_theta, correlated, sigma_trunc
 
 
 def mixture_prior_logpdf(pv: ParameterVector, hyper_samples) -> float:
@@ -844,12 +859,10 @@ def mixture_prior_logpdf(pv: ParameterVector, hyper_samples) -> float:
     equal-weight mixture of population Gaussians over the hyper samples,
     ``logsumexp_s hier(pv | psi_s) - log N_s``. A hyper sample the density
     is not defined for raises :class:`HyperRowError`."""
-    mat = np.asarray(hyper_samples.samples, dtype=float)
-    if mat.shape[0] == 0:
-        raise ValueError("hyper sample set must be nonempty")
     n_theta, correlated, sigma_trunc = _decode_hyper_meta(hyper_samples)
     if pv.theta.size != n_theta:
         raise ValueError("parameter/hyper-sample dimension mismatch")
+    mat = np.asarray(hyper_samples.samples, dtype=float)
     return _mixture_view(pv, mat, n_theta, correlated, sigma_trunc)
 
 

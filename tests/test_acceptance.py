@@ -122,9 +122,8 @@ def test_criterion_2_tmcmc_conjugate_evidence():
     target = TemperedTarget(
         dim=1,
         sample_prior=lambda rng, n: rng.standard_normal((n, 1)),
-        prior_logpdf=lambda x: -0.5 * float(x[0]) ** 2 - 0.5 * math.log(2 * math.pi),
-        log_likelihood=lambda x: -0.5 * (1.0 - float(x[0])) ** 2
-        - 0.5 * math.log(2 * math.pi),
+        prior_logpdf=lambda x: -0.5 * x[:, 0] ** 2 - 0.5 * math.log(2 * math.pi),
+        log_likelihood=lambda x: -0.5 * (1.0 - x[:, 0]) ** 2 - 0.5 * math.log(2 * math.pi),
         name="acceptance-conjugate",
     )
     analytic = norm.logpdf(1.0, loc=0.0, scale=math.sqrt(2.0))

@@ -6,8 +6,6 @@ the power 1 / (1 - m/2), so they get a wider tolerance. Non-finite entries
 must match exactly.
 """
 
-import math
-
 import numpy as np
 import pytest
 
@@ -275,38 +273,7 @@ class TestStage2Batch:
         assert np.array_equal(whole(vecs), single(vecs))
 
 
-def conjugate(vectorized):
-    """Prior mu ~ N(0,1), one observation y = 1 with y | mu ~ N(mu, 1); both
-    forms run the same float arithmetic."""
-    c = 0.5 * math.log(2 * math.pi)
-
-    def prior(mu):
-        return -0.5 * mu * mu - c
-
-    def loglik(mu):
-        return -0.5 * (1.0 - mu) * (1.0 - mu) - c
-
-    if vectorized:
-        forms = (lambda x: prior(x[:, 0]), lambda x: loglik(x[:, 0]))
-    else:
-        forms = (lambda x: prior(float(x[0])), lambda x: loglik(float(x[0])))
-    return TemperedTarget(
-        1, lambda rng, n: rng.standard_normal((n, 1)), *forms, ("mu",), "conjugate",
-        vectorized=vectorized,
-    )
-
-
 class TestTMCMCBatch:
-    @pytest.mark.parametrize("seed", [0, 5])
-    def test_scalar_and_vectorized_identical(self, seed):
-        cfg = SamplerConfig(n_samples=600, seed=seed)
-        a = tmcmc(conjugate(False), cfg)
-        b = tmcmc(conjugate(True), cfg)
-        assert np.array_equal(a.samples, b.samples)
-        assert a.log_evidence == b.log_evidence
-        assert a.log_evidence_se == b.log_evidence_se
-        assert a.provenance == b.provenance
-
     def test_loglik_rows_counted(self):
         rows = []
 
@@ -317,9 +284,7 @@ class TestTMCMCBatch:
         def box(x):
             return np.where(np.abs(x[:, 0]) <= 1.0, 0.0, -np.inf)
 
-        target = TemperedTarget(
-            1, lambda rng, n: rng.uniform(-1.0, 1.0, (n, 1)), box, loglik, vectorized=True
-        )
+        target = TemperedTarget(1, lambda rng, n: rng.uniform(-1.0, 1.0, (n, 1)), box, loglik)
         out = tmcmc(target, SamplerConfig(n_samples=300, seed=1))
         assert out.provenance["n_loglik_rows"] == sum(rows)
         # proposals outside the box never reach the likelihood
@@ -329,7 +294,7 @@ class TestTMCMCBatch:
     def test_wrong_batch_shape_rejected(self):
         target = TemperedTarget(
             1, lambda rng, n: rng.standard_normal((n, 1)), lambda x: np.zeros(len(x)),
-            lambda x: 0.0, vectorized=True,
+            lambda x: 0.0,
         )
         with pytest.raises(SamplerError, match="shape"):
             tmcmc(target, SamplerConfig(n_samples=50, seed=0))

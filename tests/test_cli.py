@@ -540,6 +540,8 @@ class TestExitCodes:
             ("fit-historical", ["stage1_bounds"], lambda b: b.update(lower=[0.6, 0.8]),
              "stage1_bounds.lower"),
             ("fit-historical", ["stage1_bounds"], _drop_upper, "stage1_bounds.upper"),
+            ("fit-historical", ["stage1_bounds"], lambda b: b.update(lower=[1.7, 0.8, 1e-3]),
+             "stage1_bounds"),
             ("fit-historical", ["hyper_bounds"], lambda b: b.update(mu_sigma=[0.4]),
              "hyper_bounds.mu_sigma"),
             ("fit-historical", ["hyper_bounds"], lambda b: b.update(mu_theta=[[0.8, 1.4]]),
@@ -551,7 +553,7 @@ class TestExitCodes:
             ("model-select", ["candidates", 1, "hyper_bounds"],
              lambda b: b.update(sd_sigma="x"), "candidates[1].hyper_bounds.sd_sigma"),
         ],
-        ids=["lower-string", "lower-short", "upper-missing", "hyper-pair-short",
+        ids=["lower-string", "lower-short", "upper-missing", "lower-above-upper", "hyper-pair-short",
              "hyper-mu_theta-short", "candidate-lower-string", "candidate-upper-missing",
              "candidate-hyper-string"],
     )
@@ -779,6 +781,127 @@ class TestExitCodes:
             main(["--version"])
         assert exc.value.code == 0
         assert "hbprog" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["predict", "rul"])
+    def test_posterior_without_t_c_forecasts_from_the_current_data(self, workspace, tmp_path,
+                                                                   capsys, command):
+        """A posterior whose provenance records no ``t_c`` is forecast from
+        the current unit's last observed cycle."""
+        root, config = workspace
+        ss = SampleSet(np.array([[1.0, 1.05, 0.05]]), ("theta1", "theta2", "sigma"), {})
+        save_sample_set(ss, tmp_path / "current_posterior")
+        assert main([command, "--config", str(config), "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        last = int((root / "data" / "S4.csv").read_text().splitlines()[-1].split(",")[0])
+        stem = "trajectory" if command == "predict" else "rul"
+        assert json.loads((tmp_path / f"{stem}.json").read_text())["config"]["t_c"] == last
+
+
+#: a run config without ``family`` over the battery fleet of
+#: ``battery_workspace``: the fitted family is the one its sidecars name
+BATTERY_CONFIG = {
+    "seed": 5,
+    "datasets": {"historical": ["data/B1.csv", "data/B2.csv"], "current": "data/B3.csv"},
+    "stage1_bounds": {"lower": [0.05] * 4 + [1e-4], "upper": [1.8] * 4 + [0.4]},
+    "hyper_bounds": {"mu_theta": [[0.0, 1.8]] * 4, "sd_theta": [[0.0, 0.4]] * 4,
+                     "mu_sigma": [0.0, 0.4], "sd_sigma": [0.0, 0.2]},
+    "sampler": {"kind": "tmcmc", "n_samples": 100},
+    "literature_prior": {"means": [1.92, -0.02, -0.003, -0.05], "sds": [0.1] * 4,
+                         "sigma_bounds": [0.001, 0.4]},
+}
+
+
+@pytest.fixture(scope="module")
+def battery_workspace(tmp_path_factory):
+    """A three-unit double-exponential fleet whose sidecars name
+    ``batt-double``."""
+    root = tmp_path_factory.mktemp("battery")
+    config = root / "synth.json"
+    config.write_text(json.dumps({"synthetic": {
+        "family": "batt-double",
+        "psi": {"mu0": [1.0] * 4, "sd0": [0.03] * 4, "mu_sigma": 0.015, "sd_sigma": 0.005},
+        "n_units": 3, "unit_prefix": "B", "cycles": list(range(1, 81, 2)), "threshold": 1.4,
+        "nominals": [1.92, -0.02, -0.003, -0.05],
+    }}))
+    assert main(["synth", "--config", str(config), "--out", str(root / "data")]) == 0
+    return root
+
+
+class TestFittedFamily:
+    """A config without ``family`` fits the family its datasets' sidecars
+    name, and every field read against the family is checked against that
+    one before any sampling."""
+
+    @staticmethod
+    def _run(root: Path, out: Path, command: str, config_dict: dict, capsys) -> dict | None:
+        config = out / "run.json"
+        out.mkdir()
+        config.write_text(json.dumps(config_dict))
+        capsys.readouterr()
+        code = main([command, "--config", str(config), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if code == 0:
+            return None
+        assert code == 2, err
+        return json.loads(err.strip().splitlines()[-1])
+
+    @pytest.mark.parametrize(
+        "command, key, value, field",
+        [
+            ("fit-historical", "nominals", [1.92, -0.02, -0.003], "nominals"),
+            ("compare-prior", "nominals", [1.92, -0.02, -0.003], "nominals"),
+            ("fit-historical", "stage1_bounds",
+             {"lower": [0.05] * 3 + [1e-4], "upper": [1.8] * 3 + [0.4]}, "stage1_bounds.lower"),
+            ("fit-historical", "hyper_bounds",
+             {"mu_theta": [[0.0, 1.8]] * 3, "sd_theta": [[0.0, 0.4]] * 3,
+              "mu_sigma": [0.0, 0.4], "sd_sigma": [0.0, 0.2]}, "hyper_bounds.mu_theta"),
+            ("compare-prior", "literature_prior",
+             {"means": [1.0] * 3, "sds": [0.1] * 3}, "literature_prior.means"),
+        ],
+        ids=["nominals-short", "nominals-short-current", "stage1-box-short", "hyper-box-short",
+             "literature-prior-short"],
+    )
+    def test_field_checked_against_the_sidecars_family(self, battery_workspace, tmp_path, capsys,
+                                                       command, key, value, field):
+        root = battery_workspace
+        config_dict = {**BATTERY_CONFIG, key: value}
+        config_dict["datasets"] = {k: (
+            [str(root / p) for p in v] if isinstance(v, list) else str(root / v)
+        ) for k, v in BATTERY_CONFIG["datasets"].items()}
+        record = self._run(root, tmp_path / "out", command, config_dict, capsys)
+        assert record["error"] == "DataFormatError"
+        assert record["message"].startswith(f"config: field '{field}'")
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["error.json", "run.json"]
+
+    def test_sidecars_naming_two_families_is_data_error(self, battery_workspace, tmp_path, capsys):
+        root = battery_workspace
+        (tmp_path / "T1.csv").write_text("cycle,value\n0,1.0\n500,1.1\n")
+        (tmp_path / "T1.meta.json").write_text(json.dumps(
+            {"unit_id": "T1", "family": "paris", "units": "mm",
+             "geometry": {"a0": 1.0, "n0": 0, "a_f": 25.0},
+             "loading": {"mode": "constant", "delta_sigma": 60.0}}))
+        config_dict = {**BATTERY_CONFIG, "datasets": {"historical": [
+            str(root / "data" / "B1.csv"), str(root / "data" / "B2.csv"), str(tmp_path / "T1.csv"),
+        ]}}
+        record = self._run(root, tmp_path / "out", "fit-historical", config_dict, capsys)
+        assert record["error"] == "DataFormatError"
+        assert record["message"].startswith(f"{tmp_path / 'T1.meta.json'}: family 'paris'")
+        assert "'batt-double'" in record["message"]
+
+    def test_sigma_trunc_default_follows_the_family(self, workspace, tmp_path, capsys):
+        """A crack fit whose config names neither the family nor
+        ``sigma_trunc`` truncates the population sigma at 0.2, as a
+        ``family: paris`` config does."""
+        root, _ = workspace
+        config_dict = json.loads(json.dumps(BASE_CONFIG))
+        del config_dict["family"], config_dict["sigma_trunc"]
+        config_dict["sampler"] = {"n_samples": 30, "kind": "slice"}
+        config_dict["datasets"]["historical"] = [str(root / "data" / "S1.csv"),
+                                                 str(root / "data" / "S2.csv")]
+        assert self._run(root, tmp_path / "out", "fit-historical", config_dict, capsys) is None
+        hyper = load_sample_set(tmp_path / "out" / "hyper")
+        assert hyper.provenance["sigma_trunc"] == 0.2
 
 
 class TestFlags:

@@ -24,7 +24,7 @@ from hbprog.hierarchy import (
 from hbprog.io import SyntheticSpec, generate_synthetic
 from hbprog.models import BatteryDoubleModel, DegradationModel, ParisCrackModel
 from hbprog.samplers import SampleSet, SamplerConfig, SamplerError, subseed
-from hbprog.targets import HyperParameters, HyperPriorBounds
+from hbprog.targets import HyperParameters, HyperPriorBounds, ParameterVector, mixture_prior_logpdf
 
 from conftest import (
     CONST_LOADING,
@@ -86,6 +86,29 @@ class TestStage1:
         point = np.array([1.0, 1.05, 0.05])
         out = stage1_infer(data, model, (point, point), SamplerConfig(n_samples=50, seed=0))
         assert np.all(out.samples == point)
+
+    def test_pinned_sigma_searches_the_free_coordinates(self, monkeypatch):
+        """With sigma's bounds equal, the mode search runs over the free
+        coordinates only and the whitened chain keeps sigma at its bound
+        while the parameters move."""
+        searched = []
+        search = hierarchy.differential_evolution
+
+        def recorded(objective, bounds, seed):
+            searched.append(len(bounds))
+            return search(objective, bounds, seed)
+
+        monkeypatch.setattr(hierarchy, "differential_evolution", recorded)
+        data = make_dataset([0, 4000, 8000, 12000], [1.0, 1.12, 1.27, 1.45])
+        model = ParisCrackModel(GEOMETRY, CONST_LOADING)
+        lower, upper = CRACK_BOUNDS[0].copy(), CRACK_BOUNDS[1].copy()
+        lower[-1] = upper[-1] = 0.05
+        out = stage1_infer(data, model, (lower, upper), SamplerConfig(n_samples=60, seed=2))
+        assert searched == [2]
+        assert out.provenance["sampler"] == "slice+whitened"
+        assert np.all(out.column("sigma") == 0.05)
+        assert np.all(out.samples[:, :2].std(axis=0) > 0)
+        assert np.all((out.samples[:, :2] >= lower[:2]) & (out.samples[:, :2] <= upper[:2]))
 
     def test_n_evals_counts_pilot_and_final_runs(self, monkeypatch):
         """The whitened run's ``n_evals`` is the log-target calls of its
@@ -274,6 +297,32 @@ class TestUpdateCurrent:
                 unit if with_data else None, hyper, build_model(unit), SamplerConfig(seed=0),
                 hyper_subsample=10,
             )
+
+    @pytest.mark.parametrize(
+        "rows, match",
+        [
+            (np.ones((4, 5)), "describe 6 columns, but the set has 5"),
+            (np.ones((4, 7)), "describe 6 columns, but the set has 7"),
+            (np.ones((0, 6)), "nonempty"),
+        ],
+        ids=["column-short", "column-extra", "no-rows"],
+    )
+    def test_hyper_set_shape_checked(self, current_unit, rows, match):
+        """A hyper set whose columns are not those its provenance describes
+        (a mean and a spread per parameter and for sigma), or that holds no
+        row, raises a ValueError in each reader of the set, instead of an
+        IndexError or a silently ignored column."""
+        unit, _ = current_unit
+        labels = tuple(f"c{j}" for j in range(rows.shape[1]))
+        bad = SampleSet(rows, labels, {"n_theta": 2, "correlated": False, "sigma_trunc": 0.2})
+        pv = ParameterVector(np.ones(2), 0.05)
+        with pytest.raises(ValueError, match=match):
+            sample_mixture_prior(bad, 10, seed=0)
+        with pytest.raises(ValueError, match=match):
+            mixture_prior_logpdf(pv, bad)
+        for data in (unit, None):
+            with pytest.raises(ValueError, match=match):
+                update_current(data, bad, build_model(unit), SamplerConfig(n_samples=10, seed=0))
 
 
 class TestClassical:

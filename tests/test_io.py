@@ -381,8 +381,11 @@ class TestRunConfig:
         assert a != config_fingerprint(other)
 
     def test_bad_likelihood_pairing(self):
-        with pytest.raises(DataFormatError, match="pairs with"):
-            RunConfig({"family": "paris", "likelihood": "gaussian"})
+        """The likelihood follows from the family, so a ``likelihood`` key,
+        matching the family or not, is an unknown field."""
+        for likelihood in ("gaussian", "lognormal"):
+            with pytest.raises(DataFormatError, match="unknown field 'likelihood'"):
+                RunConfig({"family": "paris", "likelihood": likelihood})
 
     def test_paths_resolve_relative_to_config(self, tmp_path):
         path = tmp_path / "run.json"
@@ -447,6 +450,25 @@ class TestRunConfig:
         raw["sampler"]["kind"] = "tmcmc"
         with pytest.raises(DataFormatError, match="'stage1_bounds': entry 1 has lower == upper"):
             RunConfig(raw).stage1_bounds()
+
+    def test_family_dependent_fields_wait_for_the_family(self):
+        """Without ``family`` the fields read against it are checked once
+        :meth:`RunConfig.set_family` fixes it, and ``sigma_trunc`` defaults
+        to that family's truncation."""
+        raw = self._config_dict()
+        del raw["family"], raw["sigma_trunc"]
+        raw["nominals"] = [2.0, -18.6, 1.0]
+        cfg = RunConfig(raw)
+        with pytest.raises(DataFormatError, match="missing field 'family'"):
+            cfg.stage1_bounds()
+        with pytest.raises(DataFormatError, match="'nominals' must have 2 entries, got 3"):
+            cfg.set_family("paris")
+        cfg.set_family("batt-single")
+        assert cfg.sigma_trunc == 0.4 and cfg.nominals == (2.0, -18.6, 1.0)
+        del raw["nominals"]
+        cfg = RunConfig(raw)
+        cfg.set_family("paris")
+        assert cfg.sigma_trunc == 0.2 and cfg.nominals is None
 
     def test_readme_example_reads(self, tmp_path):
         """README's run-config example loads, and every section reader

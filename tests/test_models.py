@@ -330,6 +330,35 @@ class TestModelContracts:
             [1.92 * math.exp(-0.02 * kk) - 0.003 * math.exp(-0.05 * kk) for kk in k],
         )
 
+    def test_paris_predict_batch_with_per_row_cycles(self):
+        """``[n, m]`` cycles give row ``i`` its own grid: each row is
+        ``predict`` at that row's cycles, inadmissible rows are +inf."""
+        model = ParisCrackModel(GEO, CONST)
+        theta = np.array([[1.15, 1.03], [0.9, 1.05], [-0.2, 1.0]])
+        cycles = np.array([[0.0, 5e3, 1e4], [2e3, 4e3, 8e3], [0.0, 1.0, 2.0]])
+        out = model.predict_batch(theta, cycles)
+        assert out.shape == (3, 3)
+        for i in range(2):
+            np.testing.assert_array_equal(out[i], model.predict(theta[i], cycles[i]))
+        assert np.isinf(out[2]).all()
+
+    @pytest.mark.parametrize(
+        "make, nominals",
+        [
+            (lambda nom: ParisCrackModel(GEO, CONST, nom), (2.0, -18.6, 1.0)),
+            (lambda nom: ParisCrackModel(GEO, CONST, nom), (2.0,)),
+            (BatterySingleModel, (2.0, -1.0)),
+            (BatteryDoubleModel, (1.92, -0.02, -0.003)),
+            (BatteryDoubleModel, (1.92, -0.02, -0.003, -0.05, 1.0)),
+        ],
+        ids=["paris-long", "paris-short", "single-short", "double-short", "double-long"],
+    )
+    def test_nominals_of_the_wrong_length_rejected(self, make, nominals):
+        """A family takes one nominal per parameter; a tuple of another
+        length is an error, not silently cut or read past its end."""
+        with pytest.raises(ValueError, match=f"takes \\d nominals, got {len(nominals)}"):
+            make(nominals)
+
     def test_normalize_gaussian_rescales_exactly(self):
         model = ParisCrackModel(GEO, CONST)
         means, sds = model.normalize_gaussian([2.89, -10.78], [0.29, 0.17])

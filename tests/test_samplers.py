@@ -33,10 +33,10 @@ def conjugate_target():
         return rng.standard_normal((n, 1))
 
     def prior_logpdf(x):
-        return -0.5 * float(x[0]) ** 2 - 0.5 * math.log(2 * math.pi)
+        return -0.5 * x[:, 0] ** 2 - 0.5 * math.log(2 * math.pi)
 
     def loglik(x):
-        return -0.5 * (1.0 - float(x[0])) ** 2 - 0.5 * math.log(2 * math.pi)
+        return -0.5 * (1.0 - x[:, 0]) ** 2 - 0.5 * math.log(2 * math.pi)
 
     return TemperedTarget(1, sample_prior, prior_logpdf, loglik, ("mu",), "conjugate")
 
@@ -89,7 +89,7 @@ class TestSliceSampler:
         # monotone unbounded log-target: the right edge never falls below the level
         target = TargetSpec(1, lambda x: float(x[0]), name="improper")
         with pytest.raises(SamplerError, match="step-out exceeded"):
-            slice_sample(target, np.zeros(1), SamplerConfig(n_samples=10, seed=0, max_step_out=20))
+            slice_sample(target, np.zeros(1), SamplerConfig(n_samples=10, seed=0))
 
     def test_pinned_dimension_stays_fixed(self):
         target = TargetSpec(
@@ -161,8 +161,8 @@ class TestTMCMC:
         target = TemperedTarget(
             1,
             lambda rng, n: rng.standard_normal((n, 1)),
-            lambda x: -0.5 * float(x[0]) ** 2 - 0.5 * math.log(2 * math.pi),
-            lambda x: 0.0,
+            lambda x: -0.5 * x[:, 0] ** 2 - 0.5 * math.log(2 * math.pi),
+            lambda x: np.zeros(len(x)),
             ("x",),
             "flat",
         )
@@ -194,12 +194,12 @@ class TestTMCMC:
 
     def test_beta_schedule_strictly_increasing_to_one(self):
         def sharp_loglik(x):
-            return -50.0 * (float(x[0]) - 1.0) ** 2
+            return -50.0 * (x[:, 0] - 1.0) ** 2
 
         target = TemperedTarget(
             1,
             lambda rng, n: rng.standard_normal((n, 1)),
-            lambda x: -0.5 * float(x[0]) ** 2 - 0.5 * math.log(2 * math.pi),
+            lambda x: -0.5 * x[:, 0] ** 2 - 0.5 * math.log(2 * math.pi),
             sharp_loglik,
             ("x",),
             "sharp",
@@ -232,12 +232,12 @@ class TestTMCMC:
 
     def test_tempering_collapse_detected(self):
         def spike_loglik(x):
-            return 0.0 if float(x[0]) > 2.8 else -math.inf
+            return np.where(x[:, 0] > 2.8, 0.0, -np.inf)
 
         target = TemperedTarget(
             1,
             lambda rng, n: rng.standard_normal((n, 1)),
-            lambda x: -0.5 * float(x[0]) ** 2 - 0.5 * math.log(2 * math.pi),
+            lambda x: -0.5 * x[:, 0] ** 2 - 0.5 * math.log(2 * math.pi),
             spike_loglik,
             ("x",),
             "spike",
@@ -251,8 +251,8 @@ class TestTMCMC:
         target = TemperedTarget(
             1,
             lambda rng, n: rng.standard_normal((n, 1)),
-            lambda x: 0.0,
-            lambda x: -math.inf,
+            lambda x: np.zeros(len(x)),
+            lambda x: np.full(len(x), -np.inf),
             ("x",),
             "impossible",
         )
