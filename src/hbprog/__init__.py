@@ -12,27 +12,18 @@ __version__ = "0.1.0"
 from hbprog.models import (
     BatteryDoubleModel,
     BatterySingleModel,
-    CrackDivergedError,
     CrackGeometry,
-    CrackParams,
     DegradationModel,
     LoadingSpec,
     NoFailureError,
     ParisCrackModel,
-    crack_length,
-    cycles_to_failure,
     equivalent_stress,
 )
 from hbprog.targets import (
     HyperParameters,
     HyperPriorBounds,
-    ParameterVector,
-    current_posterior_logtarget,
     gaussian_loglik,
-    hier_prior_logpdf,
-    hyper_posterior_logtarget,
     lognormal_loglik,
-    mixture_prior_logpdf,
 )
 from hbprog.samplers import (
     SampleSet,

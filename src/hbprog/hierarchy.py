@@ -586,8 +586,6 @@ def stage2_infer(
     ``sampler="tmcmc"`` the returned set carries the hyper-level
     log-evidence estimate.
     """
-    if not stage1:
-        raise ValueError("at least one stage-1 sample set is required")
     _check_choices(case, sampler)
     config = config or SamplerConfig()
     correlated = case == "corr"
@@ -664,8 +662,12 @@ def update_current(
     """Posterior of the current unit's parameters under the mixture prior.
 
     With no current data the draws come straight from the mixture prior by
-    ancestral sampling. ``hyper_subsample`` caps the number of mixture
-    components for speed (uniform thinning of the hyper set).
+    ancestral sampling. ``hyper_subsample`` = k caps the number of mixture
+    components for speed: of the n hyper samples it keeps every
+    ``n // k``-th, then the first k of those. That is not a uniform
+    thinning: for k > n / 2 the step is 1, so it keeps the first k draws of
+    the hyper chain. A fix changes the draws of every subsampled update, so
+    it waits for the seed sweep of ROADMAP.md item 1.
     """
     n_theta, correlated, sigma_trunc = _decode_hyper_meta(hyper)
     if current is not None and len(current) and current.family != model.family:

@@ -16,13 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Half-width of the band around m = 2 inside which the crack-growth solution
-# switches to the exact exponential (singular-limit) branch. The factored
-# closed-form evaluation stays cancellation-safe down to |m - 2| ~ 1e-12, and
-# at 1e-7 the branch agrees with the exact-m solution to well under 1e-6
-# relative even at the band edge.
-PARIS_M_TOL = 1e-7
-
 CRACK_NOMINALS = (2.0, -18.6)
 BATT_SINGLE_NOMINALS = (2.0, -1.0, -100.0)
 BATT_DOUBLE_NOMINALS = (1.92, -0.02, -0.003, -0.05)
@@ -54,18 +47,6 @@ def ignore_float_errors():
             yield
         finally:
             FLOAT_ERRORS_IGNORED.reset(token)
-
-
-class CrackDivergedError(ArithmeticError):
-    """The crack-growth closed form diverges before the requested cycle."""
-
-    def __init__(self, cycle: float):
-        self.cycle = float(cycle)
-        super().__init__(f"crack diverged before cycle {cycle:g}")
-
-    def __reduce__(self):
-        # the default rebuilds from ``args`` (the message), not the cycle
-        return (type(self), (self.cycle,), self.__dict__)
 
 
 class NoFailureError(ValueError):
@@ -140,38 +121,6 @@ class CrackGeometry:
             raise ValueError("require n0 >= 0")
 
 
-@dataclass(frozen=True)
-class CrackParams:
-    """Normalized Paris parameters: theta1 = m / m0, theta2 = log C / log C0.
-
-    ``log_c0`` is on the natural-log scale. The recovered physical values are
-    exposed as ``m``, ``log_c`` and ``c``.
-    """
-
-    theta1: float
-    theta2: float
-    m0: float = CRACK_NOMINALS[0]
-    log_c0: float = CRACK_NOMINALS[1]
-
-    def __post_init__(self):
-        if not (self.theta1 > 0 and math.isfinite(self.theta1)):
-            raise ValueError("theta1 must be positive and finite")
-        if not (math.isfinite(self.m) and math.isfinite(self.log_c)):
-            raise ValueError("recovered m and log C must be finite")
-
-    @property
-    def m(self) -> float:
-        return self.theta1 * self.m0
-
-    @property
-    def log_c(self) -> float:
-        return self.theta2 * self.log_c0
-
-    @property
-    def c(self) -> float:
-        return math.exp(self.log_c)
-
-
 def equivalent_stress(loading: LoadingSpec, m: float) -> float:
     """Equivalent constant amplitude for the given loading and Paris exponent.
 
@@ -229,10 +178,10 @@ def _profile_raw(
     ``a = (a0^e + e * C * (ds * sqrt(pi))^m * (N - N0))^(1/e)`` with
     ``e = 1 - m/2``, evaluated in the factored shape
     ``a0 * exp(log1p(r) / e)`` with ``r = e * rate * dn * a0^(-e)`` so the
-    m -> 2 limit is reached without cancellation. Inside the ``PARIS_M_TOL``
-    band the exact exponential solution ``a0 * exp(C * (ds*sqrt(pi))^2 * dn)``
-    is used. A zero rate (log C underflowing exp, the C = 0 surrogate) gives
-    a0 at every cycle.
+    m -> 2 limit is reached without cancellation: a few 1e-15 relative
+    however close m is to 2. At m == 2 exactly, where e = 0, the exponential
+    solution ``a0 * exp(C * (ds*sqrt(pi))^2 * dn)`` is used. A zero rate
+    (log C underflowing exp, the C = 0 surrogate) gives a0 at every cycle.
 
     A curve overflowing to +inf warns of nothing: inside
     :func:`ignore_float_errors` (every sampling stage) this opens no error
@@ -243,7 +192,7 @@ def _profile_raw(
             return _profile_raw(m, log_c, a0, log_a0, n0, log_ds, n_cycles)
     # N - 0.0 is N itself, so the common n0 = 0 needs no copy
     dn = n_cycles - n0 if n0 else n_cycles
-    if abs(m - 2.0) < PARIS_M_TOL:
+    if m == 2.0:
         try:
             rate = math.exp(log_c + 2.0 * log_ds)
         except OverflowError:
@@ -277,15 +226,15 @@ def _profile_rows(
     with +inf at and beyond each row's divergence cycle."""
     dn = n_cycles - n0
     out = np.empty((m.size, dn.size))
-    band = np.abs(m - 2.0) < PARIS_M_TOL
-    grow = ~band
+    m_two = m == 2.0
+    grow = ~m_two
     with np.errstate(over="ignore", invalid="ignore"):
-        if band.any():
-            rate = np.exp(log_c[band] + 2.0 * log_ds[band])
+        if m_two.any():
+            rate = np.exp(log_c[m_two] + 2.0 * log_ds[m_two])
             x = rate[:, None] * dn
             # infinite rate: instant divergence everywhere except dn = 0
             x[np.isinf(rate)[:, None] & (dn == 0.0)] = 0.0
-            out[band] = a0 * np.exp(x)
+            out[m_two] = a0 * np.exp(x)
         if grow.any():
             e = 1.0 - m[grow] / 2.0
             log_scale = log_c[grow] + m[grow] * log_ds[grow] - e * math.log(a0)
@@ -451,7 +400,7 @@ class ParisCrackModel(DegradationModel):
     def cycles_to_failure(self, theta, a_f: float | None = None) -> float:
         """Cycle count at which the crack reaches the critical length.
 
-        Inverts the implemented closed form exactly (including the m ~ 2
+        Inverts the implemented closed form exactly (including the m = 2
         exponential branch). ``a_f`` overrides the geometry's critical length,
         which is how prognosis thresholds are applied. A growth rate that
         overflows diverges at once, so the crack fails at ``n0`` (where
@@ -470,58 +419,20 @@ class ParisCrackModel(DegradationModel):
             raise ValueError("critical length below initial length")
         if af == geo.a0:
             return float(geo.n0)
-        band = abs(m - 2.0) < PARIS_M_TOL
+        m_two = m == 2.0
         try:
-            rate = math.exp(log_c + (2.0 if band else m) * log_ds)
+            rate = math.exp(log_c + (2.0 if m_two else m) * log_ds)
         except OverflowError:
             return float(geo.n0)
         if rate == 0.0:
             raise NoFailureError("no finite failure time: crack growth rate is zero")
-        if band:
+        if m_two:
             return geo.n0 + math.log(af / geo.a0) / rate
         e = 1.0 - m / 2.0
         # N_f = n0 + (af^e - a0^e) / (e * rate) in the cancellation-safe shape
         # n0 + a0^e * expm1(e * log(af/a0)) / (e * rate)
         num = math.exp(e * self._log_a0) * math.expm1(e * math.log(af / geo.a0))
         return geo.n0 + num / (e * rate)
-
-
-def crack_length(
-    params: CrackParams,
-    geometry: CrackGeometry,
-    loading: LoadingSpec,
-    n_cycles,
-):
-    """Crack length (mm) after ``n_cycles`` total cycles: a view of
-    :meth:`ParisCrackModel.predict`.
-
-    Accepts a scalar or array of cycles, all >= the geometry's n0. Raises
-    :class:`CrackDivergedError` if the closed form diverges at or before any
-    requested cycle (the caller treats this as end-of-life reached).
-    """
-    scalar = np.ndim(n_cycles) == 0
-    n = np.atleast_1d(np.asarray(n_cycles, dtype=float))
-    if np.any(n < geometry.n0):
-        raise ValueError("requested cycles must be >= geometry.n0")
-    model = ParisCrackModel(geometry, loading, (params.m0, params.log_c0))
-    a = model.predict((params.theta1, params.theta2), n)
-    bad = ~np.isfinite(a)
-    if np.any(bad):
-        raise CrackDivergedError(float(np.min(n[bad])))
-    return float(a[0]) if scalar else a
-
-
-def cycles_to_failure(
-    params: CrackParams,
-    geometry: CrackGeometry,
-    loading: LoadingSpec,
-    a_f: float | None = None,
-) -> float:
-    """Cycle count at which the crack reaches the critical length ``a_f``
-    (the geometry's by default): a view of
-    :meth:`ParisCrackModel.cycles_to_failure`."""
-    model = ParisCrackModel(geometry, loading, (params.m0, params.log_c0))
-    return model.cycles_to_failure((params.theta1, params.theta2), a_f)
 
 
 _TINY = np.finfo(float).tiny

@@ -128,6 +128,16 @@ class SamplerConfig:
             raise ValueError("burn_in fraction must be in [0, 1)")
         if self.thinning < 1:
             raise ValueError("thinning must be >= 1")
+        # a zero or negative target takes 1e-12 tempering steps, NaN one step
+        # to beta = 1, and a zero width never moves a slice chain
+        if not (math.isfinite(self.tmcmc_target_cov) and self.tmcmc_target_cov > 0):
+            raise ValueError("tmcmc_target_cov must be finite and > 0")
+        if self.tmcmc_moves < 0:
+            raise ValueError("tmcmc_moves must be >= 0")
+        if self.slice_width is not None and not (
+            math.isfinite(self.slice_width) and self.slice_width > 0
+        ):
+            raise ValueError("slice_width must be finite and > 0 when set")
 
     def replace(self, **kw) -> "SamplerConfig":
         data = asdict(self)

@@ -3,12 +3,12 @@
 Contains the measurement likelihoods (lognormal for crack lengths, Gaussian
 for capacities), the Gaussian population prior over dimensionless parameters
 with a truncated-Gaussian block for the error scale, the uniform hyper-prior
-box, and the two composite unnormalized log-targets: the hyper-posterior
-given stage-1 sample sets and the current-unit posterior under the
-hyper-sample mixture prior.
-
-The population density has one kernel per sampling shape (stage-1 rows x hyper
-vectors, one row x a fixed hyper set); the public densities are views of them.
+box, and the population density as one kernel per sampling shape: the
+pooled stage-2 log-likelihood of hyper vectors given stage-1 sample sets
+(stage-1 rows x hyper vectors) and the mixture prior of the current unit
+(one row x a fixed hyper set). :func:`hbprog.hierarchy.stage2_infer` adds the
+hyper-prior box to the first and :func:`hbprog.hierarchy.update_current` adds
+:func:`dataset_loglik` to the second.
 
 All functions return -inf (never NaN) for out-of-support input.
 
@@ -388,31 +388,6 @@ def trunc_normal_ppf(q, mu, sd, lo, hi):
 
 
 @dataclass(frozen=True)
-class ParameterVector:
-    """One unit's parameters: dimensionless model parameters plus the
-    prediction-error scale in measurement units (mm or Ahr)."""
-
-    theta: np.ndarray
-    sigma: float
-
-    def __post_init__(self):
-        theta = np.asarray(self.theta, dtype=float)
-        theta.setflags(write=False)
-        object.__setattr__(self, "theta", theta)
-        if theta.ndim != 1:
-            raise ValueError("theta must be one-dimensional")
-        if not self.sigma > 0:
-            raise ValueError("sigma must be > 0")
-
-    @property
-    def dim(self) -> int:
-        return self.theta.size + 1
-
-    def as_row(self) -> np.ndarray:
-        return np.concatenate([self.theta, [self.sigma]])
-
-
-@dataclass(frozen=True)
 class HyperParameters:
     """Population distribution parameters: Gaussian mean/sd per model
     parameter, optional correlation between the first two components, and a
@@ -512,12 +487,6 @@ class HyperPriorBounds:
     def upper(self, correlated: bool) -> np.ndarray:
         return np.array([p[1] for p in self.pairs(correlated)])
 
-    def contains(self, vec: np.ndarray, correlated: bool) -> bool:
-        vec = np.asarray(vec, dtype=float)
-        return bool(
-            np.all(vec >= self.lower(correlated)) and np.all(vec <= self.upper(correlated))
-        )
-
     def log_prior_const(self, correlated: bool) -> float:
         widths = self.upper(correlated) - self.lower(correlated)
         return float(-np.sum(np.log(widths)))
@@ -582,6 +551,8 @@ def _stage2_rows(stage1: Sequence, bounds, correlated, sigma_trunc):
     the diagonal case.
     """
     mats = [np.asarray(getattr(ss, "samples", ss), dtype=float) for ss in stage1]
+    if not mats or any(m.ndim != 2 or m.shape[0] == 0 for m in mats):
+        raise ValueError("stage 2 needs at least one stage-1 sample set, each a nonempty matrix")
     dims = {m.shape[1] for m in mats}
     if len(dims) != 1:
         raise ValueError("stage-1 sample sets have mismatched dimensions")
@@ -788,49 +759,6 @@ def _mixture_kernel(hyper_mat: np.ndarray, n_theta: int, correlated: bool, sigma
     return logpdf
 
 
-def _mixture_view(pv: ParameterVector, hyper_mat, n_theta, correlated, sigma_trunc) -> float:
-    """:func:`_mixture_kernel` at one parameter vector: -inf for sigma
-    outside (0, sigma_trunc), and for a point where the density is NaN."""
-    mixture = _mixture_kernel(hyper_mat, n_theta, correlated, sigma_trunc)
-    if not 0.0 < pv.sigma < sigma_trunc:
-        return -math.inf
-    value = mixture(pv.as_row())
-    return -math.inf if math.isnan(value) else value
-
-
-def hier_prior_logpdf(pv: ParameterVector, psi: HyperParameters) -> float:
-    """Log-density of one unit's parameters under the population
-    distribution: Gaussian over the dimensionless parameters plus the
-    truncated-Gaussian error-scale block. Returns -inf when sigma falls
-    outside (0, sigma_trunc); a psi with no sigma mass there raises
-    :class:`HyperRowError`."""
-    if pv.theta.size != psi.n_theta:
-        raise ValueError("parameter/hyperparameter dimension mismatch")
-    return _mixture_view(pv, psi.to_vector()[None], psi.n_theta, psi.correlated, psi.sigma_trunc)
-
-
-def hyper_posterior_logtarget(psi: HyperParameters, stage1, bounds: HyperPriorBounds) -> float:
-    """Unnormalized log-posterior of the hyperparameters given stage-1
-    sample sets (one per historical dataset).
-
-    Equals ``log p(psi) + sum_i [logsumexp_k hier(row_ik | psi) - log n_i]``
-    with the uniform hyper-prior box ``bounds``; -inf outside the box.
-    """
-    mats = [np.asarray(getattr(ss, "samples", ss), dtype=float) for ss in stage1]
-    if not mats:
-        raise ValueError("at least one stage-1 sample set is required")
-    for mat in mats:
-        if mat.ndim != 2 or mat.shape[0] == 0:
-            raise ValueError("each stage-1 sample set must be a nonempty matrix")
-        if mat.shape[1] != psi.n_theta + 1:
-            raise ValueError("stage-1 sample dimension does not match hyperparameters")
-    vec = psi.to_vector()
-    if not bounds.contains(vec, psi.correlated):
-        return -math.inf
-    loglik, _ = _stage2_target(mats, bounds, psi.correlated, psi.sigma_trunc)
-    return bounds.log_prior_const(psi.correlated) + loglik(vec)
-
-
 def _decode_hyper_meta(hyper_samples) -> tuple[int, bool, float]:
     """``(n_theta, correlated, sigma_trunc)`` of a hyper sample set, read
     from its provenance. The set must hold at least one row, and a mean and
@@ -852,18 +780,6 @@ def _decode_hyper_meta(hyper_samples) -> tuple[int, bool, float]:
             f"columns, but the set has {dim}"
         )
     return n_theta, correlated, sigma_trunc
-
-
-def mixture_prior_logpdf(pv: ParameterVector, hyper_samples) -> float:
-    """Log-density of the hyper-averaged prior for a new unit: an
-    equal-weight mixture of population Gaussians over the hyper samples,
-    ``logsumexp_s hier(pv | psi_s) - log N_s``. A hyper sample the density
-    is not defined for raises :class:`HyperRowError`."""
-    n_theta, correlated, sigma_trunc = _decode_hyper_meta(hyper_samples)
-    if pv.theta.size != n_theta:
-        raise ValueError("parameter/hyper-sample dimension mismatch")
-    mat = np.asarray(hyper_samples.samples, dtype=float)
-    return _mixture_view(pv, mat, n_theta, correlated, sigma_trunc)
 
 
 def dataset_loglik(model, dataset, theta: np.ndarray, sigma: float) -> float:
@@ -955,18 +871,3 @@ def dataset_loglik_batch(model, dataset, theta: np.ndarray, sigma: np.ndarray) -
             total = -0.5 * r.shape[1] * (LOG_TWO_PI + 2.0 * np.log(sig)) - rr / (2.0 * sig**2)
     out[rows] = np.where(np.isnan(total), -np.inf, total)
     return out
-
-
-def current_posterior_logtarget(
-    pv: ParameterVector, current, hyper_samples, model
-) -> float:
-    """Unnormalized log-posterior of the current unit's parameters: data
-    log-likelihood plus the mixture-prior log-density. ``current`` may be
-    None or empty, in which case the target reduces to the mixture prior
-    (prior-predictive mode)."""
-    prior = mixture_prior_logpdf(pv, hyper_samples)
-    if prior == -math.inf:
-        return -math.inf
-    if current is None or len(current.cycles) == 0:
-        return prior
-    return dataset_loglik(model, current, pv.theta, pv.sigma) + prior

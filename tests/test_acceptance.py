@@ -24,17 +24,16 @@ from hbprog.hierarchy import (
     update_many,
 )
 from hbprog.io import SyntheticSpec, generate_synthetic, load_dataset
-from hbprog.models import CrackGeometry, CrackParams, LoadingSpec, crack_length, cycles_to_failure
+from hbprog.models import ParisCrackModel
 from hbprog.prognosis import PrognosisConfig, predict_trajectory, rul_distribution
 from hbprog.samplers import SampleSet, SamplerConfig, TargetSpec, TemperedTarget, slice_sample, tmcmc
 from hbprog.targets import (
     HyperParameters,
     HyperPriorBounds,
-    ParameterVector,
+    _mixture_kernel,
+    _stage2_target,
     gaussian_loglik,
-    hyper_posterior_logtarget,
     lognormal_loglik,
-    mixture_prior_logpdf,
 )
 
 from conftest import CONST_LOADING, CRACK_BOUNDS, CRACK_PSI, GEOMETRY
@@ -151,37 +150,30 @@ def test_criterion_3_paris_vs_ode_oracle():
 
         return float(solve_ivp(rate, (0.0, dn), [1.0], rtol=1e-11, atol=1e-13).y[0, -1])
 
+    model = ParisCrackModel(GEOMETRY, CONST_LOADING)
     rng = np.random.default_rng(2024)
     worst_sweep = 0.0
     worst_round = 0.0
-    n_draws = 0
-    while n_draws < 100:
-        theta1 = rng.uniform(0.55, 1.55)
-        theta2 = rng.uniform(0.95, 1.12)
-        params = CrackParams(theta1, theta2)
-        if abs(params.m - 2.0) < 1e-6:
-            continue
-        n_draws += 1
-        nf = cycles_to_failure(params, GEOMETRY, CONST_LOADING)
+    for _ in range(100):
+        theta = (rng.uniform(0.55, 1.55), rng.uniform(0.95, 1.12))
+        nf = model.cycles_to_failure(theta)
         dn = rng.uniform(0.2, 0.9) * nf
-        closed = crack_length(params, GEOMETRY, CONST_LOADING, dn)
-        want = ode_length(params.m, params.log_c, dn)
+        closed = model.predict(theta, dn)[0]
+        want = ode_length(theta[0] * model.m0, theta[1] * model.log_c0, dn)
         worst_sweep = max(worst_sweep, abs(closed - want) / want)
-        back = crack_length(params, GEOMETRY, CONST_LOADING, nf)
+        back = model.predict(theta, nf)[0]
         worst_round = max(worst_round, abs(back - 25.0) / 25.0)
-    # inside the m ~ 2 band the implementation is the exponential branch;
-    # check it against the ODE oracle at m = 2 and band-edge parameters
+    # at m = 2 the implementation is the exponential branch and next to it
+    # the general form; check both against the ODE oracle
     band_worst = 0.0
     for theta1 in (1.0, 1.0 + 4e-8, 1.0 - 4e-8):
-        params = CrackParams(theta1, 1.0)
+        theta = (theta1, 1.0)
         dn = 20000.0
-        closed = crack_length(params, GEOMETRY, CONST_LOADING, dn)
-        want = ode_length(params.m, params.log_c, dn)
+        closed = model.predict(theta, dn)[0]
+        want = ode_length(theta1 * model.m0, model.log_c0, dn)
         band_worst = max(band_worst, abs(closed - want) / want)
-        nf = cycles_to_failure(params, GEOMETRY, CONST_LOADING)
-        worst_round = max(
-            worst_round, abs(crack_length(params, GEOMETRY, CONST_LOADING, nf) - 25.0) / 25.0
-        )
+        nf = model.cycles_to_failure(theta)
+        worst_round = max(worst_round, abs(model.predict(theta, nf)[0] - 25.0) / 25.0)
     ok = worst_sweep <= 1e-6 and band_worst <= 1e-6 and worst_round <= 1e-9
     report(
         3,
@@ -235,7 +227,8 @@ def test_criterion_5_mixture_and_hyper_brute_force():
             SampleSet(rows, ("theta1", "theta2", "sigma"),
                       {"n_theta": 2, "correlated": False, "sigma_trunc": 0.2})
         )
-    got = hyper_posterior_logtarget(psi, sets, bounds)
+    loglik, _ = _stage2_target(sets, bounds, False, 0.2)
+    got = bounds.log_prior_const(False) + loglik(psi.to_vector())
     want = bounds.log_prior_const(False)
     for ss in sets:
         dens = [brute_density(r[:2], r[2], psi) for r in ss.samples]
@@ -252,9 +245,8 @@ def test_criterion_5_mixture_and_hyper_brute_force():
         HyperParameters.labels(2, False),
         {"n_theta": 2, "correlated": False, "sigma_trunc": 0.2},
     )
-    pv = ParameterVector(np.array([1.02, 1.04]), 0.07)
-    got_mix = mixture_prior_logpdf(pv, hyper_set)
-    want_mix = math.log(np.mean([brute_density(pv.theta, pv.sigma, p) for p in psis]))
+    got_mix = _mixture_kernel(hyper_set.samples, 2, False, 0.2)(np.array([1.02, 1.04, 0.07]))
+    want_mix = math.log(np.mean([brute_density([1.02, 1.04], 0.07, p) for p in psis]))
     mix_err = abs(got_mix - want_mix)
     ok = hyper_err < 1e-10 and mix_err < 1e-10
     report(

@@ -11,7 +11,6 @@ import pytest
 
 from hbprog.hierarchy import _stage2_target, _stage2_target_batch
 from hbprog.models import (
-    PARIS_M_TOL,
     BatteryDoubleModel,
     BatterySingleModel,
     CrackGeometry,
@@ -48,15 +47,15 @@ def assert_matches(got, want, rtol, atol=0.0):
 
 
 def crack_rows(rng, n=200):
-    """Random crack parameters plus the edge rows: the m ~ 2 band and its
-    edge, fast growth that diverges inside the grid, an infinite growth
+    """Random crack parameters plus the edge rows: m = 2 exactly and
+    |m - 2| of 8e-8 and 1.2e-7, fast growth that diverges inside the grid, an infinite growth
     rate, and inadmissible or non-finite rows."""
     theta = np.column_stack([rng.uniform(0.3, 2.5, n), rng.uniform(0.5, 1.6, n)])
     edge = [
         [1.0, 1.05],
-        [1.0 + 0.4 * PARIS_M_TOL, 1.05],
-        [1.0 - 0.4 * PARIS_M_TOL, 0.9],
-        [1.0 + 0.6 * PARIS_M_TOL, 1.05],
+        [1.0 + 4e-8, 1.05],
+        [1.0 - 4e-8, 0.9],
+        [1.0 + 6e-8, 1.05],
         [1.2, 1.02],  # diverges inside the grid
         [3.0, 0.3],  # diverges right after the first cycle
         [100.0, 1.0],  # the growth rate overflows to an infinite scale
@@ -140,7 +139,7 @@ class TestPredictBatch:
         assert not model.admissible(theta[0]) and model.admissible(theta[1])
 
     def test_paris_band_rate_overflow(self):
-        """In the m = 2 band a rate that overflows exp gives a0 at n0 and
+        """At m = 2 a rate that overflows exp gives a0 at n0 and
         +inf after it (0 before it), in both paths, instead of raising."""
         geo = CrackGeometry(a0=1.0, n0=100.0, a_f=25.0)
         model = ParisCrackModel(geo, LoadingSpec("constant", delta_sigma=60.0))

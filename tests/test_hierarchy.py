@@ -24,7 +24,7 @@ from hbprog.hierarchy import (
 from hbprog.io import SyntheticSpec, generate_synthetic
 from hbprog.models import BatteryDoubleModel, DegradationModel, ParisCrackModel
 from hbprog.samplers import SampleSet, SamplerConfig, SamplerError, subseed
-from hbprog.targets import HyperParameters, HyperPriorBounds, ParameterVector, mixture_prior_logpdf
+from hbprog.targets import HyperParameters, HyperPriorBounds
 
 from conftest import (
     CONST_LOADING,
@@ -315,11 +315,8 @@ class TestUpdateCurrent:
         unit, _ = current_unit
         labels = tuple(f"c{j}" for j in range(rows.shape[1]))
         bad = SampleSet(rows, labels, {"n_theta": 2, "correlated": False, "sigma_trunc": 0.2})
-        pv = ParameterVector(np.ones(2), 0.05)
         with pytest.raises(ValueError, match=match):
             sample_mixture_prior(bad, 10, seed=0)
-        with pytest.raises(ValueError, match=match):
-            mixture_prior_logpdf(pv, bad)
         for data in (unit, None):
             with pytest.raises(ValueError, match=match):
                 update_current(data, bad, build_model(unit), SamplerConfig(n_samples=10, seed=0))

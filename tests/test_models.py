@@ -6,31 +6,28 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.integrate import solve_ivp
+from scipy.integrate import quad, solve_ivp
 
 from hbprog.models import (
     BATT_SINGLE_NOMINALS,
     BatteryDoubleModel,
     BatterySingleModel,
-    CrackDivergedError,
     CrackGeometry,
-    CrackParams,
     LoadingSpec,
     NoFailureError,
     ParisCrackModel,
     _exp_in_place,
-    crack_length,
-    cycles_to_failure,
     equivalent_stress,
 )
 
 GEO = CrackGeometry(a0=1.0, n0=0.0, a_f=25.0)
 CONST = LoadingSpec("constant", delta_sigma=60.0)
+PARIS = ParisCrackModel(GEO, CONST)
 SINGLE = BatterySingleModel()
 DOUBLE = BatteryDoubleModel()
 
 
-def ode_crack_length(m, log_c, a0, delta_sigma, dn, rtol=1e-11):
+def ode_length(m, log_c, a0, delta_sigma, dn, rtol=1e-11):
     """Independent oracle: adaptive Runge-Kutta integration of the growth
     rate law da/dN = C * (delta_sigma * sqrt(pi * a))^m."""
     c = math.exp(log_c)
@@ -91,42 +88,64 @@ class TestEquivalentStress:
 
 class TestCrackLength:
     def test_zero_elapsed_cycles(self):
-        p = CrackParams(1.2, 1.0)
-        assert crack_length(p, GEO, CONST, 0.0) == 1.0
+        assert PARIS.predict((1.2, 1.0), 0.0)[0] == 1.0
 
     def test_no_growth_when_rate_underflows(self):
         # theta2 large enough that exp(log C) underflows to exactly 0
-        p = CrackParams(1.2, 45.0)
-        assert crack_length(p, GEO, CONST, 1e6) == 1.0
+        assert PARIS.predict((1.2, 45.0), 1e6)[0] == 1.0
 
     def test_against_ode_oracle_m3(self):
-        p = CrackParams(1.5, 1.0)  # m = 3, log C = -18.6
-        got = crack_length(p, GEO, CONST, 100.0)
-        want = ode_crack_length(3.0, -18.6, 1.0, 60.0, 100.0)
+        got = PARIS.predict((1.5, 1.0), 100.0)[0]  # m = 3, log C = -18.6
+        want = ode_length(3.0, -18.6, 1.0, 60.0, 100.0)
         assert got == pytest.approx(want, rel=1e-6)
         assert got == pytest.approx(4.042843235898347, rel=1e-9)
 
     def test_vector_and_scalar_agree(self):
-        p = CrackParams(1.1, 1.02)
+        theta = (1.1, 1.02)
         grid = np.array([0.0, 5e3, 2e4])
-        vec = crack_length(p, GEO, CONST, grid)
+        vec = PARIS.predict(theta, grid)
         assert vec.shape == (3,)
         for n, v in zip(grid, vec):
-            assert crack_length(p, GEO, CONST, float(n)) == v
+            assert PARIS.predict(theta, float(n))[0] == v
 
     def test_divergence_signalled_with_cycle(self):
-        p = CrackParams(1.5, 1.0)  # m = 3 diverges at base = 0
-        with pytest.raises(CrackDivergedError) as err:
-            crack_length(p, GEO, CONST, 5e4)
-        assert err.value.cycle == 5e4
+        """At m = 3 the closed form's pole, where a0^e + e * rate * dn
+        reaches 0 with e = -1/2, is dn = 2 a0^(-1/2) / rate: the curve is
+        finite before it and +inf from it on."""
+        rate = math.exp(-18.6) * (60.0 * math.sqrt(math.pi)) ** 3
+        pole = 2.0 / rate
+        out = PARIS.predict((1.5, 1.0), [0.0, 0.99 * pole, 1.01 * pole, 5e4])
+        assert np.isfinite(out[:2]).all() and out[1] > 1e3
+        assert np.isinf(out[2:]).all()
 
     def test_exponential_branch_continuity(self):
-        eps = 2e-7  # inside the m ~ 2 band at theta1 = 1 +- 1e-7
-        a_mid = crack_length(CrackParams(1.0, 1.0), GEO, CONST, 2e4)
-        a_lo = crack_length(CrackParams(1.0 - eps, 1.0), GEO, CONST, 2e4)
-        a_hi = crack_length(CrackParams(1.0 + eps, 1.0), GEO, CONST, 2e4)
+        eps = 2e-7  # m = 2 exactly is the exponential branch, m = 2 +- 4e-7 is not
+        a_mid = PARIS.predict((1.0, 1.0), 2e4)[0]
+        a_lo = PARIS.predict((1.0 - eps, 1.0), 2e4)[0]
+        a_hi = PARIS.predict((1.0 + eps, 1.0), 2e4)[0]
         assert a_lo == pytest.approx(a_mid, rel=1e-4)
         assert a_hi == pytest.approx(a_mid, rel=1e-4)
+
+    @pytest.mark.parametrize("offset", [2e-8, -2e-8], ids=["above", "below"])
+    def test_near_m2_matches_ode(self, offset):
+        """Next to m = 2 the general form is exact: the curve of ``predict``
+        and ``predict_batch`` matches the ODE, and ``cycles_to_failure`` the
+        quadrature of dN = da / (C (ds sqrt(pi a))^m), to 1e-9 relative.
+        The m = 2 exponential used over a band around m = 2 is off by about
+        9.7 |m - 2| here."""
+        theta = np.array([1.0 + offset, 1.0])
+        m, log_c = 2.0 * theta[0], -18.6
+        want = ode_length(m, log_c, 1.0, 60.0, 2e4)
+        assert PARIS.predict(theta, 2e4)[0] == pytest.approx(want, rel=1e-9, abs=0.0)
+        assert PARIS.predict_batch(theta[None], [2e4])[0, 0] == pytest.approx(
+            want, rel=1e-9, abs=0.0
+        )
+        c = math.exp(log_c)
+        nf, _ = quad(
+            lambda a: 1.0 / (c * (60.0 * math.sqrt(math.pi * a)) ** m), 1.0, 25.0,
+            epsabs=0.0, epsrel=1e-13,
+        )
+        assert PARIS.cycles_to_failure(theta) == pytest.approx(nf, rel=1e-9, abs=0.0)
 
     @given(
         theta1=st.floats(0.5, 1.6),
@@ -136,42 +155,35 @@ class TestCrackLength:
     )
     @settings(max_examples=60, deadline=None)
     def test_monotone_in_cycles(self, theta1, theta2, n1, n2):
-        p = CrackParams(theta1, theta2)
-        lo, hi = sorted([n1, n2])
-        try:
-            a_pair = crack_length(p, GEO, CONST, np.array([lo, hi]))
-        except CrackDivergedError:
-            return
+        # a diverged cycle reads +inf, which passes too
+        a_pair = PARIS.predict((theta1, theta2), np.array(sorted([n1, n2])))
         assert a_pair[1] >= a_pair[0] - 1e-12
 
     @given(theta1=st.floats(0.55, 1.55), theta2=st.floats(0.95, 1.1))
     @settings(max_examples=40, deadline=None)
     def test_ode_agreement_random_sweep(self, theta1, theta2):
-        p = CrackParams(theta1, theta2)
-        if abs(p.m - 2.0) < 1e-6:
-            return
-        nf = cycles_to_failure(p, GEO, CONST)
+        nf = PARIS.cycles_to_failure((theta1, theta2))
         dn = 0.5 * nf
-        got = crack_length(p, GEO, CONST, dn)
-        want = ode_crack_length(p.m, p.log_c, 1.0, 60.0, dn)
+        got = PARIS.predict((theta1, theta2), dn)[0]
+        want = ode_length(2.0 * theta1, -18.6 * theta2, 1.0, 60.0, dn)
         assert got == pytest.approx(want, rel=1e-6)
 
 
 class TestCyclesToFailure:
     def test_already_at_threshold(self):
         geo = CrackGeometry(a0=5.0, n0=120.0, a_f=5.0)
-        assert cycles_to_failure(CrackParams(1.2, 1.0), geo, CONST) == 120.0
+        assert ParisCrackModel(geo, CONST).cycles_to_failure((1.2, 1.0)) == 120.0
 
     def test_m2_branch_hand_formula(self):
-        p = CrackParams(1.0, 1.0)  # exactly m = 2
-        nf = cycles_to_failure(p, GEO, CONST)
+        theta = (1.0, 1.0)  # exactly m = 2
+        nf = PARIS.cycles_to_failure(theta)
         # by hand: n0 + ln(a_f / a0) / (C * (ds * sqrt(pi))^2)
         assert nf == pytest.approx(34050.948442446757, rel=1e-9)
         # bisection on the forward model as an independent check
         lo, hi = 0.0, 1e6
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            if crack_length(p, GEO, CONST, mid) < 25.0:
+            if PARIS.predict(theta, mid)[0] < 25.0:
                 lo = mid
             else:
                 hi = mid
@@ -179,14 +191,13 @@ class TestCyclesToFailure:
 
     def test_zero_rate_has_no_failure_time(self):
         with pytest.raises(NoFailureError):
-            cycles_to_failure(CrackParams(1.2, 45.0), GEO, CONST)
+            PARIS.cycles_to_failure((1.2, 45.0))
 
     @given(theta1=st.floats(0.55, 1.55), theta2=st.floats(0.95, 1.15))
     @settings(max_examples=60, deadline=None)
     def test_roundtrip_inversion(self, theta1, theta2):
-        p = CrackParams(theta1, theta2)
-        nf = cycles_to_failure(p, GEO, CONST)
-        assert crack_length(p, GEO, CONST, nf) == pytest.approx(25.0, rel=1e-9)
+        nf = PARIS.cycles_to_failure((theta1, theta2))
+        assert PARIS.predict((theta1, theta2), nf)[0] == pytest.approx(25.0, rel=1e-9)
 
 
 class TestBatterySingle:
@@ -267,24 +278,15 @@ class TestBatteryDouble:
 
 class TestDeterminism:
     def test_bit_identical_reevaluation(self):
-        p = CrackParams(1.2, 1.05)
         grid = np.linspace(0, 1e4, 17)
-        first = crack_length(p, GEO, CONST, grid)
-        second = crack_length(p, GEO, CONST, grid)
+        first = PARIS.predict((1.2, 1.05), grid)
+        second = PARIS.predict((1.2, 1.05), grid)
         assert np.array_equal(first, second)
         theta = [1.1, 0.9, 1.2, 0.8]
         assert np.array_equal(DOUBLE.predict(theta, 33), DOUBLE.predict(theta, 33))
 
 
 class TestModelContracts:
-    def test_paris_predict_matches_free_function(self):
-        model = ParisCrackModel(GEO, CONST)
-        theta = np.array([1.15, 1.03])
-        grid = np.linspace(0, 2e4, 9)
-        np.testing.assert_array_equal(
-            model.predict(theta, grid), crack_length(CrackParams(*theta), GEO, CONST, grid)
-        )
-
     def test_paris_predict_inf_after_divergence(self):
         model = ParisCrackModel(GEO, CONST)
         out = model.predict(np.array([1.5, 1.0]), np.array([0.0, 100.0, 5e4]))
@@ -292,7 +294,7 @@ class TestModelContracts:
         assert np.isinf(out[2])
 
     def test_paris_overflowing_curve_is_silent(self):
-        """m just under 2, outside the exponential band, grows the crack
+        """m just under 2, off the m = 2 exponential branch, grows the crack
         by exp(log1p(r) / e) with e = 5e-7, which overflows to +inf at large
         dn: both curve forms give +inf there and warn of nothing."""
         model = ParisCrackModel(GEO, CONST)

@@ -29,7 +29,7 @@ from hbprog.hierarchy import (
     update_many,
 )
 from hbprog.io import DataFormatError, SyntheticSpec, generate_synthetic
-from hbprog.models import CrackDivergedError, NoFailureError
+from hbprog.models import NoFailureError
 from hbprog.samplers import SampleSet, SamplerConfig, SamplerError
 from hbprog.targets import HyperParameters, HyperPriorBounds
 
@@ -50,7 +50,6 @@ def assert_same_set(a: SampleSet, b: SampleSet):
 @pytest.mark.parametrize(
     "exc",
     [
-        CrackDivergedError(5.0),
         NoFailureError("no finite failure time"),
         SamplerError("step-out overrun"),
         DataFormatError("bad column"),
@@ -63,8 +62,6 @@ def test_public_exceptions_survive_pickling(exc):
     assert type(back) is type(exc)
     assert str(back) == str(exc)
     assert back.args == exc.args
-    if isinstance(exc, CrackDivergedError):
-        assert back.cycle == exc.cycle == 5.0
 
 
 def test_fit_historical_independent_of_worker_count(crack_fleet, monkeypatch):
@@ -154,11 +151,8 @@ def test_model_select_independent_of_worker_count(monkeypatch, const_family):
 
 @pytest.mark.parametrize(
     "make_error",
-    [
-        lambda unit: SamplerError(f"{unit}: degenerate weights"),
-        lambda unit: CrackDivergedError(7.5),
-    ],
-    ids=["SamplerError", "CrackDivergedError"],
+    [lambda unit: SamplerError(f"{unit}: degenerate weights")],
+    ids=["SamplerError"],
 )
 def test_first_failing_job_in_input_order_reraises(crack_fleet, monkeypatch, make_error):
     """Jobs 1 and 2 both fail, job 2 first in time; either worker count

@@ -11,8 +11,6 @@ from hbprog.models import (
     BatteryDoubleModel,
     BatterySingleModel,
     ParisCrackModel,
-    cycles_to_failure,
-    CrackParams,
 )
 from hbprog.prognosis import (
     PrognosisConfig,
@@ -193,7 +191,6 @@ class TestEndOfLife:
         t_eol, censored = end_of_life(np.array([*theta, 0.05]), CRACK_MODEL, cfg)
         assert not censored
         lo, hi = 0.0, 1e7
-        p = CrackParams(*theta)
         for _ in range(80):
             mid = 0.5 * (lo + hi)
             if float(CRACK_MODEL.predict(theta, [mid])[0]) < 25.0:
@@ -639,14 +636,14 @@ class TestRulDistribution:
         t_c = 5000.0
         cfg = PrognosisConfig(threshold=25.0, t_c=t_c, horizon=1e6)
         res = rul_distribution(singleton(theta), CRACK_MODEL, cfg)
-        nf = cycles_to_failure(CrackParams(*theta), GEOMETRY, CONST_LOADING)
+        nf = CRACK_MODEL.cycles_to_failure(theta)
         assert res.rul.shape == (1,)
         assert res.rul[0] == pytest.approx(nf - t_c, rel=1e-12)
         assert res.summary["mean"] == res.summary["median"] == res.rul[0]
 
     def test_overflowing_growth_rate_fails_at_tc(self):
-        """A draw whose growth rate overflows ``math.exp`` (in the m ~ 2
-        band and out of it) has failed by t_c, where ``predict`` turns +inf
+        """A draw whose growth rate overflows ``math.exp`` (at m = 2 and
+        away from it) has failed by t_c, where ``predict`` turns +inf
         at once: t_eol = t_c, not censored."""
         rows = np.array([[1.0, -40.0, 0.05], [0.5, -40.0, 0.05]])
         for theta in rows[:, :2]:

@@ -313,3 +313,27 @@ class TestUtilities:
     def test_subseed_deterministic_and_tagged(self):
         assert subseed(7, 1, 2) == subseed(7, 1, 2)
         assert subseed(7, 1, 2) != subseed(7, 2, 1)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("tmcmc_target_cov", 0.0),
+            ("tmcmc_target_cov", -1.0),
+            ("tmcmc_target_cov", math.nan),
+            ("tmcmc_target_cov", math.inf),
+            ("tmcmc_moves", -1),
+            ("slice_width", 0.0),
+            ("slice_width", -0.5),
+            ("slice_width", math.nan),
+        ],
+    )
+    def test_config_rejects_settings_that_stall_a_sampler(self, field, value):
+        """A tempering target that is not finite and > 0 (0 or -1 takes
+        1e-12 steps, NaN jumps to beta = 1 at once), a negative move count
+        and a slice width that is not > 0 (0 never moves the chain) are
+        errors naming the field; the edge values next to them are not."""
+        with pytest.raises(ValueError, match=field):
+            SamplerConfig(**{field: value})
+        with pytest.raises(ValueError, match=field):
+            SamplerConfig().replace(**{field: value})
+        SamplerConfig(tmcmc_target_cov=1e-3, tmcmc_moves=0, slice_width=1e-3)

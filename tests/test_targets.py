@@ -1,6 +1,7 @@
 """Log-density building blocks against quadrature and brute-force oracles."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,26 +10,24 @@ from scipy.integrate import quad
 from scipy.special import logsumexp as scipy_logsumexp
 from scipy.stats import norm
 
-from hbprog.hierarchy import _mixture_kernel, _stage2_target
+from hbprog import hierarchy
+from hbprog.hierarchy import _mixture_kernel, _stage2_target, stage2_infer, update_current
 from hbprog.models import (
     BatteryDoubleModel,
     BatterySingleModel,
     ParisCrackModel,
     ignore_float_errors,
 )
-from hbprog.samplers import SampleSet
+from hbprog.samplers import SampleSet, SamplerConfig, subseed
 from hbprog.targets import (
     HyperParameters,
     HyperPriorBounds,
-    ParameterVector,
-    current_posterior_logtarget,
+    HyperRowError,
+    _decode_hyper_meta,
     dataset_loglik,
     gaussian_loglik,
-    hier_prior_logpdf,
-    hyper_posterior_logtarget,
     lognormal_loglik,
     logsumexp,
-    mixture_prior_logpdf,
     segment_logsumexp,
     trunc_normal_logpdf,
 )
@@ -40,6 +39,34 @@ from conftest import (
     population_logpdf_oracle,
     stage2_loglik_oracle,
 )
+
+
+class _Captured(Exception):
+    pass
+
+
+def stage_target(stage, *args, **kwargs):
+    """The log-target that ``stage``, a sampling stage of
+    :mod:`hbprog.hierarchy`, hands to the stage runner; nothing is sampled."""
+
+    def run_stage(name, labels, lower, upper, density, config, **kw):
+        raise _Captured(density)
+
+    with mock.patch.object(hierarchy, "_run_stage", run_stage), pytest.raises(_Captured) as info:
+        stage(*args, **kwargs)
+    return info.value.args[0]
+
+
+def population_logpdf(psi, theta, sigma):
+    """The population density of one unit under ``psi``: the mixture
+    kernel over the one-row hyper set."""
+    kernel = _mixture_kernel(psi.to_vector()[None], psi.n_theta, psi.correlated, psi.sigma_trunc)
+    return kernel(np.array([*theta, sigma]))
+
+
+def mixture_logpdf(hyper, theta, sigma):
+    """The mixture prior of ``update_current`` over the hyper set."""
+    return _mixture_kernel(hyper.samples, *_decode_hyper_meta(hyper))(np.array([*theta, sigma]))
 
 
 def brute_hier_density(theta, sigma, psi):
@@ -151,8 +178,7 @@ class TestHierPrior:
     PSI = HyperParameters(mu0=[1.0, 1.05], sd0=[0.1, 0.03], mu_sigma=0.08, sd_sigma=0.04)
 
     def test_diagonal_factorizes(self):
-        pv = ParameterVector(np.array([0.94, 1.01]), 0.06)
-        got = hier_prior_logpdf(pv, self.PSI)
+        got = population_logpdf(self.PSI, [0.94, 1.01], 0.06)
         want = (
             norm.logpdf(0.94, 1.0, 0.1)
             + norm.logpdf(1.01, 1.05, 0.03)
@@ -162,27 +188,50 @@ class TestHierPrior:
 
     def test_standardized_mode(self):
         psi = HyperParameters(mu0=[0.3, -0.7], sd0=[1.0, 1.0], mu_sigma=0.1, sd_sigma=0.05)
-        pv = ParameterVector(np.array([0.3, -0.7]), 0.1)
-        theta_part = hier_prior_logpdf(pv, psi) - trunc_normal_logpdf(0.1, 0.1, 0.05, 0.0, 0.2)
+        theta_part = population_logpdf(psi, [0.3, -0.7], 0.1) - trunc_normal_logpdf(
+            0.1, 0.1, 0.05, 0.0, 0.2
+        )
         assert theta_part == pytest.approx(-math.log(2 * math.pi), rel=1e-12)
 
     def test_correlated_vs_matrix_algebra_oracle(self):
         psi = HyperParameters(
             mu0=[1.0, 1.05], sd0=[0.1, 0.03], mu_sigma=0.08, sd_sigma=0.04, rho=0.6
         )
-        pv = ParameterVector(np.array([1.13, 1.02]), 0.11)
-        want = math.log(brute_hier_density(pv.theta, pv.sigma, psi))
-        assert hier_prior_logpdf(pv, psi) == pytest.approx(want, rel=1e-10)
+        want = math.log(brute_hier_density([1.13, 1.02], 0.11, psi))
+        assert population_logpdf(psi, [1.13, 1.02], 0.11) == pytest.approx(want, rel=1e-10)
+        # the pooled stage-2 target of that one draw
+        loglik, _ = _stage2_target(
+            [np.array([[1.13, 1.02, 0.11]])], HyperPriorBounds.crack_default(True), True, 0.2
+        )
+        assert loglik(psi.to_vector()) == pytest.approx(want, rel=1e-10)
 
     def test_sigma_outside_truncation_rejected(self):
-        pv = ParameterVector(np.array([1.0, 1.05]), 0.25)
-        assert hier_prior_logpdf(pv, self.PSI) == -math.inf
+        """A sigma of 0.25, outside (0, 0.2), has no density in the pooled
+        stage-2 target or in the current unit's target."""
+        loglik, _ = _stage2_target(
+            [np.array([[1.0, 1.05, 0.25]])], HyperPriorBounds.crack_default(), False, 0.2
+        )
+        assert loglik(self.PSI.to_vector()) == -math.inf
+        hyper = SampleSet(
+            self.PSI.to_vector()[None],
+            HyperParameters.labels(2, False),
+            {"n_theta": 2, "correlated": False, "sigma_trunc": 0.2},
+        )
+        target = stage_target(
+            update_current, make_dataset([1000, 2000], [1.05, 1.12]), hyper,
+            ParisCrackModel(GEOMETRY, CONST_LOADING), SamplerConfig(n_samples=10, seed=0),
+        )
+        assert target(np.array([1.0, 1.05, 0.25])) == -math.inf
+        assert math.isfinite(target(np.array([1.0, 1.05, 0.15])))
 
     def test_psi_without_sigma_mass_rejected(self):
         psi = HyperParameters(mu0=[1.0, 1.05], sd0=[0.1, 0.03], mu_sigma=5.0, sd_sigma=0.03)
-        pv = ParameterVector(np.array([1.0, 1.05]), 0.1)
-        with pytest.raises(ValueError, match="sigma mass"):
-            hier_prior_logpdf(pv, psi)
+        with pytest.raises(HyperRowError, match="sigma mass"):
+            population_logpdf(psi, [1.0, 1.05], 0.1)
+        loglik, _ = _stage2_target(
+            [np.array([[1.0, 1.05, 0.1]])], HyperPriorBounds.crack_default(), False, 0.2
+        )
+        assert loglik(psi.to_vector()) == -math.inf
 
     def test_invalid_rho_rejected(self):
         with pytest.raises(ValueError):
@@ -204,14 +253,19 @@ def _sample_set(rows, n_theta=2, correlated=False, sigma_trunc=0.2):
 
 
 class TestHyperPosterior:
+    """The log-target of the slice-sampled ``stage2_infer``: the box check,
+    the box's log constant and the one-vector stage-2 kernel."""
+
     BOUNDS = HyperPriorBounds.crack_default()
     PSI = HyperParameters(mu0=[1.0, 1.05], sd0=[0.1, 0.03], mu_sigma=0.08, sd_sigma=0.04)
 
+    def target(self, sets, bounds=BOUNDS, case="diag"):
+        return stage_target(stage2_infer, sets, bounds, case, SamplerConfig(n_samples=10, seed=0))
+
     def test_single_sample_degeneracy(self):
         row = np.array([[0.97, 1.06, 0.05]])
-        got = hyper_posterior_logtarget(self.PSI, [_sample_set(row)], self.BOUNDS)
-        pv = ParameterVector(row[0, :2], row[0, 2])
-        want = self.BOUNDS.log_prior_const(False) + hier_prior_logpdf(pv, self.PSI)
+        got = self.target([_sample_set(row)])(self.PSI.to_vector())
+        want = self.BOUNDS.log_prior_const(False) + population_logpdf(self.PSI, row[0, :2], row[0, 2])
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_brute_force_toy_case(self):
@@ -220,8 +274,7 @@ class TestHyperPosterior:
         set_b = 1.0 + 0.05 * rng.standard_normal((5, 3))
         for mat in (set_a, set_b):
             mat[:, 2] = np.abs(mat[:, 2]) * 0.1
-        sets = [_sample_set(set_a), _sample_set(set_b)]
-        got = hyper_posterior_logtarget(self.PSI, sets, self.BOUNDS)
+        got = self.target([_sample_set(set_a), _sample_set(set_b)])(self.PSI.to_vector())
         # naive exp-then-average-then-log with the matrix-algebra density
         want = self.BOUNDS.log_prior_const(False)
         for mat in (set_a, set_b):
@@ -231,10 +284,9 @@ class TestHyperPosterior:
 
     def test_duplication_invariance(self):
         rows = np.array([[0.95, 1.04, 0.06], [1.08, 1.02, 0.09]])
-        once = hyper_posterior_logtarget(self.PSI, [_sample_set(rows)], self.BOUNDS)
-        twice = hyper_posterior_logtarget(
-            self.PSI, [_sample_set(np.vstack([rows, rows]))], self.BOUNDS
-        )
+        vec = self.PSI.to_vector()
+        once = self.target([_sample_set(rows)])(vec)
+        twice = self.target([_sample_set(np.vstack([rows, rows]))])(vec)
         assert twice == pytest.approx(once, rel=1e-12)
 
     def test_permutation_invariance(self):
@@ -243,25 +295,27 @@ class TestHyperPosterior:
             [1 + 0.1 * rng.standard_normal(6), 1 + 0.02 * rng.standard_normal(6),
              0.05 + 0.01 * rng.random(6)]
         )
-        a = hyper_posterior_logtarget(self.PSI, [_sample_set(rows)], self.BOUNDS)
-        b = hyper_posterior_logtarget(self.PSI, [_sample_set(rows[::-1].copy())], self.BOUNDS)
+        vec = self.PSI.to_vector()
+        a = self.target([_sample_set(rows)])(vec)
+        b = self.target([_sample_set(rows[::-1].copy())])(vec)
         assert a == b
 
     def test_out_of_bounds_psi(self):
         psi = HyperParameters(mu0=[2.5, 1.05], sd0=[0.1, 0.03], mu_sigma=0.08, sd_sigma=0.04)
         rows = np.array([[0.95, 1.04, 0.06]])
-        assert hyper_posterior_logtarget(psi, [_sample_set(rows)], self.BOUNDS) == -math.inf
+        assert self.target([_sample_set(rows)])(psi.to_vector()) == -math.inf
 
     def test_empty_set_rejected(self):
-        with pytest.raises(ValueError):
-            hyper_posterior_logtarget(self.PSI, [], self.BOUNDS)
-        with pytest.raises(ValueError):
-            hyper_posterior_logtarget(
-                self.PSI, [_sample_set(np.empty((0, 3)))], self.BOUNDS
-            )
+        cfg = SamplerConfig(n_samples=10, seed=0)
+        for sets in ([], [_sample_set(np.empty((0, 3)))]):
+            for sampler in ("slice", "tmcmc"):
+                with pytest.raises(ValueError, match="nonempty matrix"):
+                    stage2_infer(sets, self.BOUNDS, config=cfg, sampler=sampler)
 
-    def test_stage2_closure_matches_public_op(self):
-        """The fused sampling kernel must agree with the public target."""
+
+    def test_stage2_closure_matches_scipy_oracle(self):
+        """The one-vector stage-2 kernel plus the box's log constant agrees
+        with the scipy.stats population density, pooled by hand."""
         rng = np.random.default_rng(3)
         sets = []
         for n in (4, 7):
@@ -270,16 +324,14 @@ class TestHyperPosterior:
                  0.02 + 0.15 * rng.random(n)]
             )
             sets.append(_sample_set(rows))
-        loglik, _ = _stage2_target(sets, self.BOUNDS, False, 0.2)
         vec = self.PSI.to_vector()
-        got = self.BOUNDS.log_prior_const(False) + loglik(vec)
+        got = self.target(sets)(vec)
         want = self.BOUNDS.log_prior_const(False) + stage2_loglik_oracle(
             [ss.samples for ss in sets], vec, 2, False, 0.2
         )
         assert got == pytest.approx(want, rel=1e-12)
-        assert hyper_posterior_logtarget(self.PSI, sets, self.BOUNDS) == got
 
-    def test_stage2_closure_matches_public_op_correlated(self):
+    def test_stage2_closure_matches_scipy_oracle_correlated(self):
         rng = np.random.default_rng(4)
         rows = np.column_stack(
             [1 + 0.1 * rng.standard_normal(5), 1 + 0.02 * rng.standard_normal(5),
@@ -289,14 +341,11 @@ class TestHyperPosterior:
         psi = HyperParameters(
             mu0=[1.0, 1.05], sd0=[0.1, 0.03], mu_sigma=0.08, sd_sigma=0.04, rho=-0.4
         )
-        sets = [_sample_set(rows, correlated=True)]
-        loglik, _ = _stage2_target(sets, bounds, True, 0.2)
-        got = bounds.log_prior_const(True) + loglik(psi.to_vector())
+        got = self.target([_sample_set(rows, correlated=True)], bounds, "corr")(psi.to_vector())
         want = bounds.log_prior_const(True) + stage2_loglik_oracle(
             [rows], psi.to_vector(), 2, True, 0.2
         )
         assert got == pytest.approx(want, rel=1e-12)
-        assert hyper_posterior_logtarget(psi, sets, bounds) == got
 
 
 class TestMixturePrior:
@@ -310,18 +359,15 @@ class TestMixturePrior:
     def test_single_component_reduction(self):
         psi = HyperParameters(mu0=[1.0, 1.05], sd0=[0.1, 0.03], mu_sigma=0.08, sd_sigma=0.04)
         hyper = self._hyper_set([psi.to_vector()])
-        pv = ParameterVector(np.array([0.9, 1.07]), 0.05)
-        assert mixture_prior_logpdf(pv, hyper) == pytest.approx(
-            hier_prior_logpdf(pv, psi), rel=1e-12
-        )
+        want = math.log(brute_hier_density([0.9, 1.07], 0.05, psi))
+        assert mixture_logpdf(hyper, [0.9, 1.07], 0.05) == pytest.approx(want, rel=1e-12)
 
     def test_repeated_components_match_single(self):
         psi = HyperParameters(mu0=[1.0, 1.05], sd0=[0.1, 0.03], mu_sigma=0.08, sd_sigma=0.04)
         hyper1 = self._hyper_set([psi.to_vector()])
         hyper5 = self._hyper_set([psi.to_vector()] * 5)
-        pv = ParameterVector(np.array([1.1, 1.0]), 0.12)
-        assert mixture_prior_logpdf(pv, hyper5) == pytest.approx(
-            mixture_prior_logpdf(pv, hyper1), rel=1e-12
+        assert mixture_logpdf(hyper5, [1.1, 1.0], 0.12) == pytest.approx(
+            mixture_logpdf(hyper1, [1.1, 1.0], 0.12), rel=1e-12
         )
 
     def test_three_component_brute_force(self):
@@ -331,11 +377,10 @@ class TestMixturePrior:
             HyperParameters(mu0=[1.2, 1.10], sd0=[0.05, 0.01], mu_sigma=0.12, sd_sigma=0.06),
         ]
         hyper = self._hyper_set([p.to_vector() for p in psis])
-        pv = ParameterVector(np.array([1.02, 1.04]), 0.07)
-        want = math.log(np.mean([brute_hier_density(pv.theta, pv.sigma, p) for p in psis]))
-        assert mixture_prior_logpdf(pv, hyper) == pytest.approx(want, abs=1e-10)
+        want = math.log(np.mean([brute_hier_density([1.02, 1.04], 0.07, p) for p in psis]))
+        assert mixture_logpdf(hyper, [1.02, 1.04], 0.07) == pytest.approx(want, abs=1e-10)
 
-    def test_fast_kernel_matches_public_op(self):
+    def test_fast_kernel_matches_scipy_oracle(self):
         rng = np.random.default_rng(12)
         rows = np.column_stack(
             [
@@ -348,20 +393,15 @@ class TestMixturePrior:
             ]
         )
         hyper = self._hyper_set(rows)
-        kern = _mixture_kernel(rows, 2, False, 0.2)
-        for pv in (
-            ParameterVector(np.array([0.95, 1.01]), 0.05),
-            ParameterVector(np.array([1.3, 0.8]), 0.19),
-        ):
-            comps = [population_logpdf_oracle(pv.as_row(), v, 2, False, 0.2)[0] for v in rows]
+        for theta, sigma in (([0.95, 1.01], 0.05), ([1.3, 0.8], 0.19)):
+            comps = [population_logpdf_oracle([*theta, sigma], v, 2, False, 0.2)[0] for v in rows]
             want = scipy_logsumexp(comps) - math.log(len(rows))
-            assert kern(pv.as_row()) == pytest.approx(want, rel=1e-12)
-            assert mixture_prior_logpdf(pv, hyper) == kern(pv.as_row())
+            assert mixture_logpdf(hyper, theta, sigma) == pytest.approx(want, rel=1e-12)
 
     def test_empty_rejected(self):
         hyper = self._hyper_set(np.empty((0, 6)))
         with pytest.raises(ValueError):
-            mixture_prior_logpdf(ParameterVector(np.array([1.0, 1.0]), 0.1), hyper)
+            mixture_logpdf(hyper, [1.0, 1.0], 0.1)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(13)
@@ -370,13 +410,18 @@ class TestMixturePrior:
              0.05 + 0.1 * rng.random(5), 0.05 + 0.1 * rng.random(5),
              0.02 + 0.05 * rng.random(5), 0.01 + 0.05 * rng.random(5)]
         )
-        pv = ParameterVector(np.array([1.0, 1.0]), 0.08)
-        a = mixture_prior_logpdf(pv, self._hyper_set(rows))
-        b = mixture_prior_logpdf(pv, self._hyper_set(rows[::-1].copy()))
+        a = mixture_logpdf(self._hyper_set(rows), [1.0, 1.0], 0.08)
+        b = mixture_logpdf(self._hyper_set(rows[::-1].copy()), [1.0, 1.0], 0.08)
         assert a == pytest.approx(b, rel=1e-14)
 
 
 class TestCurrentPosterior:
+    """The log-target of ``update_current``: the mixture prior plus
+    ``dataset_loglik``."""
+
+    MODEL = ParisCrackModel(GEOMETRY, CONST_LOADING)
+    CONFIG = SamplerConfig(n_samples=10, seed=0)
+
     def _hyper_set(self):
         psi = HyperParameters(mu0=[1.0, 1.05], sd0=[0.1, 0.03], mu_sigma=0.08, sd_sigma=0.04)
         return SampleSet(
@@ -388,26 +433,32 @@ class TestCurrentPosterior:
     def test_compositional_toy_case(self):
         hyper = self._hyper_set()
         data = make_dataset([1000, 2000], [1.05, 1.12])
-        model = ParisCrackModel(GEOMETRY, CONST_LOADING)
-        pv = ParameterVector(np.array([1.0, 1.05]), 0.05)
-        want = dataset_loglik(model, data, pv.theta, pv.sigma) + mixture_prior_logpdf(pv, hyper)
-        got = current_posterior_logtarget(pv, data, hyper, model)
-        assert got == pytest.approx(want, rel=1e-12)
+        target = stage_target(update_current, data, hyper, self.MODEL, self.CONFIG)
+        theta, sigma = np.array([1.0, 1.05]), 0.05
+        psis = [HyperParameters(r[:2], r[3:5], r[2], r[5]) for r in hyper.samples]
+        prior = math.log(np.mean([brute_hier_density(theta, sigma, p) for p in psis]))
+        want = dataset_loglik(self.MODEL, data, theta, sigma) + prior
+        assert target(np.array([*theta, sigma])) == pytest.approx(want, rel=1e-12)
 
     def test_zero_data_recovers_prior(self):
+        """No current data, or an empty series, gives the mixture prior's
+        ancestral draws."""
         hyper = self._hyper_set()
-        model = ParisCrackModel(GEOMETRY, CONST_LOADING)
-        pv = ParameterVector(np.array([0.93, 1.08]), 0.11)
-        assert current_posterior_logtarget(pv, None, hyper, model) == pytest.approx(
-            mixture_prior_logpdf(pv, hyper), rel=1e-12
+        want = hierarchy.sample_mixture_prior(
+            hyper, self.CONFIG.n_samples, subseed(self.CONFIG.seed, hierarchy._TAG_CURRENT)
         )
+        empty = make_dataset([], [])
+        for data in (None, empty):
+            got = update_current(data, hyper, self.MODEL, self.CONFIG)
+            assert got.samples.tobytes() == want.samples.tobytes()
+            assert got.provenance["sampler"] == "ancestral-mixture"
 
     def test_model_divergence_rejected(self):
         hyper = self._hyper_set()
         data = make_dataset([1000, 50000], [1.05, 20.0])
-        model = ParisCrackModel(GEOMETRY, CONST_LOADING)
-        pv = ParameterVector(np.array([1.5, 1.0]), 0.05)  # m = 3 diverges before 5e4
-        assert current_posterior_logtarget(pv, data, hyper, model) == -math.inf
+        target = stage_target(update_current, data, hyper, self.MODEL, self.CONFIG)
+        # m = 3 diverges before 5e4
+        assert target(np.array([1.5, 1.0, 0.05])) == -math.inf
 
     def test_empty_mixture_rejected(self):
         bad = SampleSet(
@@ -415,10 +466,8 @@ class TestCurrentPosterior:
             HyperParameters.labels(2, False),
             {"n_theta": 2, "correlated": False, "sigma_trunc": 0.2},
         )
-        model = ParisCrackModel(GEOMETRY, CONST_LOADING)
-        pv = ParameterVector(np.array([1.0, 1.0]), 0.1)
         with pytest.raises(ValueError):
-            current_posterior_logtarget(pv, None, bad, model)
+            update_current(None, bad, self.MODEL, self.CONFIG)
 
 
 class TestNoNaNs:
@@ -437,10 +486,10 @@ class TestNoNaNs:
         )
         model = ParisCrackModel(GEOMETRY, CONST_LOADING)
         data = make_dataset([0, 8000, 16000], [1.0, 1.4, 2.1])
-        pv = ParameterVector(np.array([theta1, theta2]), sigma)
-        val = current_posterior_logtarget(pv, data, hyper, model)
+        target = stage_target(update_current, data, hyper, model, SamplerConfig(n_samples=10))
+        val = target(np.array([theta1, theta2, sigma]))
         assert not math.isnan(val)
-        assert dataset_loglik(model, data, pv.theta, pv.sigma) is not None
+        assert not math.isnan(dataset_loglik(model, data, np.array([theta1, theta2]), sigma))
 
     def test_battery_dataset_loglik_matches_public(self):
         model = BatterySingleModel()
