@@ -17,16 +17,15 @@ log-target evaluation.
 
 from __future__ import annotations
 
-import gc
 import math
 import os
-import sys
 import threading
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from hbprog.lbfgsb import minimize
 from hbprog.models import (
     FAMILIES,
     CrackGeometry,
@@ -66,39 +65,10 @@ _TAG_STAGE1, _TAG_STAGE2, _TAG_CURRENT, _TAG_SELECT, _TAG_CLASSICAL = 1, 2, 3, 4
 # length of the whitening pilot run, as a fraction of the final run (at least 100 draws)
 _PILOT_FRACTION = 0.25
 
-
-# scipy.optimize, the only scipy module the package uses, is imported on the
-# first call of ``minimize``, so commands that never search for a mode
-# (predict, rul, synth, any TMCMC fit) run without scipy.
-# The mode search's differential evolution below is this module's own; only
-# the quasi-Newton polish is scipy's. Both stay module-level names because
-# the initialisation looks them up here at call time, which is where a
-# tracer or a test patches them.
-
-
-def _import_optimize():
-    """``scipy.optimize``, imported on its first use rather than with the
-    package.
-
-    Cyclic garbage collection is paused for the import: loading scipy
-    allocates tens of thousands of long-lived objects and no garbage, and
-    the collections those allocations set off cost each command that loads
-    it about 10 ms.
-    """
-    if "scipy.optimize" not in sys.modules:
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            import scipy.optimize  # noqa: F401
-        finally:
-            if enabled:
-                gc.enable()
-    return sys.modules["scipy.optimize"]
-
-
-def minimize(*args, **kwargs):
-    """:func:`scipy.optimize.minimize`, imported on the first call."""
-    return _import_optimize().minimize(*args, **kwargs)
+# The mode search's differential evolution below and its L-BFGS-B polish
+# (``minimize``, from hbprog.lbfgsb) stay module-level names: the
+# initialisation looks them up here at call time, which is where a tracer or
+# a test patches them.
 
 
 # Differential evolution (Storn & Price 1997, J. Global Optim. 11:341) in
@@ -350,7 +320,7 @@ def _find_init(target: TargetSpec, rng: np.random.Generator, first_guess: np.nda
     never finds; a slice chain started off the ridge settles into a local
     mode hundreds of nats below the global one. A seeded global search
     (this module's :func:`differential_evolution`) followed by a
-    quasi-Newton polish (scipy's L-BFGS-B through :func:`minimize`) starts
+    quasi-Newton polish (L-BFGS-B through :func:`minimize`) starts
     every chain at the dominant mode deterministically.
     """
     best_x = np.array(first_guess, dtype=float)
@@ -845,9 +815,6 @@ def update_many(
     returned in input order. The updates are independent and each seeds
     itself from ``config``, so they run in worker processes (see
     :func:`_map_jobs`) with the serial loop's bytes."""
-    # each update polishes its starts: imported once here, not once per
-    # forked worker (see minimize above)
-    _import_optimize()
     return _map_jobs(
         lambda ds: update_current(ds, hyper, model, config, hyper_subsample), datasets
     )
@@ -906,11 +873,6 @@ def fit_historical(
         infer = _stage1_tmcmc if sampler == "tmcmc" else stage1_infer
         return infer(ds, build_model(ds, family, nominals), stage1_bounds, job_cfg)
 
-    if sampler != "tmcmc":
-        # each slice stage-1 job polishes its mode search: imported once
-        # here, not once per forked worker (see minimize above); TMCMC
-        # searches for no mode and never loads it
-        _import_optimize()
     stage1_sets = _map_jobs(stage1_job, enumerate(datasets))
     hyper = stage2_infer(
         _forward_stage1(stage1_sets, stage1_thin), hyper_bounds, case, config, sampler, sigma_trunc

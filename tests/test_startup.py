@@ -4,11 +4,11 @@ the scipy modules its own path runs, when it first runs them.
 The normal CDF and quantile are the package's own, so ``synth``,
 ``predict`` and ``rul`` never load scipy. The mode search
 (``hierarchy.differential_evolution``, in-house) polishes its best point
-with ``scipy.optimize.minimize`` through the module-level wrapper
-``hierarchy.minimize``; perfbench's tracer patches both names. The callers
-whose jobs search for a mode import ``scipy.optimize`` before ``_map_jobs``
-forks, so their workers inherit it; ``model-select`` and ``fit-historical
---sampler tmcmc`` run TMCMC only and load no scipy module at all.
+with ``hierarchy.minimize``, the package's own L-BFGS-B loop, which loads
+scipy's compiled ``setulb`` module (``scipy.optimize._lbfgsb``) on first use
+without the ``scipy.optimize`` package; perfbench's tracer patches both
+names. ``model-select`` and ``fit-historical --sampler tmcmc`` run TMCMC
+only and load no scipy module at all.
 """
 
 import json
@@ -141,25 +141,29 @@ def test_mode_search_calls_the_module_level_names(monkeypatch, name):
     ],
     ids=["fit_historical", "update_many"],
 )
-def test_mode_search_jobs_start_with_scipy_optimize(patch, call):
+def test_mode_search_jobs_run_without_scipy_optimize(patch, call):
     """The stage-1 jobs of ``fit_historical`` and the updates of
-    ``update_many`` search for a mode, so each job (here replaced by one
-    that reports its process and whether ``scipy.optimize`` is loaded) sees
-    it loaded at its entry in a forked worker: imported once in the parent
-    before the fork, although the parent never calls it."""
+    ``update_many`` search for a mode. Each job (here replaced by one that
+    runs a polish and reports its process and the scipy modules it then
+    holds) loads only the compiled L-BFGS-B module in its forked worker,
+    and the parent, which runs no polish, loads none."""
     proc = run_fresh(
         "import os, sys\n"
         "from types import SimpleNamespace\n"
         "import hbprog.hierarchy as hierarchy\n"
         "hierarchy._available_cpus = lambda: 2\n"
         "parent = os.getpid()\n"
-        "job = lambda *args: (os.getpid() != parent, 'scipy.optimize' in sys.modules)\n"
+        "def job(*args):\n"
+        "    res = hierarchy.minimize(lambda x: float(x @ x), [0.5], bounds=[(-1.0, 1.0)])\n"
+        f"    return os.getpid() != parent, bool(res.success), {LOADED_SCIPY}\n"
         + patch
         + "units = [hierarchy.Dataset(f'B{i}', [1, 2], [1.9, 1.8], 'batt-single') for i in range(4)]\n"
-        "assert 'scipy.optimize' not in sys.modules\n"
         f"print(list({call}))\n"
+        f"print({LOADED_SCIPY})\n"
     )
-    assert proc.stdout.strip() == str([(True, True)] * 4)
+    jobs, parent = proc.stdout.splitlines()[-2:]
+    assert jobs == str([(True, True, ["scipy.optimize._lbfgsb"])] * 4)
+    assert parent == "[]"
 
 
 def _box(n: int) -> dict:
@@ -223,14 +227,14 @@ def battery_run(tmp_path_factory):
     return root
 
 
-def _readme_scipy_table() -> dict[str, set[str]]:
+def _readme_scipy_table() -> dict[str, list[str]]:
     """README's Start-up table: command -> the scipy modules it loads."""
     section = (ROOT / "README.md").read_text().split("### Start-up", 1)[1].split("\n#", 1)[0]
     table = {}
     for line in section.splitlines():
         cells = line.split("|")
         if len(cells) == 4 and cells[1].strip().startswith("`"):
-            modules = set(re.findall(r"`(scipy\.[\w.]+)`", cells[2]))
+            modules = sorted(set(re.findall(r"`(scipy\.[\w.]+)`", cells[2])))
             for command in re.findall(r"`([\w-]+)`", cells[1]):
                 table[command] = modules
     return table
@@ -243,10 +247,10 @@ COMMANDS = ("synth", "fit-historical", "fit-current", "predict", "rul", "model-s
 def test_command_loads_the_scipy_modules_readme_lists(battery_run, tmp_path, command):
     """Run in a fresh interpreter on one CPU, so all of its work stays in
     one process, each command loads exactly the scipy modules README's
-    Start-up table lists for it, among the modules the table names, and a
-    command listed with none loads no scipy module at all."""
+    Start-up table lists for it: the compiled L-BFGS-B module for the
+    commands that slice-sample, and none for the others."""
     table = _readme_scipy_table()
-    named = sorted(set().union(*table.values()))
+    assert set(table) == set(COMMANDS)
     shutil.copytree(battery_run, tmp_path, dirs_exist_ok=True)
     out = "data" if command == "synth" else "."
     proc = run_fresh(
@@ -255,11 +259,10 @@ def test_command_loads_the_scipy_modules_readme_lists(battery_run, tmp_path, com
         "from hbprog.cli import main\n"
         "hierarchy._available_cpus = lambda: 1\n"
         f"assert main([{command!r}, '--config', 'run.json', '--out', {out!r}]) == 0\n"
-        f"print(sorted(m for m in {named!r} if m in sys.modules), 'scipy' in sys.modules)\n",
+        f"print({LOADED_SCIPY})\n",
         cwd=tmp_path,
     )
-    expected = sorted(table[command])
-    assert proc.stdout.splitlines()[-1] == f"{expected} {bool(expected)}"
+    assert proc.stdout.splitlines()[-1] == str(table[command])
 
 
 def test_tmcmc_fit_historical_runs_without_scipy_optimize(battery_run, tmp_path):
